@@ -67,7 +67,8 @@ class BarrierSuppressed(RegimeError):
 
 
 class BracketingFailure(NumericError):
-    """Turning-point search could not bracket a sign change (diagnostic)."""
+    """Turning points not resolvable in floating point, at fields so small
+    that the barrier spans the float range (diagnostic)."""
 
 
 class QuadratureNonConvergence(NumericError):

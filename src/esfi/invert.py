@@ -10,6 +10,7 @@ the root unique.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,7 +19,8 @@ from .errors import NonMonotoneBracket, NumericError, TargetUnattainable
 from .hydrogenic import HydrogenicAtom
 from .rates import guard_field, rate_ll
 
-_RESIDUAL_TOL = 1e-13  # |ln K - ln target| at convergence
+_RESIDUAL_TOL = 1e-13  # |ln K - ln target| at convergence, where resolvable
+_EPS = sys.float_info.epsilon
 _MAX_ITER = 300
 
 
@@ -97,9 +99,13 @@ def invert_rate(
     # Newton on u = ln F with d(ln K)/d(ln F) by central difference,
     # falling back to bisection whenever a step leaves the bracket
     du = 1e-6
-    while abs(g) > _RESIDUAL_TOL and evaluations < _MAX_ITER:
+    tol = _RESIDUAL_TOL
+    while abs(g) > tol and evaluations < _MAX_ITER:
         slope = (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
         evaluations += 2
+        # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
+        # of u and F, so deep in the barrier it cannot resolve 1e-13
+        tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))
         step_ok = slope > 0.0
         if step_ok:
             u_next = u - g / slope
@@ -114,7 +120,7 @@ def invert_rate(
         else:
             u_lo = max(u_lo, u)
 
-    if abs(g) > _RESIDUAL_TOL:
+    if abs(g) > tol:
         raise NumericError(
             f"inversion did not converge in {evaluations} evaluations "
             f"(|ln K - ln target| = {abs(g):.3e})"

@@ -1,5 +1,6 @@
 """Shared independent oracles for the test suite."""
 
+import mpmath
 import numpy as np
 
 from esfi.barrier import MotiveModel, motive, turning_points
@@ -9,9 +10,10 @@ from esfi.units import REGISTRY
 def composite_barrier_strength(model: MotiveModel, panels: int = 1_000_000) -> float:
     """Brute-force composite-Simpson evaluation of the barrier strength.
 
-    Uses the same endpoint-regularizing sine substitution as the adaptive
-    route but a fixed million-panel composite rule, making it an
-    independent check of the adaptive quadrature.
+    Uses the same endpoint-regularizing sine substitution as the program's
+    quadrature, but on the linear coordinate and with a fixed
+    million-panel composite rule, making it an independent check of the
+    log-mapped Gauss-Legendre route.
     """
     c_in, c_out = turning_points(model)
     mid = 0.5 * (c_in + c_out)
@@ -31,3 +33,23 @@ def naive_roots_closed_form(atom, F: float) -> tuple[float, float]:
         (atom.I - disc) / (2.0 * e * F),
         (atom.I + disc) / (2.0 * e * F),
     )
+
+
+def naive_strength_forbes_deane(atom, F: float) -> float:
+    """Naive-barrier strength from the Schottky-Nordheim barrier function
+    of Forbes & Deane (Proc. R. Soc. A 463, 2907, 2007):
+
+        G = b I^(3/2) v(f)/F,  f = 4 e B F/I^2,
+        v(f) = (1 + f^(1/2))^(1/2) [E(m) - f^(1/2) K(m)],
+        m = (1 - f^(1/2))/(1 + f^(1/2)),
+
+    with complete elliptic integrals evaluated in 30-digit mpmath.
+    """
+    with mpmath.workdps(30):
+        e = mpmath.mpf(REGISTRY.e.value)
+        I, B, F = mpmath.mpf(atom.I), mpmath.mpf(atom.B), mpmath.mpf(F)
+        b = 4 * mpmath.mpf(REGISTRY.sigma.value) / (3 * e)
+        r = mpmath.sqrt(4 * e * B * F / I**2)
+        m = (1 - r) / (1 + r)
+        v = mpmath.sqrt(1 + r) * (mpmath.ellipe(m) - r * mpmath.ellipk(m))
+        return float(b * I**1.5 * v / F)

@@ -2,9 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from helpers import composite_barrier_strength, naive_roots_closed_form
+from helpers import (
+    composite_barrier_strength,
+    naive_roots_closed_form,
+    naive_strength_forbes_deane,
+)
 
 from esfi import errors
 from esfi.barrier import (
@@ -270,3 +275,55 @@ def test_barrier_solution_serialization_round_trip():
     sol = rate_jwkb(au_model(PARABOLIC, 1e-2))
     loaded = json.loads(json.dumps(sol.as_dict()))
     assert loaded == sol.as_dict()
+
+
+@pytest.mark.parametrize("atom, fields", [
+    (make_atom(1), ()),
+    (make_atom(2.5), ()),
+    # the inner turning point scales like B/I, far below the orbit radius
+    (make_atom(1, 3000), (0.5, 1.0, 5.0)),
+], ids=["H", "Z2.5", "H-I3000"])
+def test_naive_strength_matches_forbes_deane(atom, fields):
+    f_bs = suppression_field_naive(atom)
+    for F in [*(float(f * f_bs) for f in np.geomspace(1e-3, 0.95, 12)), *fields]:
+        G = barrier_strength(MotiveModel(NAIVE, atom, F))
+        assert G == pytest.approx(naive_strength_forbes_deane(atom, F), rel=1e-12)
+
+
+@pytest.mark.parametrize("atom", [make_atom(1), make_atom(0.357), make_atom(2.5, 40.0)],
+                         ids=["H", "Z0.357", "Z2.5-I40"])
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN])
+def test_transformed_suppression_field_is_double_root(atom, variant):
+    # at the closed-form field the motive maximum, located independently
+    # in 30-digit arithmetic, is zero to rounding: M = M' = 0 there
+    F = suppression_field(atom, variant)
+    with mpmath.workdps(30):
+        e, s2 = mpmath.mpf(REGISTRY.e.value), mpmath.mpf(REGISTRY.sigma.value) ** 2
+        I, B, Fm = mpmath.mpf(atom.I), mpmath.mpf(atom.B), mpmath.mpf(F)
+        if variant is PARABOLIC:
+            M = lambda c: I / 4 - e * Fm * c / 8 - B / (4 * c) - 1 / (4 * s2 * c * c)
+        else:
+            M = lambda c: I - e * Fm * c - B / (2 * c) - 1 / (4 * s2 * c * c)
+        peak = mpmath.findroot(lambda c: mpmath.diff(M, c), motive_peak(MotiveModel(variant, atom, F))[0])
+        assert abs(M(peak)) < 1e-14 * atom.I
+    with pytest.raises(errors.BarrierSuppressed) as excinfo:
+        turning_points(MotiveModel(variant, atom, F))
+    assert excinfo.value.suppression_field == F
+    turning_points(MotiveModel(variant, atom, F * (1 - 1e-6)))
+
+
+@pytest.mark.parametrize("F", [1e-30, 1e-100])
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
+def test_barrier_strength_at_vanishing_field_is_leading_term(variant, F):
+    # log c spans about 75 and 235 units between the turning points; the
+    # corrections to G F/(b I^(3/2)) = 1 are of order F
+    atom = make_atom(1)
+    G = barrier_strength(MotiveModel(variant, atom, F))
+    assert G == pytest.approx(REGISTRY.b.value * atom.I**1.5 / F, rel=1e-12)
+
+
+@pytest.mark.parametrize("F", [1e-320, 5e-324])
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
+def test_field_beyond_float_range_is_a_numeric_error(variant, F):
+    with pytest.raises(errors.BracketingFailure):
+        rate_jwkb(MotiveModel(variant, make_atom(1), F))

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +223,32 @@ def test_barrier_naive_suppression_exit(capsys):
     assert "0.0625" in err
 
 
+def test_barrier_naive_suppression_names_closed_form_field(capsys):
+    Z, I = 0.10570197371039264, 46.615238016885996
+    code, _, err = run_cli(
+        ["barrier", "--Z", repr(Z), "--ionization-energy", repr(I),
+         "--field", "8445.8", "--model", "jwkb-naive"],
+        capsys,
+    )
+    assert code == 3
+    f_bs = I**2 / (4.0 * REGISTRY.e.value * Z * REGISTRY.B_H.value)
+    assert f"suppression field {f_bs:.6g}" in err
+
+
+@pytest.mark.parametrize("Z, field, G", [
+    # G frozen from a 20-digit tanh-sinh evaluation between the polynomial
+    # turning points; K_e underflows to 0 in the first case
+    ("0.357", "0.0005305", 29387.830759578175),
+    ("0.1262", "3.354e-3", 196.16933441069830),
+])
+def test_rate_jwkb_fractional_charge_deep_barrier(capsys, Z, field, G):
+    code, out, _ = run_cli(
+        ["rate", "--Z", Z, "--field", field, "--method", "jwkb-parabolic"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["exponent"] == pytest.approx(G, rel=1e-12)
+
+
 def test_barrier_parabolic_low_field(capsys):
     code, out, _ = run_cli(
         ["barrier", "--Z", "1", "--units", "au", "--field", "1e-3",
@@ -274,3 +302,16 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("symbol,value,units")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, esfi.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -77,3 +77,31 @@ def test_invalid_bracket():
 def test_unknown_method():
     with pytest.raises(ValueError):
         invert_rate(1e9, make_atom(1), method="nope")
+
+
+def test_jwkb_default_bracket_for_higher_charge():
+    # the default bracket starts at 1e-6 V/nm, where G is about 1.5e10
+    atom = make_atom(3.5)
+    F = 0.3 * guard_field(atom)
+    model = MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, atom, F)
+    result = invert_rate(rate_jwkb(model).K_e, atom, method="jwkb-parabolic")
+    assert result.F == pytest.approx(F, rel=1e-10)
+    assert result.residual < 1e-10
+
+
+def test_jwkb_inversion_converges_at_rounding_floor():
+    result = invert_rate(
+        6.255178052107686e-67, make_atom(1, 10.70946), method="jwkb-parabolic"
+    )
+    assert result.iterations < 40
+    assert result.residual < 1e-10
+
+
+@pytest.mark.parametrize("Z", [10.0, 20.0, 30.0])
+def test_ll_inversion_converges_deep_in_the_barrier(Z):
+    # ln K moves by more than 1e-13 between neighbouring floats of ln F
+    atom = make_atom(Z)
+    F = 0.05 * guard_field(atom)
+    result = invert_rate(rate_ll(atom, F).K_e, atom)
+    assert result.F == pytest.approx(F, rel=1e-12)
+    assert result.iterations < 40
