@@ -10,6 +10,7 @@ closed-form methods; such results are labelled 'extrapolated'.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .barrier import MotiveModel, MotiveVariant, rate_jwkb
+from .barrier import MotiveModel, MotiveVariant, rate_jwkb, rate_jwkb_array
 from .errors import (
     BarrierSuppressed,
     NumericError,
@@ -29,10 +30,11 @@ from .errors import (
 )
 from .hydrogenic import make_atom
 from .invert import invert_rate
-from .rates import rate_ll
+from .rates import rate_ll, rate_ll_array
 from .units import FIELD, REGISTRY, UnitSystem, convert, to_canonical
 
 _METHODS = ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")
+_ROWS_PER_WRITE = 65536  # sweep rows formatted and written at a time
 
 
 def _unit_system(name: str) -> UnitSystem:
@@ -68,12 +70,18 @@ def _guard_override() -> bool:
     return os.environ.get("ESFI_GUARD_OVERRIDE", "") == "1"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(out: Optional[str]):
     if out:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _emit_json(record: dict, out: Optional[str]) -> None:
@@ -106,11 +114,10 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rate_record(args: argparse.Namespace, method: str, F_canonical: float) -> dict:
+def _rate_record(atom, method: str, F_canonical: float, allow_shallow: bool) -> dict:
     """Evaluate one method at one canonical field; values still canonical."""
-    atom = make_atom(args.Z, args.ionization_energy)
     if method == "ll":
-        r = rate_ll(atom, F_canonical, allow_shallow=_guard_override())
+        r = rate_ll(atom, F_canonical, allow_shallow=allow_shallow)
         return {
             "K_e": r.K_e,
             "pre_exponential": r.pre_exponential,
@@ -134,12 +141,13 @@ def _rate_record(args: argparse.Namespace, method: str, F_canonical: float) -> d
 def cmd_rate(args: argparse.Namespace) -> int:
     system = _unit_system(args.units)
     F_canonical = _field_to_canonical(args.field, system)
-    rec = _rate_record(args, args.method, F_canonical)
+    atom = make_atom(args.Z, args.ionization_energy)
+    rec = _rate_record(atom, args.method, F_canonical, _guard_override())
     record = {
         "method": args.method,
         "unit_system": system.value,
         "Z": args.Z,
-        "ionization_energy_eV": make_atom(args.Z, args.ionization_energy).I,
+        "ionization_energy_eV": atom.I,
         "field": args.field,
         "K_e": _rate_from_canonical(rec["K_e"], system),
         "pre_exponential": _rate_from_canonical(rec["pre_exponential"], system),
@@ -152,9 +160,20 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_column(method: str, atom, F: np.ndarray, allow_shallow: bool):
+    """K_e and exponent of one method over canonical fields, nan where the
+    method refuses a field."""
+    if method == "ll":
+        r = rate_ll_array(atom, F)
+        refused = ~((F > 0.0) & (r.deep | allow_shallow))
+        return np.where(refused, np.nan, r.K_e), np.where(refused, np.nan, r.exponent)
+    sol = rate_jwkb_array(MotiveVariant(method), atom, F)
+    return sol.K_e, sol.G
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     system = _unit_system(args.units)
-    if not (0.0 < args.f_min < args.f_max):
+    if not (0.0 < args.f_min < args.f_max < math.inf):
         raise ValidationError(
             f"sweep requires 0 < F_min < F_max, got ({args.f_min}, {args.f_max})"
         )
@@ -167,32 +186,49 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(f"unknown method {m!r}; choose from {_METHODS}")
         if m not in methods:
             methods.append(m)
+    atom = make_atom(args.Z, args.ionization_energy)
+    allow_shallow = _guard_override()
 
     if args.spacing == "log":
         grid = np.geomspace(args.f_min, args.f_max, args.points)
     else:
         grid = np.linspace(args.f_min, args.f_max, args.points)
+    scale = _field_to_canonical(1.0, system)
+    if not args.f_max * scale < math.inf:
+        raise ValidationError(f"F_max {args.f_max} exceeds the float range in V/nm")
+    F = grid * scale  # the same product as converting each field on its own
+    rate_scale = _rate_from_canonical(1.0, system)
 
-    lines = [
-        "F,"
-        + ",".join(f"K_{m}" for m in methods)
-        + ","
-        + ",".join(f"exponent_{m}" for m in methods)
-    ]
-    for F in grid:
-        F_canonical = _field_to_canonical(float(F), system)
-        ks, exps = [], []
-        for m in methods:
+    columns = [_sweep_column(m, atom, F, allow_shallow) for m in methods]
+    # a refused cell goes through the scalar path, which gives the reason
+    # (or, at a rounding-level boundary, the value)
+    refused = np.zeros(F.size, dtype=bool)
+    for _, exponent in columns:
+        refused |= np.isnan(exponent)
+    for i in np.flatnonzero(refused):
+        for m, (K, exponent) in zip(methods, columns):
+            if not np.isnan(exponent[i]):
+                continue
             try:
-                rec = _rate_record(args, m, F_canonical)
-                ks.append(f"{_rate_from_canonical(rec['K_e'], system):.9e}")
-                exps.append(f"{rec['exponent']:.9e}")
+                rec = _rate_record(atom, m, float(F[i]), allow_shallow)
             except (ValidationError, RegimeError, NumericError) as exc:
-                print(f"note: {m} at F={F:.9e}: {exc}", file=sys.stderr)
-                ks.append("nan")
-                exps.append("nan")
-        lines.append(f"{F:.9e}," + ",".join(ks) + "," + ",".join(exps))
-    _emit("\n".join(lines) + "\n", args.out)
+                print(f"note: {m} at F={grid[i]:.9e}: {exc}", file=sys.stderr)
+            else:
+                K[i], exponent[i] = rec["K_e"], rec["exponent"]
+
+    cells = [grid] + [K * rate_scale for K, _ in columns] + [e for _, e in columns]
+    row = ",".join(["%.9e"] * len(cells)) + "\n"
+    with _output(args.out) as fh:
+        fh.write(
+            "F,"
+            + ",".join(f"K_{m}" for m in methods)
+            + ","
+            + ",".join(f"exponent_{m}" for m in methods)
+            + "\n"
+        )
+        for start in range(0, F.size, _ROWS_PER_WRITE):
+            block = [c[start : start + _ROWS_PER_WRITE].tolist() for c in cells]
+            fh.write("".join([row % values for values in zip(*block)]))
     return 0
 
 

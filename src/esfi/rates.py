@@ -12,7 +12,11 @@ decomposition K_e = nu_Z * D_eff = omega_Z * T.
 
 All exponents are evaluated in extended precision: they reach ~1e4 deep
 in the tunnelling regime, where a single float64 rounding of the
-coefficient already shifts the rate at the 1e-12 level.
+coefficient already shifts the rate at the 1e-12 level.  One
+extended-precision kernel carries the whole closed form (exponent,
+pre-exponential, K_e, D_eff, T and ln K_e); :func:`rate_ll` and
+:func:`rate_z_form` feed it one field, :func:`rate_ll_array` a whole array
+of fields at once, together with the mask of fields below the guard.
 
 Unless stated otherwise, fields are in V/nm and rates in s^-1.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -88,6 +92,78 @@ def _check_field(atom: HydrogenicAtom, F: float, allow_shallow: bool) -> str:
     )
 
 
+class RateArrays(NamedTuple):
+    """Closed-form rates of one atom over an array of fields: the arrays
+    of :class:`RateResult`, each of the fields' shape, and ``deep``, true
+    below the deep-tunnelling guard."""
+
+    K_e: np.ndarray
+    pre_exponential: np.ndarray
+    exponent: np.ndarray
+    D_eff: np.ndarray
+    T: np.ndarray
+    log_K_e: np.ndarray
+    deep: np.ndarray
+
+
+_THREE_HALVES = np.longdouble(1.5)
+_FIVE_HALVES = np.longdouble(2.5)
+_BLOCK = 65536  # fields per block of rate_ll_array
+
+
+def _closed_form(x, I, B, F):
+    """The closed form in extended precision, with I, B and F (a long
+    double or an array of them) in the unit system of the constants x:
+    K_e, pre-exponential, exponent, D_eff, T and ln K_e."""
+    I_3_2 = I**_THREE_HALVES
+    exponent = x.b * I_3_2 / F
+    decay = np.exp(-exponent)
+    pre = x.C_FI * I**_FIVE_HALVES / F
+    D_eff = x.pi_hbar_C_FI * I_3_2 / F * decay
+    T = (2 * I / B) * (8 * I / (x.e * F)) * decay
+    return pre * decay, pre, exponent, D_eff, T, np.log(pre) - exponent
+
+
+def _rate_result(values, method: str, unit_system: UnitSystem, regime: str) -> RateResult:
+    K_e, pre, exponent, D_eff, T, log_K_e = (float(v) for v in values)
+    return RateResult(
+        K_e=K_e,
+        pre_exponential=pre,
+        exponent=exponent,
+        D_eff=D_eff,
+        T=T,
+        log_K_e=log_K_e,
+        method=method,
+        unit_system=unit_system.value,
+        regime=regime,
+    )
+
+
+def rate_ll_array(atom: HydrogenicAtom, F) -> RateArrays:
+    """:func:`rate_ll` over an array of fields [V/nm], in extended-precision
+    array arithmetic (blocks of fields at a time, to bound the memory of
+    its long-double temporaries), bit for bit the values :func:`rate_ll`
+    gives field by field.
+
+    Nothing is refused: fields at or above the guard are evaluated and
+    marked by ``deep``; fields that are not positive give meaningless
+    values, so the caller screens them.
+    """
+    F = np.asarray(F, dtype=float)
+    flat = F.ravel()
+    out = np.empty((6, flat.size))
+    ld = np.longdouble
+    I, B, x = ld(atom.I), ld(atom.B), EXTENDED[UnitSystem.EVNM]
+    # the casts to double overflow to inf, or divide by a zero field, as
+    # the scalar conversions do, without a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[:, block] = _closed_form(x, I, B, flat[block].astype(ld))
+    K_e, pre, exponent, D_eff, T, log_K_e = (row.reshape(F.shape) for row in out)
+    return RateArrays(K_e, pre, exponent, D_eff, T, log_K_e, F < guard_field(atom))
+
+
 def rate_ll(atom: HydrogenicAtom, F: float, *, allow_shallow: bool = False) -> RateResult:
     """Low-field rate constant K_e = C_FI I^(5/2)/F exp(-b I^(3/2)/F).
 
@@ -99,26 +175,9 @@ def rate_ll(atom: HydrogenicAtom, F: float, *, allow_shallow: bool = False) -> R
         labelled 'extrapolated'.
     """
     regime = _check_field(atom, F, allow_shallow)
-    x = EXTENDED[UnitSystem.EVNM]
     ld = np.longdouble
-    I, B, Fl = ld(atom.I), ld(atom.B), ld(F)
-
-    exponent = x.b * I**ld(1.5) / Fl
-    decay = np.exp(-exponent)
-    pre = x.C_FI * I**ld(2.5) / Fl
-    D_eff = x.pi_hbar_C_FI * I**ld(1.5) / Fl * decay
-    T = (2 * I / B) * (8 * I / (x.e * Fl)) * decay
-    return RateResult(
-        K_e=float(pre * decay),
-        pre_exponential=float(pre),
-        exponent=float(exponent),
-        D_eff=float(D_eff),
-        T=float(T),
-        log_K_e=float(np.log(pre) - exponent),
-        method="ll",
-        unit_system=UnitSystem.EVNM.value,
-        regime=regime,
-    )
+    values = _closed_form(EXTENDED[UnitSystem.EVNM], ld(atom.I), ld(atom.B), ld(F))
+    return _rate_result(values, "ll", UnitSystem.EVNM, regime)
 
 
 def rate_z_form(
@@ -141,27 +200,9 @@ def rate_z_form(
     regime = _check_field(atom, F_canonical, allow_shallow)
 
     x = EXTENDED[unit_system]
-    ld = np.longdouble
-    Zl, Fl = ld(Z), ld(F)
-    I = Zl**2 * x.I_H
-    B = Zl * x.B_H
-
-    exponent = x.b * Zl**3 * x.I_H ** ld(1.5) / Fl
-    decay = np.exp(-exponent)
-    pre = x.C_FI * Zl**5 * x.I_H ** ld(2.5) / Fl
-    D_eff = x.pi_hbar_C_FI * Zl**3 * x.I_H ** ld(1.5) / Fl * decay
-    T = (2 * I / B) * (8 * I / (x.e * Fl)) * decay
-    return RateResult(
-        K_e=float(pre * decay),
-        pre_exponential=float(pre),
-        exponent=float(exponent),
-        D_eff=float(D_eff),
-        T=float(T),
-        log_K_e=float(np.log(pre) - exponent),
-        method="ll-z",
-        unit_system=unit_system.value,
-        regime=regime,
-    )
+    Zl = np.longdouble(Z)
+    values = _closed_form(x, Zl**2 * x.I_H, Zl * x.B_H, np.longdouble(F))
+    return _rate_result(values, "ll-z", unit_system, regime)
 
 
 def rate_gaussian_check(F: float, *, allow_shallow: bool = False) -> RateResult:
@@ -172,7 +213,8 @@ def rate_gaussian_check(F: float, *, allow_shallow: bool = False) -> RateResult:
 
     the ISQ transcription of the Gaussian-system Landau & Lifshitz
     formula.  Serves as an independent consistency route: its ratio to
-    :func:`rate_ll` for hydrogen is 1 up to rounding.
+    :func:`rate_ll` for hydrogen is 1 up to rounding.  D_eff and T are
+    those of the closed form.
     """
     atom = make_atom(1.0)
     regime = _check_field(atom, F, allow_shallow)
@@ -183,20 +225,10 @@ def rate_gaussian_check(F: float, *, allow_shallow: bool = False) -> RateResult:
     pre_coeff = 4 * x.m_e**3 * x.e**9 / (x.four_pi_eps0**5 * x.hbar**7)
     exp_coeff = (2 * x.m_e**2 * x.e**5) / (3 * x.four_pi_eps0**3 * x.hbar**4)
     exponent = exp_coeff / Fl
-    decay = np.exp(-exponent)
     pre = pre_coeff / Fl
-    I, B = ld(atom.I), ld(atom.B)
-    return RateResult(
-        K_e=float(pre * decay),
-        pre_exponential=float(pre),
-        exponent=float(exponent),
-        D_eff=float(x.pi_hbar_C_FI * I ** ld(1.5) / Fl * decay),
-        T=float((2 * I / B) * (8 * I / (x.e * Fl)) * decay),
-        log_K_e=float(np.log(pre) - exponent),
-        method="gaussian-check",
-        unit_system=UnitSystem.EVNM.value,
-        regime=regime,
-    )
+    _, _, _, D_eff, T, _ = _closed_form(x, ld(atom.I), ld(atom.B), Fl)
+    values = pre * np.exp(-exponent), pre, exponent, D_eff, T, np.log(pre) - exponent
+    return _rate_result(values, "gaussian-check", UnitSystem.EVNM, regime)
 
 
 def effective_escape_probability(

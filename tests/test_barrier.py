@@ -312,18 +312,22 @@ def test_transformed_suppression_field_is_double_root(atom, variant):
     turning_points(MotiveModel(variant, atom, F * (1 - 1e-6)))
 
 
-@pytest.mark.parametrize("F", [1e-30, 1e-100])
+@pytest.mark.parametrize("F", [1e-30, 1e-100, 1e-180, 1e-250, 1e-300, 3e-306])
 @pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
 def test_barrier_strength_at_vanishing_field_is_leading_term(variant, F):
-    # log c spans about 75 and 235 units between the turning points; the
-    # corrections to G F/(b I^(3/2)) = 1 are of order F
+    # log c spans about 75, 235 and up to 705 units between the turning
+    # points (G reaching 1.1e308 at 3e-306 V/nm); the corrections to
+    # G F/(b I^(3/2)) = 1 are of order F
     atom = make_atom(1)
     G = barrier_strength(MotiveModel(variant, atom, F))
     assert G == pytest.approx(REGISTRY.b.value * atom.I**1.5 / F, rel=1e-12)
 
 
-@pytest.mark.parametrize("F", [1e-320, 5e-324])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("F", [1e-306, 1e-307, 1e-320, 5e-324])
 @pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
 def test_field_beyond_float_range_is_a_numeric_error(variant, F):
-    with pytest.raises(errors.BracketingFailure):
+    with pytest.raises(errors.BracketingFailure) as excinfo:
         rate_jwkb(MotiveModel(variant, make_atom(1), F))
+    if F > 1e-310:  # G, or the outer zero, past the float range
+        assert "float range" in str(excinfo.value)

@@ -7,10 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb, rate_jwkb_array
 from esfi.cli import main
-from esfi.units import REGISTRY
+from esfi.errors import EsfiError
+from esfi.hydrogenic import make_atom
+from esfi.rates import rate_ll
+from esfi.units import FIELD, REGISTRY, UnitSystem, to_canonical
 
 
 def run_cli(argv, capsys, env_override=None, monkeypatch=None):
@@ -133,6 +138,103 @@ def test_sweep_validation_errors(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--Z", "-1", "charge number Z must be positive"),
+    ("--ionization-energy", "-3", "ionization energy must be positive"),
+])
+def test_sweep_invalid_atom_exits_2(capsys, flag, value, message):
+    code, out, err = run_cli(
+        ["sweep", flag, value, "--f-min", "1", "--f-max", "2", "--points", "3",
+         "--methods", "ll,jwkb-naive"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}, got {float(value)}\n"
+
+
+def test_sweep_grid_past_the_float_range_exits_2(capsys):
+    # 1e308 atomic field units overflow V/nm
+    code, out, err = run_cli(
+        ["sweep", "--f-min", "1", "--f-max", "1e308", "--points", "5", "--units", "au"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the float range" in err
+
+
+def _scalar_sweep(Z, I, units, f_min, f_max, points, methods, allow_shallow):
+    """The sweep CSV and notes rebuilt field by field from the scalar
+    rate_ll and rate_jwkb, except that numeric JWKB cells carry the array
+    solver's values, which are checked against the scalar ones here."""
+    system = UnitSystem(units)
+    atom = make_atom(Z, I)
+    grid = np.geomspace(f_min, f_max, points)
+    F = [to_canonical(float(f), FIELD, system).value for f in grid]
+    rate_scale = REGISTRY.au_time if system is UnitSystem.AU else 1.0
+    batch = {m: rate_jwkb_array(MotiveVariant(m), atom, F) for m in methods if m != "ll"}
+    rows, notes = [], []
+    for i, (f, Fc) in enumerate(zip(grid, F)):
+        ks, exps = [], []
+        for m in methods:
+            try:
+                if m == "ll":
+                    r = rate_ll(atom, Fc, allow_shallow=allow_shallow)
+                    K, G = r.K_e, r.exponent
+                else:
+                    s = rate_jwkb(MotiveModel(MotiveVariant(m), atom, Fc))
+                    b = batch[m]
+                    assert b.G[i] == pytest.approx(s.G, rel=1e-13, abs=0)
+                    assert abs(b.log_K_e[i] - s.log_K_e) <= 1e-13 * max(1.0, s.G)
+                    K, G = b.K_e[i], b.G[i]
+            except EsfiError as exc:
+                notes.append(f"note: {m} at F={f:.9e}: {exc}")
+                ks.append("nan")
+                exps.append("nan")
+                continue
+            ks.append("%.9e" % (K * rate_scale))
+            exps.append("%.9e" % G)
+        rows.append(",".join(["%.9e" % f] + ks + exps))
+    header = "F," + ",".join(f"K_{m}" for m in methods) + "," + ",".join(
+        f"exponent_{m}" for m in methods)
+    return "\n".join([header] + rows) + "\n", notes
+
+
+ALL_METHODS = ["ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive"]
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("Z, I, units, f_min, f_max, points, methods", [
+    # through the ll guard (16 V/nm) and both suppression fields (32, 58 V/nm)
+    (1.0, None, "evnm", 2.0, 80.0, 41, ALL_METHODS),
+    (1.0, None, "au", 4e-3, 0.16, 23, ALL_METHODS),
+    (2.0, None, "si", 2e10, 1e12, 17, ALL_METHODS),
+    (1.0, 11.5, "evnm", 1.0, 40.0, 13, ALL_METHODS),
+    # the F3 grid, G up to about 3e4
+    (0.357, None, "evnm", 1e-4, 2e-3, 50, ["jwkb-parabolic", "ll"]),
+    # fields below 1e-19 of suppression take the composite quadrature, and
+    # below about 1e-100 V/nm only it converges
+    (1.0, None, "evnm", 1e-200, 1e-17, 10, ALL_METHODS),
+])
+def test_sweep_matches_scalar_path(capsys, monkeypatch, Z, I, units, f_min, f_max,
+                                   points, methods, override):
+    argv = ["sweep", "--Z", repr(Z), "--f-min", repr(f_min), "--f-max", repr(f_max),
+            "--points", str(points), "--methods", ",".join(methods),
+            "--units", units]
+    if I is not None:
+        argv += ["--ionization-energy", repr(I)]
+    if override:
+        monkeypatch.setenv("ESFI_GUARD_OVERRIDE", "1")
+    else:
+        monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
+    expected, notes = _scalar_sweep(Z, I, units, f_min, f_max, points, methods, override)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
+    assert [line for line in err.splitlines() if line.startswith("note:")] == notes
 
 
 def test_sweep_nan_sentinel_keeps_row_count(capsys):
