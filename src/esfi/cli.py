@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -31,39 +32,19 @@ from .errors import (
 from .hydrogenic import make_atom
 from .invert import invert_rate
 from .rates import rate_ll, rate_ll_array
-from .units import FIELD, REGISTRY, UnitSystem, convert, to_canonical
+from .units import (
+    FIELD,
+    FREQUENCY,
+    LENGTH,
+    REGISTRY,
+    UnitSystem,
+    convert,
+    from_canonical,
+    to_canonical,
+)
 
 _METHODS = ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")
 _ROWS_PER_WRITE = 65536  # sweep rows formatted and written at a time
-
-
-def _unit_system(name: str) -> UnitSystem:
-    return UnitSystem(name)
-
-
-def _field_to_canonical(value: float, system: UnitSystem) -> float:
-    return to_canonical(value, FIELD, system).value
-
-
-def _field_from_canonical(value: float, system: UnitSystem) -> float:
-    if system is UnitSystem.AU:
-        return value / REGISTRY.au_field
-    if system is UnitSystem.SI:
-        return value * 1e9  # V/nm -> V/m
-    return value
-
-
-def _rate_from_canonical(value: float, system: UnitSystem) -> float:
-    # rates are s^-1 in both SI and the canonical system
-    return value * REGISTRY.au_time if system is UnitSystem.AU else value
-
-
-def _length_from_canonical(value: float, system: UnitSystem) -> float:
-    if system is UnitSystem.AU:
-        return value / REGISTRY.au_length
-    if system is UnitSystem.SI:
-        return value * 1e-9  # nm -> m
-    return value
 
 
 def _guard_override() -> bool:
@@ -89,7 +70,7 @@ def _emit_json(record: dict, out: Optional[str]) -> None:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    system = _unit_system(args.units)
+    system = UnitSystem(args.units)
     rows = []
     for name, quantity in REGISTRY.constants().items():
         if system is UnitSystem.SI and name in REGISTRY.SI_NOT_USED:
@@ -139,8 +120,8 @@ def _rate_record(atom, method: str, F_canonical: float, allow_shallow: bool) -> 
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    system = _unit_system(args.units)
-    F_canonical = _field_to_canonical(args.field, system)
+    system = UnitSystem(args.units)
+    F_canonical = to_canonical(args.field, FIELD, system).value
     atom = make_atom(args.Z, args.ionization_energy)
     rec = _rate_record(atom, args.method, F_canonical, _guard_override())
     record = {
@@ -149,8 +130,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
         "Z": args.Z,
         "ionization_energy_eV": atom.I,
         "field": args.field,
-        "K_e": _rate_from_canonical(rec["K_e"], system),
-        "pre_exponential": _rate_from_canonical(rec["pre_exponential"], system),
+        "K_e": from_canonical(rec["K_e"], FREQUENCY, system),
+        "pre_exponential": from_canonical(rec["pre_exponential"], FREQUENCY, system),
         "exponent": rec["exponent"],
         "D_eff": rec["D_eff"],
         "T": rec["T"],
@@ -172,7 +153,7 @@ def _sweep_column(method: str, atom, F: np.ndarray, allow_shallow: bool):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    system = _unit_system(args.units)
+    system = UnitSystem(args.units)
     if not (0.0 < args.f_min < args.f_max < math.inf):
         raise ValidationError(
             f"sweep requires 0 < F_min < F_max, got ({args.f_min}, {args.f_max})"
@@ -193,11 +174,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = np.geomspace(args.f_min, args.f_max, args.points)
     else:
         grid = np.linspace(args.f_min, args.f_max, args.points)
-    scale = _field_to_canonical(1.0, system)
+    scale = to_canonical(1.0, FIELD, system).value
     if not args.f_max * scale < math.inf:
         raise ValidationError(f"F_max {args.f_max} exceeds the float range in V/nm")
     F = grid * scale  # the same product as converting each field on its own
-    rate_scale = _rate_from_canonical(1.0, system)
 
     columns = [_sweep_column(m, atom, F, allow_shallow) for m in methods]
     # a refused cell goes through the scalar path, which gives the reason
@@ -216,7 +196,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 K[i], exponent[i] = rec["K_e"], rec["exponent"]
 
-    cells = [grid] + [K * rate_scale for K, _ in columns] + [e for _, e in columns]
+    cells = [grid] + [from_canonical(K, FREQUENCY, system) for K, _ in columns]
+    cells += [e for _, e in columns]
     row = ",".join(["%.9e"] * len(cells)) + "\n"
     with _output(args.out) as fh:
         fh.write(
@@ -233,19 +214,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
-    system = _unit_system(args.units)
+    system = UnitSystem(args.units)
     atom = make_atom(args.Z, args.ionization_energy)
     bracket = None
     if args.f_lo is not None or args.f_hi is not None:
         if args.f_lo is None or args.f_hi is None:
             raise ValidationError("provide both --f-lo and --f-hi or neither")
         bracket = (
-            _field_to_canonical(args.f_lo, system),
-            _field_to_canonical(args.f_hi, system),
+            to_canonical(args.f_lo, FIELD, system).value,
+            to_canonical(args.f_hi, FIELD, system).value,
         )
-    result = invert_rate(args.target, atom, method=args.method, bracket=bracket)
+    target = to_canonical(args.target, FREQUENCY, system).value
+    result = invert_rate(target, atom, method=args.method, bracket=bracket)
     record = {
-        "F": _field_from_canonical(result.F, system),
+        "F": from_canonical(result.F, FIELD, system),
         "iterations": result.iterations,
         "residual": result.residual,
         "unit_system": system.value,
@@ -255,9 +237,9 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 
 def cmd_barrier(args: argparse.Namespace) -> int:
-    system = _unit_system(args.units)
+    system = UnitSystem(args.units)
     atom = make_atom(args.Z, args.ionization_energy)
-    F_canonical = _field_to_canonical(args.field, system)
+    F_canonical = to_canonical(args.field, FIELD, system).value
     try:
         sol = rate_jwkb(
             MotiveModel(MotiveVariant(args.model), atom, F_canonical),
@@ -265,7 +247,7 @@ def cmd_barrier(args: argparse.Namespace) -> int:
         )
     except BarrierSuppressed as exc:
         if exc.suppression_field is not None:
-            f_bs = _field_from_canonical(exc.suppression_field, system)
+            f_bs = from_canonical(exc.suppression_field, FIELD, system)
             raise BarrierSuppressed(
                 f"barrier suppressed for {args.model}: field "
                 f"{args.field:.6g} is at or above the suppression field "
@@ -276,13 +258,13 @@ def cmd_barrier(args: argparse.Namespace) -> int:
     record = {
         "model": args.model,
         "unit_system": system.value,
-        "coord_in": _length_from_canonical(sol.coord_in, system),
-        "coord_out": _length_from_canonical(sol.coord_out, system),
+        "coord_in": from_canonical(sol.coord_in, LENGTH, system),
+        "coord_out": from_canonical(sol.coord_out, LENGTH, system),
         "G": sol.G,
         "P_jwkb": sol.P_jwkb,
         "P_eff": sol.P_eff,
         "D_eff": sol.D_eff,
-        "K_e": _rate_from_canonical(sol.K_e, system),
+        "K_e": from_canonical(sol.K_e, FREQUENCY, system),
         "regime": sol.regime,
     }
     _emit_json(record, args.out)
@@ -322,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_units_flag(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("rate", help="evaluate a single rate constant")
     _add_atom_flags(p)
@@ -330,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_units_flag(p)
     p.add_argument("--method", choices=_METHODS, default="ll")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("sweep", help="rate constants over a field grid (CSV)")
     _add_atom_flags(p)
@@ -345,17 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_units_flag(p)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("invert", help="solve K_e(F) = target for F")
     _add_atom_flags(p)
-    p.add_argument("--target", type=float, required=True, help="target rate [s^-1]")
+    p.add_argument("--target", type=float, required=True, help="target rate in --units")
     p.add_argument("--method", choices=_METHODS, default="ll")
     p.add_argument("--f-lo", type=float, default=None, help="bracket low end")
     p.add_argument("--f-hi", type=float, default=None, help="bracket high end")
     _add_units_flag(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("barrier", help="inspect a JWKB barrier solution")
     _add_atom_flags(p)
@@ -374,15 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_units_flag(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_barrier)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so that a rebound cmd_* name takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

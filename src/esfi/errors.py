@@ -34,6 +34,10 @@ class NonPositiveField(ValidationError):
     pass
 
 
+class NonFiniteValue(ValidationError):
+    """A quantity is infinite or nan, as given or after unit conversion."""
+
+
 class NegativeCoordinate(ValidationError):
     pass
 

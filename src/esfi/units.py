@@ -7,6 +7,13 @@ charge/field convention are views obtained by conversion; the atomic-unit
 scale factors are derived from the same CODATA fundamentals, never typed
 in separately.
 
+This module alone knows constant formulas and unit scales.  One
+derivation, :func:`_derive`, generic over the number type, gives every
+derived constant of :data:`REGISTRY` (float64) and :data:`EXTENDED` (long
+double, per unit system).  One conversion arithmetic rests on
+:func:`_scale_factor`: :func:`to_canonical` multiplies by it and
+:func:`from_canonical`, which :func:`convert` calls, divides by it.
+
 Dimension exponents are kept as exact rationals because half-integer
 powers occur (e.g. the Schroedinger-equation constant sigma carries
 energy^-1/2).
@@ -25,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import UnsupportedGaussianDimension
+from .errors import NonFiniteValue, UnsupportedGaussianDimension
 
 # 2010 CODATA fundamentals (SI).  Kept as strings so they can be parsed
 # once into float64 and once into extended precision without double
@@ -134,7 +141,7 @@ class Quantity:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise ValueError(f"quantity value must be finite, got {self.value}")
+            raise NonFiniteValue(f"quantity value must be finite, got {self.value}")
 
     def _coerce(self, other) -> "Quantity":
         if isinstance(other, Quantity):
@@ -172,9 +179,6 @@ class Quantity:
     def __pow__(self, exponent: Union[int, Fraction]) -> "Quantity":
         p = Fraction(exponent)
         return Quantity(self.value ** float(p), self.dim**p)
-
-    def sqrt(self) -> "Quantity":
-        return self**_HALF
 
 
 @dataclass(frozen=True)
@@ -240,27 +244,62 @@ class ConstantsRegistry:
         return 8 if name in self.EIGHT_FIGURES else 7
 
 
+# pi to 36 significant figures, parsed like the fundamentals
+_PI = "3.14159265358979323846264338327950288"
+
+
+def _fundamentals(num, system: UnitSystem = UnitSystem.EVNM):
+    """(e, m_e, hbar, eps0) of one unit system, parsed as the number type
+    ``num`` (``float`` or ``np.longdouble``)."""
+    if system is UnitSystem.EVNM:
+        # charge is exactly 1 eV/V by construction
+        eV_J = num(CODATA_2010["eV_J"])
+        return (
+            num(1),
+            num(CODATA_2010["m_e_kg"]) / eV_J * num("1e-18"),
+            num(CODATA_2010["hbar_Js"]) / eV_J,
+            num(CODATA_2010["eps0_F_m"]) / eV_J * num("1e-9"),
+        )
+    if system is UnitSystem.SI:
+        return tuple(num(CODATA_2010[k]) for k in ("e_C", "m_e_kg", "hbar_Js", "eps0_F_m"))
+    if system is UnitSystem.AU:
+        return num(1), num(1), num(1), num(1) / (num(4) * num(_PI))
+    raise ValueError(f"no fundamentals for system {system}")
+
+
+def _derive(num, e, m_e, hbar, eps0) -> dict:
+    """Every derived constant from the fundamentals, in the number type
+    ``num`` that each literal is converted to (so that long doubles meet no
+    float64-rounded factor); float fundamentals may be :class:`Quantity`."""
+    pi = num(_PI)
+    four_pi_eps0 = num(4) * pi * eps0
+    I_H = e**4 * m_e / (num(32) * pi**2 * eps0 * eps0 * hbar * hbar)
+    nu_0 = I_H / (pi * hbar)
+    sigma = (num(2) * m_e) ** num(0.5) / hbar
+    C_FI = num(2) ** num(4.5) * m_e ** num(0.5) / (e * hbar * hbar)
+    return {
+        "four_pi_eps0": four_pi_eps0,
+        "B_H": e * e / four_pi_eps0,
+        "a_0": four_pi_eps0 * hbar * hbar / (e * e * m_e),
+        "nu_0": nu_0,
+        "omega_0": num(2) * pi * nu_0,
+        "I_H": I_H,
+        "sigma": sigma,
+        "b": num(4) / num(3) * sigma / e,
+        "C_FI": C_FI,
+        "pi_hbar_C_FI": pi * hbar * C_FI,
+    }
+
+
 def build_registry() -> ConstantsRegistry:
     """Derive every registry constant from the CODATA-2010 fundamentals."""
-    eV_J = float(CODATA_2010["eV_J"])
-    # canonical values: charge is exactly 1 eV/V by construction
-    e = Quantity(1.0, CHARGE)
-    m_e = Quantity(float(CODATA_2010["m_e_kg"]) / eV_J * 1e-18, MASS)
-    hbar = Quantity(float(CODATA_2010["hbar_Js"]) / eV_J, ACTION)
-    eps0 = Quantity(float(CODATA_2010["eps0_F_m"]) / eV_J * 1e-9, PERMITTIVITY)
-
-    four_pi_eps0 = 4.0 * math.pi * eps0
-    B_H = e * e / four_pi_eps0
-    a_0 = four_pi_eps0 * hbar * hbar / (e * e * m_e)
-    I_H = (e**4) * m_e / (32.0 * math.pi**2 * eps0 * eps0 * hbar * hbar)
-    nu_0 = I_H / (math.pi * hbar)
-    omega_0 = 2.0 * math.pi * nu_0
-    sigma = (2.0 * m_e).sqrt() / hbar
-    b = (4.0 / 3.0) * sigma / e
-    C_FI = 2.0**4.5 * m_e.sqrt() / (e * hbar * hbar)
-    pi_hbar_C_FI = math.pi * hbar * C_FI
-
-    hartree = 2.0 * I_H.value
+    e, m_e, hbar, eps0 = (
+        Quantity(value, dim)
+        for value, dim in zip(_fundamentals(float), (CHARGE, MASS, ACTION, PERMITTIVITY))
+    )
+    derived = _derive(float, e, m_e, hbar, eps0)
+    hartree = 2.0 * derived["I_H"].value
+    a_0 = derived["a_0"].value
     au_voltage = hartree / e.value
     return ConstantsRegistry(
         eV=Quantity(1.0, ENERGY),
@@ -268,21 +307,12 @@ def build_registry() -> ConstantsRegistry:
         m_e=m_e,
         hbar=hbar,
         eps0=eps0,
-        four_pi_eps0=four_pi_eps0,
-        B_H=B_H,
-        a_0=a_0,
-        nu_0=nu_0,
-        omega_0=omega_0,
-        I_H=I_H,
-        sigma=sigma,
-        b=b,
-        C_FI=C_FI,
-        pi_hbar_C_FI=pi_hbar_C_FI,
+        **derived,
         hartree=hartree,
-        au_length=a_0.value,
+        au_length=a_0,
         au_time=hbar.value / hartree,
         au_voltage=au_voltage,
-        au_field=au_voltage / a_0.value,
+        au_field=au_voltage / a_0,
     )
 
 
@@ -324,7 +354,13 @@ def convert(q: Quantity, target: UnitSystem) -> Converted:
             "gaussian conversion is defined only for charge and field "
             f"dimensions, not {q.dim}"
         )
-    return Converted(q.value / _scale_factor(q.dim, target), q.dim.label(target), target)
+    return Converted(from_canonical(q.value, q.dim, target), q.dim.label(target), target)
+
+
+def from_canonical(value, dim: Dimension, system: UnitSystem):
+    """A canonical value (float or array) in the units of the given system;
+    unlike a :class:`Quantity`, it may be infinite or nan."""
+    return value / _scale_factor(dim, system)
 
 
 def to_canonical(value: float, dim: Dimension, system: UnitSystem) -> Quantity:
@@ -344,24 +380,17 @@ def to_canonical(value: float, dim: Dimension, system: UnitSystem) -> Quantity:
 
 def gaussian_field_to_isq(field_gaussian: float) -> Quantity:
     """ISQ electric field from its Gaussian counterpart: F = F_s / (4 pi eps0)^1/2."""
-    if not math.isfinite(field_gaussian):
-        raise ValueError("gaussian field must be finite")
     return Quantity(field_gaussian / math.sqrt(REGISTRY.four_pi_eps0.value), FIELD)
 
 
 def gaussian_charge_to_isq(charge_gaussian: float) -> Quantity:
     """ISQ charge from its Gaussian counterpart: e = e_s * (4 pi eps0)^1/2."""
-    if not math.isfinite(charge_gaussian):
-        raise ValueError("gaussian charge must be finite")
     return Quantity(charge_gaussian * math.sqrt(REGISTRY.four_pi_eps0.value), CHARGE)
 
 
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-
-
 class ExtendedConstants:
-    """The same fundamentals and derived constants in numpy extended
-    precision (80-bit on x86-64).
+    """The fundamentals of one unit system in numpy extended precision
+    (80-bit on x86-64), with the derived constants of :func:`_derive`.
 
     Rate-constant exponents reach ~10^4 in the deep-tunnelling regime, so
     a relative error of one float64 ulp in the exponent coefficient is
@@ -371,31 +400,8 @@ class ExtendedConstants:
 
     def __init__(self, system: UnitSystem = UnitSystem.EVNM):
         ld = np.longdouble
-        if system is UnitSystem.AU:
-            self.e = ld(1)
-            self.m_e = ld(1)
-            self.hbar = ld(1)
-            self.four_pi_eps0 = ld(1)
-        elif system is UnitSystem.EVNM:
-            eV_J = ld(CODATA_2010["eV_J"])
-            self.e = ld(1)
-            self.m_e = ld(CODATA_2010["m_e_kg"]) / eV_J * ld("1e-18")
-            self.hbar = ld(CODATA_2010["hbar_Js"]) / eV_J
-            self.four_pi_eps0 = 4 * _PI_LD * ld(CODATA_2010["eps0_F_m"]) / eV_J * ld("1e-9")
-        elif system is UnitSystem.SI:
-            self.e = ld(CODATA_2010["e_C"])
-            self.m_e = ld(CODATA_2010["m_e_kg"])
-            self.hbar = ld(CODATA_2010["hbar_Js"])
-            self.four_pi_eps0 = 4 * _PI_LD * ld(CODATA_2010["eps0_F_m"])
-        else:
-            raise ValueError(f"no extended constants for system {system}")
-        self.pi = _PI_LD
-        self.B_H = self.e**2 / self.four_pi_eps0
-        self.I_H = self.e**4 * self.m_e / (2 * self.four_pi_eps0**2 * self.hbar**2)
-        self.sigma = np.sqrt(2 * self.m_e) / self.hbar
-        self.b = 4 * self.sigma / (3 * self.e)
-        self.C_FI = np.sqrt(ld(512)) * np.sqrt(self.m_e) / (self.e * self.hbar**2)
-        self.pi_hbar_C_FI = self.pi * self.hbar * self.C_FI
+        self.e, self.m_e, self.hbar, self.eps0 = _fundamentals(ld, system)
+        vars(self).update(_derive(ld, self.e, self.m_e, self.hbar, self.eps0))
 
 
 EXTENDED = {

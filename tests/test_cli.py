@@ -289,6 +289,16 @@ def test_invert_round_trip_cli(capsys):
     assert isinstance(record["iterations"], int)
 
 
+def test_invert_round_trip_cli_atomic_units(capsys):
+    # --target is read in the unit of the rates that `rate --units au` prints
+    code, out, _ = run_cli(["rate", "--field", "0.02", "--units", "au"], capsys)
+    assert code == 0
+    target = json.loads(out)["K_e"]
+    code, out, _ = run_cli(["invert", "--units", "au", "--target", repr(target)], capsys)
+    assert code == 0
+    assert json.loads(out)["F"] == pytest.approx(0.02, rel=1e-10)
+
+
 def test_invert_record_round_trips(capsys):
     code, out, _ = run_cli(["invert", "--target", "1e6", "--Z", "1"], capsys)
     assert code == 0
@@ -376,6 +386,42 @@ def test_barrier_parametrizations_agree_via_cli(capsys):
     assert records["jwkb-parabolic"]["G"] == pytest.approx(
         records["jwkb-cartesian"]["G"], abs=1e-9
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--field", "inf"],
+    ["rate", "--field", "nan"],
+    ["barrier", "--field", "inf"],
+    ["rate", "--field", "1e308", "--units", "au"],  # overflows in V/nm
+    ["invert", "--target", "1e6", "--f-lo", "1e-300", "--f-hi", "1e308", "--units", "au"],
+])
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_rate_output_may_be_infinite(capsys):
+    # outputs are converted as plain floats: an overflowing pre-exponential
+    # prints as Infinity instead of failing the call
+    code, out, _ = run_cli(["rate", "--field", "1e-300", "--units", "si"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert record["pre_exponential"] == math.inf
+    assert record["K_e"] == 0.0
+
+
+def test_main_looks_up_the_command_per_call(capsys, monkeypatch):
+    from esfi import cli
+
+    assert main(["rate", "--field", "12"]) == 0  # the parser exists now
+    calls = []
+    monkeypatch.setattr(cli, "cmd_rate", lambda args: calls.append(args.field) or 0)
+    assert main(["rate", "--field", "7"]) == 0
+    assert calls == [7.0]
+    capsys.readouterr()
 
 
 def test_rate_si_field_input_matches_evnm(capsys):

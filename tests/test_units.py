@@ -1,6 +1,7 @@
 """Constants registry, dimensional algebra and unit conversions."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from esfi import errors
 from esfi.units import (
     CHARGE,
+    EXTENDED,
     DIMENSIONLESS,
     ENERGY,
     FIELD,
@@ -18,6 +20,7 @@ from esfi.units import (
     UnitSystem,
     build_registry,
     convert,
+    from_canonical,
     gaussian_charge_to_isq,
     gaussian_field_to_isq,
     to_canonical,
@@ -155,6 +158,38 @@ def test_quantity_rejects_non_finite():
         Quantity(float("nan"), ENERGY)
     with pytest.raises(ValueError):
         Quantity(float("inf"))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gaussian_field_to_isq(float("inf")),
+        lambda: gaussian_charge_to_isq(float("nan")),
+        lambda: to_canonical(1e308, FIELD, UnitSystem.AU),  # overflows in V/nm
+    ],
+)
+def test_non_finite_input_is_a_validation_error(make):
+    with pytest.raises(errors.NonFiniteValue):
+        make()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["four_pi_eps0", "B_H", "a_0", "nu_0", "omega_0", "I_H", "sigma", "b", "C_FI",
+     "pi_hbar_C_FI"],
+)
+def test_extended_constants_agree_with_the_registry(name):
+    # one derivation serves both precisions; the float64 registry keeps the
+    # rounding of its chain of up to a dozen operations (3 ulps at most,
+    # for C_FI), so the bound is 8 float64 epsilons, not one ulp
+    registry = getattr(REGISTRY, name).value
+    extended = float(getattr(EXTENDED[UnitSystem.EVNM], name))
+    assert extended == pytest.approx(registry, rel=8 * sys.float_info.epsilon, abs=0)
+
+
+def test_from_canonical_passes_non_finite_values():
+    assert from_canonical(math.inf, TIME**-1, UnitSystem.AU) == math.inf
+    assert math.isnan(from_canonical(math.nan, LENGTH, UnitSystem.SI))
 
 
 @pytest.mark.parametrize("system", [UnitSystem.SI, UnitSystem.EVNM, UnitSystem.AU])
