@@ -105,6 +105,8 @@ class MotiveModel:
     F: float  # V/nm
 
     def __post_init__(self):
+        # a numpy scalar would carry numpy's overflow warnings into the solve
+        object.__setattr__(self, "F", float(self.F))
         if not math.isfinite(self.F) or self.F <= 0:
             raise NonPositiveField(f"field must be positive, got {self.F}")
 

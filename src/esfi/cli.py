@@ -24,6 +24,7 @@ from . import __version__
 from .barrier import MotiveModel, MotiveVariant, rate_jwkb, rate_jwkb_array
 from .errors import (
     BarrierSuppressed,
+    NonFiniteValue,
     NumericError,
     RegimeError,
     ShallowTunnellingRegime,
@@ -45,6 +46,14 @@ from .units import (
 
 _METHODS = ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")
 _ROWS_PER_WRITE = 65536  # sweep rows formatted and written at a time
+# below this many cells a block is cheaper to format one row at a time: the
+# vectorised writer's fixed cost is some 40 numpy calls, which whole sweeps
+# recoup at about 160 cells for closed-form blocks and about 400 for JWKB
+# blocks with refused cells, whose solves leave the writer's caches cold
+_VECTOR_CELLS = 400
+_SLOT = 20  # bytes per cell: "-1.234567890e-308", its separator and zero bytes
+_EXP_LO, _EXP_HI = -330, 330  # decimal exponents of the tables; float64 spans -324..308
+_WIDE = np.longdouble  # type of the scaled significand; its precision sets the doubt margin
 
 
 def _guard_override() -> bool:
@@ -95,6 +104,18 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _canonical(value: float, dim, system: UnitSystem, flag: str) -> float:
+    """A command-line value in canonical units; one that is not finite
+    there is an error naming its flag, value and unit system."""
+    try:
+        return to_canonical(value, dim, system).value
+    except NonFiniteValue:
+        raise NonFiniteValue(
+            f"{flag} {value} ({system.value}) is not finite in "
+            f"{dim.label(UnitSystem.EVNM)}"
+        ) from None
+
+
 def _rate_record(atom, method: str, F_canonical: float, allow_shallow: bool) -> dict:
     """Evaluate one method at one canonical field; values still canonical."""
     if method == "ll":
@@ -121,7 +142,7 @@ def _rate_record(atom, method: str, F_canonical: float, allow_shallow: bool) -> 
 
 def cmd_rate(args: argparse.Namespace) -> int:
     system = UnitSystem(args.units)
-    F_canonical = to_canonical(args.field, FIELD, system).value
+    F_canonical = _canonical(args.field, FIELD, system, "--field")
     atom = make_atom(args.Z, args.ionization_energy)
     rec = _rate_record(atom, args.method, F_canonical, _guard_override())
     record = {
@@ -150,6 +171,103 @@ def _sweep_column(method: str, atom, F: np.ndarray, allow_shallow: bool):
         return np.where(refused, np.nan, r.K_e), np.where(refused, np.nan, r.exponent)
     sol = rate_jwkb_array(MotiveVariant(method), atom, F)
     return sol.K_e, sol.G
+
+
+def _words(texts: list[bytes], width: int) -> np.ndarray:
+    """Each text zero-padded to `width` bytes, as a row of 4-byte words."""
+    padded = b"".join(text.ljust(width, b"\0") for text in texts)
+    return np.frombuffer(padded, np.uint32).reshape(len(texts), width // 4)
+
+
+@functools.cache
+def _csv_tables(wide):
+    """Lookup tables of the vectorised writer, as 4-byte words whose zero
+    bytes the writer strips: sign, first digit, point and second digit
+    for each sign and pair of digits; each group of four digits; "e", the
+    exponent's sign and its digits for each exponent E (two words, the
+    hundreds a zero byte below 100); nan, inf and -inf; and 10^(9 - E) in
+    `wide`, rounded once from its decimal string."""
+    heads = _words([b"%c%d.%d" % (s, i // 10, i % 10) for s in b"\0-" for i in range(100)], 4)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32)
+    exps = range(_EXP_LO, _EXP_HI + 1)
+    exponents = _words(
+        [b"e%c%s" % (b"+-"[e < 0], (b"%02d" % abs(e)).rjust(3, b"\0")) for e in exps], 8
+    )
+    specials = _words([b"nan", b"inf", b"-inf"], _SLOT)
+    powers = np.array([wide(f"1e{9 - e}") for e in exps])
+    powers.setflags(write=False)  # shared by every caller through the cache
+    return heads.ravel(), quads.ravel(), exponents[:, 0], exponents[:, 1], specials, powers
+
+
+def _significands(x: np.ndarray, powers: np.ndarray):
+    """Each cell's decimal exponent E and ten significant digits m, the
+    integer nearest to y = |x| 10^(9 - E) with y in [1e9, 1e10) (m = 0
+    for zeros, any value for nan and inf), and the cells where m is in
+    doubt. `_WIDE` carries y to about 1e-9, while Python rounds the exact
+    value half to even: a cell whose y lies within 64 `_WIDE` epsilons
+    (times 1e10) of a half-integer is in doubt, as is one whose y stays
+    out of range."""
+    a = np.abs(x)
+    zero = a == 0.0
+    a[zero | ~np.isfinite(x)] = 1.0  # scaled to exactly 1e9 below
+    E = np.floor(np.log10(a)).astype(np.intp)
+    y = a.astype(_WIDE) * powers[E - _EXP_LO]
+    y64 = y.astype(np.float64)
+    # log10 can land one off next to a power of ten; within 0.05 of either
+    # end of the range, y rounds to the same text on both sides
+    off = np.flatnonzero((y64 < 1e9) | (y64 >= 1e10))
+    if off.size:
+        E[off] += np.where(y64[off] < 1e9, -1, 1)
+        y[off] = a[off].astype(_WIDE) * powers[E[off] - _EXP_LO]
+        y64[off] = y[off]
+        off = off[~((y64[off] >= 1e9) & (y64[off] < 1e10))]
+        y[off] = y64[off] = 1e9 + 0.5  # a tie, so in doubt below
+    m = np.rint(y64)
+    margin = 64 * np.finfo(_WIDE).eps * 1e10
+    # y64 is y to within 2^-20, so only cells that close to doubt need y
+    near = np.flatnonzero(np.abs(y64 - m) > 0.5 - margin - 2.0**-20)
+    doubtful = near[~(np.abs((y[near] - m[near]).astype(np.float64)) < 0.5 - margin)]
+    carry = m == 1e10
+    E += carry
+    m[carry] = 1e9
+    m[zero] = 0.0
+    return E, m.astype(np.int64), doubtful
+
+
+def _csv_rows(columns: list[np.ndarray]) -> str:
+    """Float64 columns as CSV rows of "%.9e" cells, byte-identical to
+    formatting each row with Python's % operator: a small block takes %
+    itself, a larger one is assembled from lookup tables, with only the
+    cells in doubt formatted by %."""
+    if len(columns) * columns[0].size < _VECTOR_CELLS:
+        row = ",".join(["%.9e"] * len(columns)) + "\n"
+        return "".join([row % values for values in zip(*[c.tolist() for c in columns])])
+    heads, quads, exp_heads, exp_tails, specials, powers = _csv_tables(_WIDE)
+    x = np.column_stack(columns).ravel()
+    E, m, doubtful = _significands(x, powers)
+    pair = m // 10**8
+    low8 = m - pair * 10**8
+    high4 = low8 // 10**4
+
+    words = np.empty((x.size, _SLOT // 4), np.uint32)
+    words[:, 0] = heads.take(pair + 100 * np.signbit(x))
+    words[:, 1] = quads.take(high4)
+    words[:, 2] = quads.take(low8 - high4 * 10**4)
+    words[:, 3] = exp_heads.take(E - _EXP_LO)
+    words[:, 4] = exp_tails.take(E - _EXP_LO)
+    special = ~np.isfinite(x)
+    if special.any():
+        s = x[special]
+        words[special] = specials.take(np.isinf(s) * (1 + np.signbit(s)), axis=0)
+    text = words.view(np.uint8)
+    for i in doubtful:
+        text[i] = 0
+        cell = b"%.9e" % x[i]
+        text[i, : len(cell)] = list(cell)
+    text[:, _SLOT - 1] = ord(",")
+    text[len(columns) - 1 :: len(columns), _SLOT - 1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -198,7 +316,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     cells = [grid] + [from_canonical(K, FREQUENCY, system) for K, _ in columns]
     cells += [e for _, e in columns]
-    row = ",".join(["%.9e"] * len(cells)) + "\n"
     with _output(args.out) as fh:
         fh.write(
             "F,"
@@ -208,8 +325,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             + "\n"
         )
         for start in range(0, F.size, _ROWS_PER_WRITE):
-            block = [c[start : start + _ROWS_PER_WRITE].tolist() for c in cells]
-            fh.write("".join([row % values for values in zip(*block)]))
+            fh.write(_csv_rows([c[start : start + _ROWS_PER_WRITE] for c in cells]))
     return 0
 
 
@@ -221,10 +337,10 @@ def cmd_invert(args: argparse.Namespace) -> int:
         if args.f_lo is None or args.f_hi is None:
             raise ValidationError("provide both --f-lo and --f-hi or neither")
         bracket = (
-            to_canonical(args.f_lo, FIELD, system).value,
-            to_canonical(args.f_hi, FIELD, system).value,
+            _canonical(args.f_lo, FIELD, system, "--f-lo"),
+            _canonical(args.f_hi, FIELD, system, "--f-hi"),
         )
-    target = to_canonical(args.target, FREQUENCY, system).value
+    target = _canonical(args.target, FREQUENCY, system, "--target")
     result = invert_rate(target, atom, method=args.method, bracket=bracket)
     record = {
         "F": from_canonical(result.F, FIELD, system),
@@ -239,7 +355,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_barrier(args: argparse.Namespace) -> int:
     system = UnitSystem(args.units)
     atom = make_atom(args.Z, args.ionization_energy)
-    F_canonical = to_canonical(args.field, FIELD, system).value
+    F_canonical = _canonical(args.field, FIELD, system, "--field")
     try:
         sol = rate_jwkb(
             MotiveModel(MotiveVariant(args.model), atom, F_canonical),

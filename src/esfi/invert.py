@@ -63,7 +63,7 @@ def invert_rate(
     """
     if not (target > 0.0) or not math.isfinite(target):
         raise TargetUnattainable(f"target rate must be positive and finite, got {target}")
-    f_lo, f_hi = bracket if bracket is not None else (1e-6, guard_field(atom))
+    f_lo, f_hi = map(float, bracket) if bracket is not None else (1e-6, guard_field(atom))
     if not (0.0 < f_lo < f_hi):
         raise TargetUnattainable(f"invalid bracket ({f_lo}, {f_hi})")
 

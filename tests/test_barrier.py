@@ -331,3 +331,12 @@ def test_field_beyond_float_range_is_a_numeric_error(variant, F):
         rate_jwkb(MotiveModel(variant, make_atom(1), F))
     if F > 1e-310:  # G, or the outer zero, past the float range
         assert "float range" in str(excinfo.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
+def test_numpy_scalar_field_gives_the_float_result(variant):
+    atom = make_atom(1)
+    model = MotiveModel(variant, atom, np.float64(12.0))
+    assert type(model.F) is float
+    assert rate_jwkb(model).G == rate_jwkb(MotiveModel(variant, atom, 12.0)).G

@@ -218,6 +218,8 @@ ALL_METHODS = ["ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive"]
     # fields below 1e-19 of suppression take the composite quadrature, and
     # below about 1e-100 V/nm only it converges
     (1.0, None, "evnm", 1e-200, 1e-17, 10, ALL_METHODS),
+    # enough cells for the vectorised CSV writer
+    (1.0, None, "evnm", 2.0, 80.0, 600, ALL_METHODS),
 ])
 def test_sweep_matches_scalar_path(capsys, monkeypatch, Z, I, units, f_min, f_max,
                                    points, methods, override):
@@ -394,6 +396,9 @@ def test_barrier_parametrizations_agree_via_cli(capsys):
     ["barrier", "--field", "inf"],
     ["rate", "--field", "1e308", "--units", "au"],  # overflows in V/nm
     ["invert", "--target", "1e6", "--f-lo", "1e-300", "--f-hi", "1e308", "--units", "au"],
+    ["barrier", "--field", "1e308", "--units", "au"],
+    ["invert", "--target", "1e308", "--units", "au"],  # overflows in s^-1
+    ["invert", "--target", "1e6", "--f-lo", "1e308", "--f-hi", "inf", "--units", "au"],
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run_cli(argv, capsys)
@@ -401,6 +406,10 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    # the message names the first offending flag, its value and unit system
+    flag, value = next((f, v) for f, v in zip(argv, argv[1:]) if v in ("inf", "nan", "1e308"))
+    units = argv[argv.index("--units") + 1] if "--units" in argv else "evnm"
+    assert err.startswith(f"error: {flag} {float(value)} ({units}) is not finite")
 
 
 def test_rate_output_may_be_infinite(capsys):

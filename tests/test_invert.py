@@ -105,3 +105,12 @@ def test_ll_inversion_converges_deep_in_the_barrier(Z):
     result = invert_rate(rate_ll(atom, F).K_e, atom)
     assert result.F == pytest.approx(F, rel=1e-12)
     assert result.iterations < 40
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_scalar_bracket_gives_the_float_result():
+    atom = make_atom(1)
+    numpy_bracket = (np.float64(1.0), np.float64(50.0))
+    result = invert_rate(1e9, atom, method="jwkb-parabolic", bracket=numpy_bracket)
+    expected = invert_rate(1e9, atom, method="jwkb-parabolic", bracket=(1.0, 50.0))
+    assert result.F == expected.F
