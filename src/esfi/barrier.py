@@ -36,12 +36,12 @@ log-span, checked against 2P panels.  G is bounded by the triangular
 barrier's 4 sigma A0^(3/2)/(3 A1); fields where that bound leaves the
 float range raise BracketingFailure before any arithmetic overflows.
 
-:func:`rate_jwkb` solves one field with scalar arithmetic.
-:func:`rate_jwkb_array` solves one barrier shape over an array of fields,
-a block of fields at a time: the same closed-form roots, a masked form of
-the same Newton polish, and the same 32/64-node quadrature as one
-(fields x 96 nodes) evaluation; the few fields it cannot settle (an
-unconverged quadrature, the float range) go to :func:`rate_jwkb`.
+One solver core serves one field and an array of fields: each step is
+written once over the arithmetic of its input, :mod:`math` for a float
+and numpy for an array, each entry of which stops as it would alone.
+:func:`rate_jwkb` runs it on one field, names the reason for any failure
+and alone has the composite rule; :func:`rate_jwkb_array` runs it on
+blocks of fields and hands the few it cannot settle to :func:`rate_jwkb`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +89,29 @@ _TOL_ABS, _TOL_REL = 1e-10, 1e-12
 _SUPPRESSED = 1e3 * _EPS  # peak motive, relative to I, counted as merged zeros
 _STRENGTH_BOUND = 4.0 * REGISTRY.sigma.value / 3.0  # G < this * A0^(3/2)/A1
 _BLOCK = 1024  # fields per block of the array solver
+_ROOT3_3_2, _ROOT3_2_3 = 1.5 * math.sqrt(3.0), 2.0 / math.sqrt(3.0)  # 3^(3/2)/2, 2/3^(1/2)
+
+# The arithmetic of one field and of an array of fields.  The scalar
+# where evaluates both of its branches, so what feeds it is clamped to
+# the arguments math accepts; unlike numpy's, a float division raises on
+# a zero divisor and math.log on zero.
+_SCALAR = SimpleNamespace(
+    sqrt=math.sqrt, cos=math.cos, acos=math.acos, exp=math.exp, log1p=math.log1p,
+    log=lambda x: math.log(x) if x else -math.inf, any=bool,
+    clip=lambda x, lo, hi: (x if x < hi else hi) if x > lo else lo,  # min(hi, max(lo, x))
+    where=lambda cond, a, b: a if cond else b,
+    divide=lambda v, d: v / d if d else math.inf,
+)
+_ARRAY = SimpleNamespace(
+    sqrt=np.sqrt, cos=np.cos, acos=np.arccos, exp=np.exp, log=np.log,
+    log1p=np.log1p, any=np.ndarray.any, clip=np.clip, where=np.where, divide=np.divide,
+)
+_ARITHMETIC = {np.ndarray: _ARRAY}
+
+
+def _arithmetic(x):
+    """The namespace for x: an array of fields, or one field."""
+    return _ARITHMETIC.get(type(x), _SCALAR)
 
 
 class MotiveVariant(enum.Enum):
@@ -109,6 +133,8 @@ class MotiveModel:
         object.__setattr__(self, "F", float(self.F))
         if not math.isfinite(self.F) or self.F <= 0:
             raise NonPositiveField(f"field must be positive, got {self.F}")
+        # not a field: built once for every step of a solve
+        object.__setattr__(self, "_coeffs", _coefficients(self.variant, self.atom, self.F))
 
 
 def _coefficients(variant: MotiveVariant, atom: HydrogenicAtom, F):
@@ -128,55 +154,40 @@ def _motive(k, c):
     return A0 - A1 * c - ic * (A2 + A3 * ic)
 
 
-def _slope(k, c):
+def _motive_and_slope(k, c):
+    """(M, M') at c."""
+    A0, A1, A2, A3 = k
+    ic = 1.0 / c
+    return A0 - A1 * c - ic * (A2 + A3 * ic), -A1 + ic * ic * (A2 + 2.0 * A3 * ic)
+
+
+def _slope_and_curvature(k, c):
+    """(M', M'') at c; M'' < 0 everywhere: M is concave with a single peak."""
     _, A1, A2, A3 = k
     ic = 1.0 / c
-    return -A1 + ic * ic * (A2 + 2.0 * A3 * ic)
+    return -A1 + ic * ic * (A2 + 2.0 * A3 * ic), -(ic**3) * (2.0 * A2 + 6.0 * A3 * ic)
 
 
-def _curvature(k, c):
-    """M'' < 0 everywhere: M is concave with a single peak."""
-    _, _, A2, A3 = k
-    ic = 1.0 / c
-    return -(ic**3) * (2.0 * A2 + 6.0 * A3 * ic)
-
-
-def _polish(fn, c: float) -> float:
-    """Newton steps on fn(c) -> (value, derivative) from a close estimate;
-    a step is kept only while it shrinks |value|."""
-    v, d = fn(c)
+def _polish(fn, k, c):
+    """Newton steps on fn(k, c) -> (value, derivative) from close estimates;
+    a step is kept only while it shrinks |value|, and each entry of an
+    array stops as it would alone."""
+    ns = _arithmetic(c)
+    v, d = fn(k, c)
+    live = True
     for _ in range(_NEWTON_MAX):
-        step = v / d if d else math.inf
-        if abs(step) <= _EPS * c:
-            return c - step
+        step = ns.divide(v, d)
+        size = abs(step)
+        tol = _EPS * c
         nxt = c - step
-        if not nxt > 0.0:
+        # a step within rounding of c is the last, taken unchecked
+        c = ns.where(live & (size <= tol), nxt, c)
+        live = live & (size > tol) & (nxt > 0.0)  # a nan step stops too
+        if not ns.any(live):
             break
-        v_next, d_next = fn(nxt)
-        if not abs(v_next) < abs(v):
-            break
-        c, v, d = nxt, v_next, d_next
-    return c
-
-
-def _polish_array(fn, c: np.ndarray) -> np.ndarray:
-    """:func:`_polish` on an array of estimates, each entry stopping by
-    the same rule as it would alone."""
-    v, d = fn(c)
-    live = np.ones(c.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX):
-        step = v / d
-        nxt = c - step
-        done = live & (np.abs(step) <= _EPS * c)
-        c = np.where(done, nxt, c)
-        live &= ~done & (nxt > 0.0)
-        if not live.any():
-            break
-        v_next, d_next = fn(np.where(live, nxt, c))
-        live &= np.abs(v_next) < np.abs(v)
-        c = np.where(live, nxt, c)
-        v = np.where(live, v_next, v)
-        d = np.where(live, d_next, d)
+        v_next, d_next = fn(k, nxt)  # stopped entries drop theirs below
+        live = live & (abs(v_next) < abs(v))
+        c, v, d = ns.where(live, (nxt, v_next, d_next), (c, v, d))
     return c
 
 
@@ -188,16 +199,17 @@ def motive(model: MotiveModel, coord):
     separated equation's I/4 energy scale; the barrier-strength integral
     uses them as-is.
     """
-    if np.any(np.asarray(coord) <= 0):
-        raise NonPositiveCoordinate(f"coordinate must be positive, got {coord}")
-    return _motive(_coefficients(model.variant, model.atom, model.F), coord)
+    c = np.asarray(coord)
+    if not np.all((c > 0.0) & (c < math.inf)):
+        raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {coord}")
+    return _motive(model._coeffs, coord)
 
 
-def _peak(k) -> float:
+def _peak(k):
+    """Location of the single maximum of M, for A1 > 0."""
+    ns = _arithmetic(k[1])
     _, A1, A2, A3 = k
-    if not A1 > 0.0:
-        raise BracketingFailure("field too small to resolve: e F underflows")
-    s = math.sqrt(A2) / math.sqrt(A1)  # the naive barrier's peak
+    s = math.sqrt(A2) / ns.sqrt(A1)  # the naive barrier's peak
     if A3 == 0.0:
         return s
     # c = s x turns A1 c^3 - A2 c - 2 A3 = 0 into x^3 - x - kappa = 0,
@@ -205,36 +217,38 @@ def _peak(k) -> float:
     # Cardano's (one real root), written here without cancellation
     kappa = 2.0 * A3 / (A2 * s)
     d = 0.25 * kappa * kappa - 1.0 / 27.0
-    if d < 0.0:
-        x = 2.0 / math.sqrt(3.0) * math.cos(math.acos(1.5 * math.sqrt(3.0) * kappa) / 3.0)
-    else:
-        w = (0.5 * kappa + math.sqrt(d)) ** (1.0 / 3.0)
-        x = w + 1.0 / (3.0 * w)
-    return _polish(lambda c: (_slope(k, c), _curvature(k, c)), s * x)
-
-
-def _peak_array(k) -> np.ndarray:
-    """:func:`_peak` over an array of A1 > 0."""
-    _, A1, A2, A3 = k
-    s = np.sqrt(A2) / np.sqrt(A1)
-    if A3 == 0.0:
-        return s
-    kappa = 2.0 * A3 / (A2 * s)
-    d = 0.25 * kappa * kappa - 1.0 / 27.0
-    w = (0.5 * kappa + np.sqrt(d)) ** (1.0 / 3.0)
-    x = np.where(
-        d < 0.0,
-        2.0 / math.sqrt(3.0) * np.cos(np.arccos(1.5 * math.sqrt(3.0) * kappa) / 3.0),
-        w + 1.0 / (3.0 * w),
-    )
-    return _polish_array(lambda c: (_slope(k, c), _curvature(k, c)), s * x)
+    cos3 = ns.clip(_ROOT3_3_2 * kappa, -1.0, 1.0)
+    w = (0.5 * kappa + ns.sqrt(abs(d))) ** (1.0 / 3.0)  # d < 0 takes cos3
+    x = ns.where(d < 0.0, _ROOT3_2_3 * ns.cos(ns.acos(cos3) / 3.0), w + 1.0 / (3.0 * w))
+    return _polish(_slope_and_curvature, k, s * x)
 
 
 def motive_peak(model: MotiveModel) -> tuple[float, float]:
     """Location and value of the single barrier maximum."""
-    k = _coefficients(model.variant, model.atom, model.F)
-    peak = _peak(k)
-    return peak, _motive(k, peak)
+    k = model._coeffs
+    if not k[1] > 0.0:
+        raise BracketingFailure("field too small to resolve: e F underflows")
+    try:
+        peak = _peak(k)
+        return peak, _motive(k, peak)
+    except (ArithmeticError, ValueError) as exc:
+        raise _no_barrier(model, exc) from exc
+
+
+def _no_barrier(model: MotiveModel, exc: Exception | None = None) -> EsfiError:
+    """BarrierSuppressed; or, for float arithmetic that left the float range
+    (exc: Python raises where numpy gives inf or nan) below the suppression
+    field, BracketingFailure."""
+    f_bs = suppression_field(model.atom, model.variant)
+    if exc is not None and model.F < f_bs:
+        return BracketingFailure(
+            f"the barrier at F={model.F:.6g} V/nm leaves the float range ({exc})"
+        )
+    return BarrierSuppressed(
+        f"barrier vanished at F={model.F:.6g} V/nm "
+        f"(suppression field {f_bs:.6g} V/nm for {model.variant.value})",
+        suppression_field=f_bs,
+    )
 
 
 def suppression_field(atom: HydrogenicAtom, variant: MotiveVariant) -> float:
@@ -249,50 +263,44 @@ def suppression_field(atom: HydrogenicAtom, variant: MotiveVariant) -> float:
     if variant is MotiveVariant.NAIVE_1D:
         return suppression_field_naive(atom)
     inv_sigma2 = 1.0 / REGISTRY.sigma.value**2
-    z = (atom.B + math.sqrt(atom.B**2 + 3.0 * atom.I * inv_sigma2)) / (2.0 * atom.I)
-    return (atom.B / (2.0 * z * z) + 0.5 * inv_sigma2 / z**3) / REGISTRY.e.value
+    try:
+        z = (atom.B + math.sqrt(atom.B**2 + 3.0 * atom.I * inv_sigma2)) / (2.0 * atom.I)
+        return (atom.B / (2.0 * z * z) + 0.5 * inv_sigma2 / z**3) / REGISTRY.e.value
+    except OverflowError:
+        # B^2 or z^3 past the float range; in w = 1/z < I/B nothing overflows
+        w = 2.0 * atom.I / (atom.B + math.hypot(atom.B, math.sqrt(3.0 * atom.I * inv_sigma2)))
+        return w * w * (0.5 * atom.B + 0.5 * inv_sigma2 * w) / REGISTRY.e.value
 
 
-def _outer_root(k) -> float:
-    """Largest root y of y^3 - y^2 + alpha y + beta (c = (A0/A1) y), or of
-    y^2 - y + alpha for the naive barrier."""
+def _zeros(k):
+    """(c_in, c_out), each a closed form polished by Newton steps on M (c_out
+    is nan where its closed form is infinite).  With c = (A0/A1) y the zeros
+    of c^2 M solve y^3 - y^2 + alpha y + beta = 0 (beta = 0 and one factor y
+    fewer for the naive barrier).  The outer zero is its largest root,
+    trigonometric for the cubic and from the quadratic formula otherwise;
+    deflating it leaves a quadratic whose positive root is the inner zero,
+    in a form free of the cancellation that the wide spread of the zeros
+    at low field would cause."""
+    ns = _arithmetic(k[1])
     A0, A1, A2, A3 = k
     ratio = A1 / A0
     alpha = ratio * (A2 / A0)
     if A3 == 0.0:
-        return 0.5 + math.sqrt(0.25 - alpha)
-    beta = (A3 / A0) * ratio * ratio
-    p = alpha - 1.0 / 3.0
-    q = beta + alpha / 3.0 - 2.0 / 27.0
-    r = math.sqrt(-p / 3.0)
-    cos3 = min(1.0, max(-1.0, 1.5 * q / (p * r)))
-    return 1.0 / 3.0 + 2.0 * r * math.cos(math.acos(cos3) / 3.0)
-
-
-def _outer_root_array(k) -> np.ndarray:
-    """:func:`_outer_root` over an array of A1."""
-    A0, A1, A2, A3 = k
-    ratio = A1 / A0
-    alpha = ratio * (A2 / A0)
-    if A3 == 0.0:
-        return 0.5 + np.sqrt(0.25 - alpha)
-    beta = (A3 / A0) * ratio * ratio
-    p = alpha - 1.0 / 3.0
-    q = beta + alpha / 3.0 - 2.0 / 27.0
-    r = np.sqrt(-p / 3.0)
-    cos3 = np.clip(1.5 * q / (p * r), -1.0, 1.0)
-    return 1.0 / 3.0 + 2.0 * r * np.cos(np.arccos(cos3) / 3.0)
-
-
-def _zero_estimates(k, y_out, sqrt):
-    """(c_in, c_out) from the outer root y_out, unpolished."""
-    A0, A1, A2, A3 = k
+        y_out = 0.5 + ns.sqrt(0.25 - alpha)
+    else:
+        beta = (A3 / A0) * ratio * ratio
+        p = alpha - 1.0 / 3.0
+        q = beta + alpha / 3.0 - 2.0 / 27.0
+        r = ns.sqrt(-p / 3.0)
+        cos3 = ns.clip(1.5 * q / (p * r), -1.0, 1.0)
+        y_out = 1.0 / 3.0 + 2.0 * r * ns.cos(ns.acos(cos3) / 3.0)
     c_out = y_out * (A0 / A1)
     # A1 (c - c_out)(c^2 + u c + w) = -c^2 M with w = -A3/D, u = -g,
     # D = A1 c_out; the positive root of the quadratic is the inner zero
     D = A0 * y_out
     g = (A2 + A3 / c_out) / D
-    return 0.5 * (g + sqrt(g * g + 4.0 * A3 / D)), c_out
+    c_in = 0.5 * (g + ns.sqrt(g * g + 4.0 * A3 / D))
+    return _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
 
 
 def turning_points(model: MotiveModel) -> tuple[float, float]:
@@ -300,32 +308,20 @@ def turning_points(model: MotiveModel) -> tuple[float, float]:
 
     The barrier peak (unique: M is concave) decides suppression first; a
     peak within rounding error of zero counts as merged turning points.
-    With c = (A0/A1) y the zeros of c^2 M solve y^3 - y^2 + alpha y + beta
-    = 0 (beta = 0 and one factor y fewer for the naive barrier).  The outer
-    zero is its largest root, trigonometric for the cubic and from the
-    quadratic formula otherwise.  Deflating it leaves a quadratic whose
-    positive root is the inner zero, in a form free of the cancellation
-    that the wide spread of the zeros at low field would cause.  A Newton
-    step on M polishes each zero.
+    Each zero is closed form, polished by Newton steps on M (:func:`_zeros`).
     """
     peak, peak_value = motive_peak(model)
     if peak_value <= _SUPPRESSED * model.atom.I:
-        f_bs = suppression_field(model.atom, model.variant)
-        raise BarrierSuppressed(
-            f"barrier vanished at F={model.F:.6g} V/nm "
-            f"(suppression field {f_bs:.6g} V/nm for {model.variant.value})",
-            suppression_field=f_bs,
-        )
-
-    k = _coefficients(model.variant, model.atom, model.F)
-    c_in, c_out = _zero_estimates(k, _outer_root(k), math.sqrt)
+        raise _no_barrier(model)
+    try:
+        c_in, c_out = _zeros(model._coeffs)
+    except (ArithmeticError, ValueError) as exc:
+        raise _no_barrier(model, exc) from exc
     if not c_out < math.inf:
         raise BracketingFailure(
             f"the outer motive zero at F={model.F:.6g} V/nm lies beyond the float range"
         )
-    fn = lambda c: (_motive(k, c), _slope(k, c))  # noqa: E731
-    c_in, c_out = _polish(fn, c_in), _polish(fn, c_out)
-    if not 0.0 < c_in < peak < c_out < math.inf:
+    if not 0.0 < c_in < peak < c_out:
         raise BracketingFailure(
             f"could not resolve the motive zeros around peak {peak:.6g} nm "
             f"(got {c_in:.6g}, {c_out:.6g})"
@@ -348,11 +344,8 @@ def _sine_mapped_rules(rules: tuple[tuple[int, int], ...]):
     t = np.concatenate(ts)
     rise = 2.0 * np.sin(0.5 * t + 0.25 * np.pi) ** 2  # 1 + sin t, exact near -pi/2
     weights = np.zeros((len(rules), t.size))
-    start = 0
-    for row, w in enumerate(ws):
-        stop = start + w.size
-        weights[row, start:stop] = w * np.cos(t[start:stop])
-        start = stop
+    rule = np.repeat(np.arange(len(rules)), [w.size for w in ws])
+    weights[rule, np.arange(t.size)] = np.concatenate(ws) * np.cos(t)
     rise.setflags(write=False)  # shared by every caller through the cache
     weights.setflags(write=False)
     return rise, weights
@@ -365,52 +358,49 @@ def _strength_fits(k):
     return _STRENGTH_BOUND * k[0] ** 1.5 < sys.float_info.max * k[1]
 
 
+def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES):
+    """G between the turning points by the coarser and the finer of two
+    sine-mapped rules, stacked along the first axis.  Over an array of
+    fields, A1, c_in and c_out are columns: a row of nodes per field."""
+    # log c = log c_in + half (1 + sin t), so dc = c half cos t dt
+    half = 0.5 * _arithmetic(c_in).log1p((c_out - c_in) / c_in)
+    rise, weights = _sine_mapped_rules(rules)
+    c = np.exp(half * rise)
+    c *= c_in
+    # c M^(1/2), in place; rounding can push M a hair below zero at the ends
+    M = _motive(k, c)
+    integrand = np.multiply(np.sqrt(np.maximum(M, 0.0, out=M), out=M), c, out=M)
+    return (2.0 * REGISTRY.sigma.value * half * (integrand @ weights.T)).T
+
+
+def _converged(G_coarse, G):
+    """Whether the finer rule confirms the coarser: their difference bounds
+    the coarser rule's error."""
+    err = abs(G - G_coarse)
+    return (err <= _TOL_ABS) | (err <= _TOL_REL * abs(G))
+
+
 def _strength_between(model: MotiveModel, c_in: float, c_out: float) -> float:
-    k = _coefficients(model.variant, model.atom, model.F)
-    if not _strength_fits(k):
+    k = model._coeffs
+    # G, or the quadrature's nodes c and 1/c, past the float range
+    if not (_strength_fits(k) and c_out / c_in < math.inf and 1.0 / c_in < math.inf):
         raise BracketingFailure(
             f"barrier strength at F={model.F:.6g} V/nm exceeds the float range"
         )
-    # log c = log c_in + half (1 + sin t), so dc = c half cos t dt
-    half = 0.5 * math.log1p((c_out - c_in) / c_in)
-    scale = 2.0 * REGISTRY.sigma.value * half
-
-    def integrate(rules):
-        rise, weights = _sine_mapped_rules(rules)
-        c = c_in * np.exp(half * rise)
-        # rounding can push M a hair below zero right at the endpoints
-        return scale * (weights @ (c * np.sqrt(np.maximum(_motive(k, c), 0.0))))
-
-    tolerance = lambda G: max(_TOL_ABS, _TOL_REL * abs(G))  # noqa: E731
-    G_coarse, G = integrate(_GAUSS_RULES)
-    if not abs(G - G_coarse) <= tolerance(G):
-        # the difference bounds the coarser rule's error; once log c spans
-        # some 45 units (fields below about 1e-19 of suppression) 32 nodes
-        # fall short, so split t into panels as the span grows, and check
-        # against twice as many
-        panels = math.ceil(half / _LOG_SPAN_PER_PANEL)
-        G_coarse, G = integrate(((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels)))
-    err = abs(G - G_coarse)
-    if not err <= tolerance(G):
+    G_coarse, G = _strength_pair(k, c_in, c_out)
+    if not _converged(G_coarse, G):
+        # once log c spans some 45 units (fields below about 1e-19 of
+        # suppression) 32 nodes fall short, so split t into panels as the
+        # span grows, and check against twice as many
+        panels = math.ceil(0.5 * math.log1p((c_out - c_in) / c_in) / _LOG_SPAN_PER_PANEL)
+        rules = ((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels))
+        G_coarse, G = _strength_pair(k, c_in, c_out, rules)
+    if not _converged(G_coarse, G):
         raise QuadratureNonConvergence(
-            f"barrier-strength quadrature error {err:.3e} "
+            f"barrier-strength quadrature error {abs(G - G_coarse):.3e} "
             f"exceeds tolerance (G={G:.6g})"
         )
     return float(G)
-
-
-def _strengths_between(k, c_in: np.ndarray, c_out: np.ndarray):
-    """:func:`_strength_between`'s 32/64-node pair over arrays of turning
-    points, as one (fields x 96 nodes) evaluation: G, and where the pair
-    agrees."""
-    half = 0.5 * np.log1p((c_out - c_in) / c_in)
-    scale = 2.0 * REGISTRY.sigma.value * half
-    rise, weights = _sine_mapped_rules(_GAUSS_RULES)
-    c = c_in[:, None] * np.exp(half[:, None] * rise)
-    k = (k[0], k[1][:, None], k[2], k[3])
-    integrand = c * np.sqrt(np.maximum(_motive(k, c), 0.0))
-    G_coarse, G = scale * (integrand @ weights.T).T
-    return G, np.abs(G - G_coarse) <= np.maximum(_TOL_ABS, _TOL_REL * np.abs(G))
 
 
 def barrier_strength(model: MotiveModel) -> float:
@@ -440,12 +430,39 @@ class BarrierSolution:
         return asdict(self)
 
 
-def _prefactor(variant: MotiveVariant, atom: HydrogenicAtom, c_in, exp):
-    """P_jwkb = x e^-x with x = (2I/B) eta_in at the inner zero c_in
-    (eta = 2 z on the symmetry axis); exp is math.exp or np.exp."""
-    eta_in = c_in if variant is MotiveVariant.TRANSFORMED_PARABOLIC else 2.0 * c_in
-    x = 2.0 * atom.I / atom.B * eta_in
-    return x * exp(-x)
+class BarrierArrays(NamedTuple):
+    """The numeric fields of :class:`BarrierSolution` over an array of
+    fields, each of the fields' shape; nan where no barrier solution
+    exists."""
+
+    coord_in: np.ndarray
+    coord_out: np.ndarray
+    G: np.ndarray
+    P_jwkb: np.ndarray
+    P_eff: np.ndarray
+    D_eff: np.ndarray
+    K_e: np.ndarray
+    log_K_e: np.ndarray
+
+
+def _assemble(variant: MotiveVariant, atom: HydrogenicAtom, c_in, c_out, G, unit_prefactor):
+    """The numeric fields of :class:`BarrierSolution`, in their order.
+    P_jwkb = x e^-x with x = (2I/B) eta_in at the inner zero c_in (eta = 2 z
+    on the symmetry axis), or 1 with `unit_prefactor`."""
+    ns = _arithmetic(c_in)
+    if unit_prefactor:
+        P_jwkb = P_eff = 1.0
+    else:
+        eta_in = c_in if variant is MotiveVariant.TRANSFORMED_PARABOLIC else 2.0 * c_in
+        x = 2.0 * atom.I / atom.B * eta_in
+        P_jwkb = x * ns.exp(-x)
+        P_eff = 2.0 * math.pi * P_jwkb
+    D_eff = P_eff * ns.exp(-G)
+    log_P = ns.log(atom.nu_Z * P_eff)
+    if not unit_prefactor and ns.any(P_eff == 0.0):  # x e^-x underflows past x ~ 745
+        log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * atom.nu_Z) + ns.log(x) - x)
+    log_K_e = log_P - G
+    return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_K_e
 
 
 def _warn_shallow(D_eff: float, stacklevel: int) -> None:
@@ -473,101 +490,57 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
     comparison baseline only), the plain attempt-frequency estimate
     K_e = nu_Z * exp(-G) is used instead (tunnelling pre-factor 1).
     """
-    atom = model.atom
     c_in, c_out = turning_points(model)
     G = _strength_between(model, c_in, c_out)
-
-    if simple_prefactor or model.variant is MotiveVariant.NAIVE_1D:
-        P_jwkb = 1.0
-        P_eff = 1.0
-    else:
-        P_jwkb = _prefactor(model.variant, atom, c_in, math.exp)
-        P_eff = 2.0 * math.pi * P_jwkb
-
-    D_eff = P_eff * math.exp(-G)
+    unit_prefactor = simple_prefactor or model.variant is MotiveVariant.NAIVE_1D
+    values = _assemble(model.variant, model.atom, c_in, c_out, G, unit_prefactor)
+    D_eff = values[5]
     if D_eff > 1.0:
         _warn_shallow(D_eff, stacklevel=2)
         regime = REGIME_SHALLOW
-    elif model.F < guard_field(atom):
+    elif model.F < guard_field(model.atom):
         regime = REGIME_DEEP
     else:
         regime = REGIME_EXTRAPOLATED
-
-    return BarrierSolution(
-        method=model.variant.value + ("-simple" if simple_prefactor else ""),
-        coord_in=c_in,
-        coord_out=c_out,
-        G=G,
-        P_jwkb=P_jwkb,
-        P_eff=P_eff,
-        D_eff=D_eff,
-        K_e=atom.nu_Z * D_eff,
-        log_K_e=math.log(atom.nu_Z * P_eff) - G,
-        regime=regime,
-    )
-
-
-class BarrierArrays(NamedTuple):
-    """The numeric fields of :class:`BarrierSolution` over an array of
-    fields, each of the fields' shape; nan where no barrier solution
-    exists."""
-
-    coord_in: np.ndarray
-    coord_out: np.ndarray
-    G: np.ndarray
-    P_jwkb: np.ndarray
-    P_eff: np.ndarray
-    D_eff: np.ndarray
-    K_e: np.ndarray
-    log_K_e: np.ndarray
+    method = model.variant.value + ("-simple" if simple_prefactor else "")
+    return BarrierSolution(method, *values, regime=regime)
 
 
 def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray, out):
     """Solve a block of fields into the columns of `out` (rows in the
     order of BarrierArrays); return the indices left to rate_jwkb."""
-    k = _coefficients(variant, atom, F)
+    A0, A1, A2, A3 = _coefficients(variant, atom, F)
     # rate_jwkb refuses the others: F not positive and finite, e F
     # underflowing, G past the float range
-    resolvable = (k[1] > 0.0) & (F < math.inf) & _strength_fits(k)
+    resolvable = (A1 > 0.0) & (F < math.inf) & _strength_fits((A0, A1, A2, A3))
     rows = np.flatnonzero(resolvable)
     scalar = [np.flatnonzero(~resolvable)]
 
-    k = _coefficients(variant, atom, F[rows])
-    peak = _peak_array(k)
+    k = (A0, A1[rows], A2, A3)
+    peak = _peak(k)
     barrier = ~(_motive(k, peak) <= _SUPPRESSED * atom.I)  # nan counts as a barrier
     rows, peak = rows[barrier], peak[barrier]
 
-    k = _coefficients(variant, atom, F[rows])
-    c_in, c_out = _zero_estimates(k, _outer_root_array(k), np.sqrt)
-    fn = lambda c: (_motive(k, c), _slope(k, c))  # noqa: E731
-    c_in, c_out = _polish_array(fn, c_in), _polish_array(fn, c_out)
-    G, converged = _strengths_between(k, c_in, c_out)
+    k = (A0, A1[rows], A2, A3)
+    c_in, c_out = _zeros(k)
+    G_coarse, G = _strength_pair((A0, k[1][:, None], A2, A3), c_in[:, None], c_out[:, None])
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)
-    solved = converged & bracketed
+    solved = _converged(G_coarse, G) & bracketed
     scalar.append(rows[~solved])
-    rows, c_in, c_out, G = rows[solved], c_in[solved], c_out[solved], G[solved]
-
-    if variant is MotiveVariant.NAIVE_1D:
-        P_jwkb = P_eff = np.ones(rows.size)
-    else:
-        P_jwkb = _prefactor(variant, atom, c_in, np.exp)
-        P_eff = 2.0 * math.pi * P_jwkb
-    D_eff = P_eff * np.exp(-G)
-    log_K_e = np.log(atom.nu_Z * P_eff) - G
-    out[:, rows] = (c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_K_e)
+    values = _assemble(variant, atom, c_in[solved], c_out[solved], G[solved],
+                       variant is MotiveVariant.NAIVE_1D)
+    for row, value in zip(out, values):
+        row[rows[solved]] = value
     return np.concatenate(scalar)
 
 
 def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierArrays:
     """:func:`rate_jwkb` (its default pre-factor) for one barrier shape
-    over an array of fields [V/nm].
+    over an array of fields [V/nm], solved a block of fields at a time.
 
-    Blocks of fields are solved together: the closed-form peak and
-    turning points, the Newton polish with the scalar stopping rule, and
-    the 32/64-node quadrature as one (fields x 96 nodes) evaluation.  A
-    field that quadrature leaves unconverged, or that the scalar path
-    refuses (field not positive, e F underflowing, G past the float
-    range), is handed to :func:`rate_jwkb`.  Results agree with
+    A field that the 32/64-node pair leaves unconverged, or that the
+    scalar path refuses (field not positive, e F underflowing, G past the
+    float range), is handed to :func:`rate_jwkb`.  Results agree with
     :func:`rate_jwkb` to rounding; where the barrier is suppressed or
     :func:`rate_jwkb` raises they are nan, and :func:`rate_jwkb` on that
     field gives the reason.  Fields with D_eff > 1 warn as there.
@@ -581,18 +554,16 @@ def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierA
         for start in range(0, flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             scalar.append(start + _solve_block(variant, atom, flat[block], out[:, block]))
-    scalar = np.concatenate(scalar) if scalar else np.empty(0, dtype=int)
-    batched = np.ones(flat.size, dtype=bool)
-    batched[scalar] = False
-    for i in scalar:
+    D_eff = BarrierArrays(*out).D_eff
+    shallow = D_eff[D_eff > 1.0]  # solved here: the fields left to rate_jwkb are nan
+    for i in np.concatenate(scalar) if scalar else ():
         try:
             sol = rate_jwkb(MotiveModel(variant, atom, float(flat[i])))
         except EsfiError:
             continue
         out[:, i] = [getattr(sol, name) for name in BarrierArrays._fields]
-    result = BarrierArrays(*out)
-    for D_eff in result.D_eff[batched & (result.D_eff > 1.0)]:
-        _warn_shallow(float(D_eff), stacklevel=2)
+    for value in shallow:
+        _warn_shallow(float(value), stacklevel=2)
     return BarrierArrays(*(row.reshape(F.shape) for row in out))
 
 

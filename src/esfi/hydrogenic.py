@@ -10,11 +10,19 @@ relations exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NegativeCoordinate, NonPositiveIonizationEnergy, NonPositiveZ
+from .errors import (
+    NegativeCoordinate,
+    NonPositiveIonizationEnergy,
+    NonPositiveZ,
+    ValidationError,
+)
 from .units import REGISTRY
+
+_I_MAX = math.sqrt(sys.float_info.max)  # eV
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,9 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
     Z : positive real charge number.
     I_override : optional ionization energy in eV replacing the default
         Z^2 * I_H (the Coulomb constant stays Z-based).
+
+    The ionization energy, given or Z^2 * I_H, must come out positive
+    and below 1.34e154 eV (ValidationError otherwise).
     """
     if not (Z > 0) or not math.isfinite(Z):
         raise NonPositiveZ(f"charge number Z must be positive, got {Z}")
@@ -55,6 +66,13 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
     r = REGISTRY
     B = Z * r.B_H.value
     I = Z * Z * r.I_H.value if I_override is None else float(I_override)
+    # Z^2 I_H can underflow or overflow, and the suppression field
+    # I^2/(4 e B) squares I
+    if not 0.0 < I < _I_MAX:
+        raise ValidationError(
+            f"ionization energy {I:.6g} eV (Z={Z:.6g}) must be positive "
+            f"and below {_I_MAX:.4g} eV, where its square is finite"
+        )
     a_Z = 2.0 / (r.sigma.value**2 * B)   # equals a_0/Z
     nu_Z = I / (math.pi * r.hbar.value)
     return HydrogenicAtom(

@@ -76,10 +76,11 @@ def test_naive_peak_closed_form():
 
 def test_motive_rejects_non_positive_coordinate():
     model = au_model(PARABOLIC, 0.01)
-    with pytest.raises(errors.NonPositiveCoordinate):
-        motive(model, 0.0)
-    with pytest.raises(errors.NonPositiveCoordinate):
-        motive(model, -1.0)
+    for coord in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(errors.NonPositiveCoordinate):
+            motive(model, coord)
+        with pytest.raises(errors.NonPositiveCoordinate):
+            motive(model, np.array([1.0, coord]))
     with pytest.raises(errors.NonPositiveField):
         MotiveModel(PARABOLIC, make_atom(1), -2.0)
 

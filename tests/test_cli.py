@@ -265,6 +265,119 @@ def test_sweep_is_byte_stable(tmp_path, capsys):
     capsys.readouterr()
 
 
+GOLDEN_SWEEP_CSV = """\
+F,K_ll,K_jwkb-parabolic,K_jwkb-cartesian,K_jwkb-naive,exponent_ll,exponent_jwkb-parabolic,exponent_jwkb-cartesian,exponent_jwkb-naive
+1.000000000e-30,0.000000000e+00,0.000000000e+00,0.000000000e+00,0.000000000e+00,3.428137685e+32,3.428137685e+32,3.428137685e+32,3.428137685e+32
+4.000000000e+00,1.279388447e-18,2.349919397e-18,2.349919397e-18,8.404628813e-16,8.570344211e+01,7.729633019e+01,7.729633019e+01,7.113534199e+01
+8.000000000e+00,2.607584700e+00,4.774560355e+00,4.774560355e+00,9.044173470e+02,4.285172106e+01,3.511516143e+01,3.511516143e+01,2.961547218e+01
+1.200000000e+01,2.776957055e+06,5.039279639e+06,5.039279639e+06,6.716971628e+08,2.856781404e+01,2.121753807e+01,2.121753807e+01,1.609744496e+01
+1.600000000e+01,2.632336623e+09,4.710763911e+09,4.710763911e+09,4.967308279e+11,2.142586053e+01,1.434618178e+01,1.434618178e+01,9.491448981e+00
+2.000000000e+01,nan,2.685534915e+11,2.685534915e+11,2.391826002e+13,nan,1.026855778e+01,1.026855778e+01,5.617099803e+00
+2.400000000e+01,nan,3.802497116e+12,3.802497116e+12,2.986482282e+14,nan,7.579643354e+00,7.579643354e+00,3.092475601e+00
+2.800000000e+01,nan,2.433605969e+13,2.433605969e+13,1.740010488e+15,nan,5.679697185e+00,5.679697185e+00,1.330095567e+00
+3.200000000e+01,nan,9.477828882e+13,9.477828882e+13,6.330831764e+15,nan,4.270030627e+00,4.270030627e+00,3.855508049e-02
+3.600000000e+01,nan,2.644711013e+14,2.644711013e+14,nan,nan,3.185353402e+00,3.185353402e+00,nan
+4.000000000e+01,nan,5.819027959e+14,5.819027959e+14,nan,nan,2.326876080e+00,2.326876080e+00,nan
+4.400000000e+01,nan,1.069383514e+15,1.069383514e+15,nan,nan,1.631975441e+00,1.631975441e+00,nan
+4.800000000e+01,nan,1.695003856e+15,1.695003856e+15,nan,nan,1.059063368e+00,1.059063368e+00,nan
+5.200000000e+01,nan,2.332958212e+15,2.332958212e+15,nan,nan,5.794586252e-01,5.794586252e-01,nan
+5.600000000e+01,nan,2.622857361e+15,2.622857361e+15,nan,nan,1.727531157e-01,1.727531157e-01,nan
+6.000000000e+01,nan,nan,nan,nan,nan,nan,nan,nan
+6.400000000e+01,nan,nan,nan,nan,nan,nan,nan,nan
+6.800000000e+01,nan,nan,nan,nan,nan,nan,nan,nan
+7.200000000e+01,nan,nan,nan,nan,nan,nan,nan,nan
+7.600000000e+01,nan,nan,nan,nan,nan,nan,nan,nan
+8.000000000e+01,nan,nan,nan,nan,nan,nan,nan,nan
+"""
+
+GOLDEN_SWEEP_NOTES = """\
+note: ll at F=2.000000000e+01: field 20 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: ll at F=2.400000000e+01: field 24 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: ll at F=2.800000000e+01: field 28 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: ll at F=3.200000000e+01: field 32 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: ll at F=3.600000000e+01: field 36 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-naive at F=3.600000000e+01: barrier vanished at F=36 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=4.000000000e+01: field 40 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-naive at F=4.000000000e+01: barrier vanished at F=40 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=4.400000000e+01: field 44 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-naive at F=4.400000000e+01: barrier vanished at F=44 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=4.800000000e+01: field 48 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-naive at F=4.800000000e+01: barrier vanished at F=48 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=5.200000000e+01: field 52 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-naive at F=5.200000000e+01: barrier vanished at F=52 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=5.600000000e+01: field 56 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-naive at F=5.600000000e+01: barrier vanished at F=56 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=6.000000000e+01: field 60 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-parabolic at F=6.000000000e+01: barrier vanished at F=60 V/nm (suppression field 57.9073 V/nm for jwkb-parabolic)
+note: jwkb-cartesian at F=6.000000000e+01: barrier vanished at F=60 V/nm (suppression field 57.9073 V/nm for jwkb-cartesian)
+note: jwkb-naive at F=6.000000000e+01: barrier vanished at F=60 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=6.400000000e+01: field 64 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-parabolic at F=6.400000000e+01: barrier vanished at F=64 V/nm (suppression field 57.9073 V/nm for jwkb-parabolic)
+note: jwkb-cartesian at F=6.400000000e+01: barrier vanished at F=64 V/nm (suppression field 57.9073 V/nm for jwkb-cartesian)
+note: jwkb-naive at F=6.400000000e+01: barrier vanished at F=64 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=6.800000000e+01: field 68 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-parabolic at F=6.800000000e+01: barrier vanished at F=68 V/nm (suppression field 57.9073 V/nm for jwkb-parabolic)
+note: jwkb-cartesian at F=6.800000000e+01: barrier vanished at F=68 V/nm (suppression field 57.9073 V/nm for jwkb-cartesian)
+note: jwkb-naive at F=6.800000000e+01: barrier vanished at F=68 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=7.200000000e+01: field 72 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-parabolic at F=7.200000000e+01: barrier vanished at F=72 V/nm (suppression field 57.9073 V/nm for jwkb-parabolic)
+note: jwkb-cartesian at F=7.200000000e+01: barrier vanished at F=72 V/nm (suppression field 57.9073 V/nm for jwkb-cartesian)
+note: jwkb-naive at F=7.200000000e+01: barrier vanished at F=72 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=7.600000000e+01: field 76 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-parabolic at F=7.600000000e+01: barrier vanished at F=76 V/nm (suppression field 57.9073 V/nm for jwkb-parabolic)
+note: jwkb-cartesian at F=7.600000000e+01: barrier vanished at F=76 V/nm (suppression field 57.9073 V/nm for jwkb-cartesian)
+note: jwkb-naive at F=7.600000000e+01: barrier vanished at F=76 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+note: ll at F=8.000000000e+01: field 80 V/nm is at or above the deep-tunnelling guard 16.0694 V/nm (barrier suppression at 32.1388 V/nm)
+note: jwkb-parabolic at F=8.000000000e+01: barrier vanished at F=80 V/nm (suppression field 57.9073 V/nm for jwkb-parabolic)
+note: jwkb-cartesian at F=8.000000000e+01: barrier vanished at F=80 V/nm (suppression field 57.9073 V/nm for jwkb-cartesian)
+note: jwkb-naive at F=8.000000000e+01: barrier vanished at F=80 V/nm (suppression field 32.1388 V/nm for jwkb-naive)
+"""
+
+def test_sweep_golden_output(capsys, monkeypatch):
+    # H through the composite-rule band (1e-30 V/nm), the ll guard (16.07),
+    # and both suppression fields (32.14 naive, 57.91 transformed), frozen
+    # as printed
+    monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
+    code, out, err = run_cli(
+        ["sweep", "--methods", ",".join(ALL_METHODS), "--spacing", "linear",
+         "--f-min", "1e-30", "--f-max", "80", "--points", "21"],
+        capsys,
+    )
+    assert code == 0
+    assert out == GOLDEN_SWEEP_CSV
+    assert err == GOLDEN_SWEEP_NOTES
+
+
+GOLDEN_BARRIER = {
+    "jwkb-parabolic": {
+        "D_eff": 7.256519325534243e-16, "G": 35.11516142848952, "K_e": 4.774560355368747,
+        "P_eff": 1.29136554784793, "P_jwkb": 0.20552721027857154,
+        "coord_in": 0.13215910258311192, "coord_out": 3.291162638697561,
+    },
+    "jwkb-cartesian": {
+        "D_eff": 7.256519325534243e-16, "G": 35.11516142848952, "K_e": 4.774560355368747,
+        "P_eff": 1.29136554784793, "P_jwkb": 0.20552721027857154,
+        "coord_in": 0.06607955129155596, "coord_out": 1.6455813193487805,
+    },
+    "jwkb-naive": {
+        "D_eff": 1.3745604765013696e-13, "G": 29.615472182357664, "K_e": 904.4173470422107,
+        "P_eff": 1.0, "P_jwkb": 1.0,
+        "coord_in": 0.11339622024659574, "coord_out": 1.587315346594014,
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_BARRIER))
+def test_barrier_golden_output(capsys, model):
+    # every digit of one solve per barrier shape for H at 8 V/nm
+    code, out, err = run_cli(["barrier", "--field", "8", "--model", model], capsys)
+    assert code == 0
+    assert err == ""
+    record = {**GOLDEN_BARRIER[model], "model": model, "regime": "deep",
+              "unit_system": "evnm"}
+    assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
 def test_sweep_ratio_between_methods_drifts_slowly(tmp_path, capsys):
     # at low field the jwkb/ll ratio column is nearly flat
     out_path = tmp_path / "r.csv"
@@ -410,6 +523,50 @@ def test_non_finite_input_exits_2(capsys, argv):
     flag, value = next((f, v) for f, v in zip(argv, argv[1:]) if v in ("inf", "nan", "1e308"))
     units = argv[argv.index("--units") + 1] if "--units" in argv else "evnm"
     assert err.startswith(f"error: {flag} {float(value)} ({units}) is not finite")
+
+
+def _library_call(argv):
+    """The library call behind `esfi rate ...` with these flags."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    I = flags.get("--ionization-energy")
+    atom = make_atom(float(flags.get("--Z", 1.0)), None if I is None else float(I))
+    F, method = float(flags["--field"]), flags.get("--method", "ll")
+    if method == "ll":
+        return rate_ll(atom, F, allow_shallow=True)
+    return rate_jwkb(MotiveModel(MotiveVariant(method), atom, F))
+
+
+@pytest.mark.parametrize("argv, code", [
+    # I = Z^2 I_H whose square overflows, or which underflows to zero
+    (["rate", "--Z", "1e100", "--field", "1"], 2),
+    (["rate", "--Z", "1e100", "--field", "1", "--method", "jwkb-parabolic"], 2),
+    (["rate", "--Z", "1e200", "--field", "1"], 2),
+    (["rate", "--Z", "1e-200", "--field", "1", "--method", "jwkb-parabolic"], 2),
+    # the suppression field's z*^3 or B^2 overflowed; the field is far past it
+    (["rate", "--Z", "1e-160", "--field", "1e-300", "--method", "jwkb-cartesian"], 3),
+    (["rate", "--Z", "1e155", "--ionization-energy", "1", "--field", "1",
+      "--method", "jwkb-parabolic"], 3),
+    # float arithmetic past the float range, far above suppression
+    (["rate", "--Z", "1e-60", "--field", "1e300", "--method", "jwkb-parabolic"], 3),
+    (["rate", "--field", "1e308", "--method", "jwkb-cartesian"], 3),
+    # quadrature nodes c or 1/c past the float range
+    (["rate", "--ionization-energy", "1e12", "--field", "1e-288", "--method", "jwkb-naive"], 4),
+    (["rate", "--Z", "1e-320", "--ionization-energy", "1e-10", "--field", "1e-6",
+      "--method", "jwkb-naive"], 4),
+    # atoms that worked before keep working
+    (["rate", "--Z", "1e-30", "--field", "1", "--method", "jwkb-naive"], 3),
+    (["rate", "--Z", "1e70", "--field", "1", "--method", "jwkb-parabolic"], 0),
+    (["rate", "--Z", "1e40", "--field", "1"], 0),
+])
+def test_extreme_atoms_keep_the_error_contract(capsys, argv, code):
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(EsfiError):
+            _library_call(argv)
+    else:
+        assert math.isfinite(json.loads(out)["exponent"])
 
 
 def test_rate_output_may_be_infinite(capsys):
