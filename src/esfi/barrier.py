@@ -387,20 +387,20 @@ def _strength_between(model: MotiveModel, c_in: float, c_out: float) -> float:
         raise BracketingFailure(
             f"barrier strength at F={model.F:.6g} V/nm exceeds the float range"
         )
-    G_coarse, G = _strength_pair(k, c_in, c_out)
+    G_coarse, G = _strength_pair(k, c_in, c_out).tolist()
     if not _converged(G_coarse, G):
         # once log c spans some 45 units (fields below about 1e-19 of
         # suppression) 32 nodes fall short, so split t into panels as the
         # span grows, and check against twice as many
         panels = math.ceil(0.5 * math.log1p((c_out - c_in) / c_in) / _LOG_SPAN_PER_PANEL)
         rules = ((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels))
-        G_coarse, G = _strength_pair(k, c_in, c_out, rules)
+        G_coarse, G = _strength_pair(k, c_in, c_out, rules).tolist()
     if not _converged(G_coarse, G):
         raise QuadratureNonConvergence(
             f"barrier-strength quadrature error {abs(G - G_coarse):.3e} "
             f"exceeds tolerance (G={G:.6g})"
         )
-    return float(G)
+    return G
 
 
 def barrier_strength(model: MotiveModel) -> float:

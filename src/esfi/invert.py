@@ -3,8 +3,11 @@
 Rates span tens of orders of magnitude over the valid field range, so the
 solve runs on ln K_e as a function of ln F, where the problem is smooth
 and well conditioned: bisection narrows the bracket, Newton polishes.
-K_e is strictly increasing in F below the deep-tunnelling guard, making
-the root unique.
+The root is unique where K_e rises over the bracket.  That holds below the
+deep-tunnelling guard unless the ionization energy is far above Z^2 I_H:
+the closed form then peaks below the guard, and its default bracket ends
+at that peak; the JWKB rates peak below the guard once I passes about
+48 Z^2 I_H, where their default bracket can miss an attainable target.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Callable, Optional
 from .barrier import MotiveModel, MotiveVariant, rate_jwkb
 from .errors import NonMonotoneBracket, NumericError, TargetUnattainable
 from .hydrogenic import HydrogenicAtom
-from .rates import guard_field, rate_ll
+from .rates import _ll_log_rate, guard_field
+from .units import REGISTRY
 
 _RESIDUAL_TOL = 1e-13  # |ln K - ln target| at convergence, where resolvable
 _EPS = sys.float_info.epsilon
@@ -33,7 +37,7 @@ class InversionResult:
 
 def _log_rate_fn(atom: HydrogenicAtom, method: str) -> Callable[[float], float]:
     if method == "ll":
-        return lambda F: rate_ll(atom, F, allow_shallow=True).log_K_e
+        return _ll_log_rate(atom)
     try:
         variant = MotiveVariant(method)
     except ValueError:
@@ -56,14 +60,24 @@ def invert_rate(
     atom : hydrogenic atom.
     method : 'll' (default) or one of the jwkb-* barrier methods.
     bracket : optional (F_lo, F_hi) in V/nm; defaults to
-        (1e-6, guard field).
+        (1e-6, guard field), for 'll' ended at the closed form's maximum
+        where that lies below the guard.
 
     Converges to |K_e(F) - target|/target < 1e-10 (typically much
     tighter).
     """
     if not (target > 0.0) or not math.isfinite(target):
         raise TargetUnattainable(f"target rate must be positive and finite, got {target}")
-    f_lo, f_hi = map(float, bracket) if bracket is not None else (1e-6, guard_field(atom))
+    if bracket is not None:
+        f_lo, f_hi = map(float, bracket)
+    else:
+        f_lo, f_hi = 1e-6, guard_field(atom)
+        if method == "ll":
+            # the closed form peaks where b I^(3/2)/F = 1 and falls past it;
+            # the peak lies below the guard once I passes 455 Z^2 I_H
+            peak = REGISTRY.b.value * atom.I**1.5
+            if f_lo < peak < f_hi:
+                f_hi = peak
     if not (0.0 < f_lo < f_hi):
         raise TargetUnattainable(f"invalid bracket ({f_lo}, {f_hi})")
 

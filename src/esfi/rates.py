@@ -17,6 +17,9 @@ extended-precision kernel carries the whole closed form (exponent,
 pre-exponential, K_e, D_eff, T and ln K_e); :func:`rate_ll` and
 :func:`rate_z_form` feed it one field, :func:`rate_ll_array` a whole array
 of fields at once, together with the mask of fields below the guard.
+The kernel's field-dependent part, ln K_e included, is one piece of its
+own, which field inversion evaluates alone with the atom's factors
+computed once.
 
 Unless stated otherwise, fields are in V/nm and rates in s^-1.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,10 +80,14 @@ def guard_field(atom: HydrogenicAtom) -> float:
     return 0.5 * suppression_field_naive(atom)
 
 
-def _check_field(atom: HydrogenicAtom, F: float, allow_shallow: bool) -> str:
-    """Validate the field and classify the regime ('deep'/'extrapolated')."""
+def _check_positive(F: float) -> None:
     if not math.isfinite(F) or F <= 0:
         raise NonPositiveField(f"field must be positive, got {F}")
+
+
+def _check_field(atom: HydrogenicAtom, F: float, allow_shallow: bool) -> str:
+    """Validate the field and classify the regime ('deep'/'extrapolated')."""
+    _check_positive(F)
     guard = guard_field(atom)
     if F < guard:
         return REGIME_DEEP
@@ -111,17 +118,47 @@ _FIVE_HALVES = np.longdouble(2.5)
 _BLOCK = 65536  # fields per block of rate_ll_array
 
 
+def _coefficients(x, I):
+    """The per-atom factors of the closed form, in extended precision, with
+    I (a long double) in the unit system of the constants x: b I^(3/2),
+    C_FI I^(5/2) and pi hbar C_FI I^(3/2)."""
+    I_3_2 = I**_THREE_HALVES
+    return x.b * I_3_2, x.C_FI * I**_FIVE_HALVES, x.pi_hbar_C_FI * I_3_2
+
+
+def _field_terms(exponent_coeff, pre_coeff, F):
+    """The field-dependent part of the closed form, from the first two
+    :func:`_coefficients`: pre-exponential, exponent and ln K_e."""
+    exponent = exponent_coeff / F
+    pre = pre_coeff / F
+    return pre, exponent, np.log(pre) - exponent
+
+
 def _closed_form(x, I, B, F):
     """The closed form in extended precision, with I, B and F (a long
     double or an array of them) in the unit system of the constants x:
     K_e, pre-exponential, exponent, D_eff, T and ln K_e."""
-    I_3_2 = I**_THREE_HALVES
-    exponent = x.b * I_3_2 / F
+    exponent_coeff, pre_coeff, D_eff_coeff = _coefficients(x, I)
+    pre, exponent, log_K_e = _field_terms(exponent_coeff, pre_coeff, F)
     decay = np.exp(-exponent)
-    pre = x.C_FI * I**_FIVE_HALVES / F
-    D_eff = x.pi_hbar_C_FI * I_3_2 / F * decay
+    D_eff = D_eff_coeff / F * decay
     T = (2 * I / B) * (8 * I / (x.e * F)) * decay
-    return pre * decay, pre, exponent, D_eff, T, np.log(pre) - exponent
+    return pre * decay, pre, exponent, D_eff, T, log_K_e
+
+
+def _ll_log_rate(atom: HydrogenicAtom) -> Callable[[float], float]:
+    """F [V/nm] -> ln K_e of the atom, bit for bit
+    ``rate_ll(atom, F, allow_shallow=True).log_K_e``, with the per-atom
+    factors computed once: the evaluation inside an inversion."""
+    exponent_coeff, pre_coeff, _ = _coefficients(
+        EXTENDED[UnitSystem.EVNM], np.longdouble(atom.I)
+    )
+
+    def log_rate(F: float) -> float:
+        _check_positive(F)
+        return float(_field_terms(exponent_coeff, pre_coeff, np.longdouble(F))[2])
+
+    return log_rate
 
 
 def _rate_result(values, method: str, unit_system: UnitSystem, regime: str) -> RateResult:
@@ -273,8 +310,7 @@ def barrier_integral_main_part(atom: HydrogenicAtom, F: float, eta0: float) -> f
 
         b * I^(3/2)/F - sigma * I^(1/2) * eta0.
     """
-    if not math.isfinite(F) or F <= 0:
-        raise NonPositiveField(f"field must be positive, got {F}")
+    _check_positive(F)
     _check_eta0_window(atom, F, eta0)
     r = REGISTRY
     return r.b.value * atom.I**1.5 / F - r.sigma.value * math.sqrt(atom.I) * eta0
@@ -283,8 +319,7 @@ def barrier_integral_main_part(atom: HydrogenicAtom, F: float, eta0: float) -> f
 def barrier_integral_log_part(atom: HydrogenicAtom, F: float, eta0: float) -> float:
     """Coulomb-tail (logarithmic) part of the analytic barrier integral,
     -ln{(8I/eF)/eta0}; the source of the F^-1 pre-exponential."""
-    if not math.isfinite(F) or F <= 0:
-        raise NonPositiveField(f"field must be positive, got {F}")
+    _check_positive(F)
     _check_eta0_window(atom, F, eta0)
     return -math.log(8.0 * atom.I / (REGISTRY.e.value * F * eta0))
 

@@ -1,8 +1,10 @@
 """Derandomized contract properties over the documented domain: any charge
 in [0.1, 30], the default or any ionization energy in [0.1, 1e4] eV, and
-fields from 1e-6 to 3 times the naive suppression field."""
+fields from 1e-6 to 3 times the naive suppression field (1/30 to 0.99 of
+the deep-tunnelling guard where a property holds below the guard only)."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -22,9 +24,15 @@ from esfi.barrier import (
     suppression_field,
     turning_points,
 )
-from esfi.errors import EsfiError, ShallowBarrierWarning
+from esfi.errors import (
+    BarrierSuppressed,
+    EsfiError,
+    ShallowBarrierWarning,
+    TargetUnattainable,
+)
 from esfi.hydrogenic import make_atom
-from esfi.rates import rate_ll, suppression_field_naive
+from esfi.invert import invert_rate
+from esfi.rates import guard_field, rate_ll, suppression_field_naive
 from esfi.units import REGISTRY
 
 CONTRACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -151,3 +159,111 @@ def test_transformed_suppression_field_without_overflow(Z, I):
         expected = float((B / (2 * z * z) + 1 / (2 * s2 * z**3)) / e)
     for variant in (MotiveVariant.TRANSFORMED_PARABOLIC, MotiveVariant.TRANSFORMED_CARTESIAN):
         assert suppression_field(atom, variant) == pytest.approx(expected, rel=1e-14)
+
+
+@st.composite
+def deep_fields(draw, atom):
+    """A field in [1/30, 0.99] of the deep-tunnelling guard, as a float or as
+    a numpy scalar."""
+    F = draw(st.floats(1.0 / 30.0, 0.99)) * guard_field(atom)
+    return draw(st.sampled_from([float, np.float64]))(F)
+
+
+@st.composite
+def atom_and_deep_fields(draw, count):
+    atom = draw(atoms())
+    return atom, sorted(draw(deep_fields(atom)) for _ in range(count))
+
+
+def _jwkb(variant):
+    return lambda atom, F: rate_jwkb(MotiveModel(variant, atom, F))
+
+
+def _ll_peak(atom):
+    """The field of the closed form's maximum, where b I^(3/2)/F = 1."""
+    return REGISTRY.b.value * atom.I**1.5
+
+
+def _jwkb_peaks_below_guard(atom):
+    """Whether the transformed-barrier JWKB rates may peak below the guard:
+    from about 47.7 Z^2 I_H up, they do below 0.99 of it (a FOUND line in
+    CHANGES.md)."""
+    return atom.I > 45.0 * atom.Z**2 * REGISTRY.I_H.value
+
+
+def _stopping_tolerance(rate, atom, F):
+    """The slope d ln K / d ln F at F by the inverter's central difference,
+    and the inverter's float-resolution stopping rule on |ln K - ln target|
+    there, max(1e-13, 4 slope (ulp(ln F) + eps)), widened by the rounding
+    of ln K itself."""
+    u, du = math.log(F), 1e-6
+    slope = (rate(atom, math.exp(u + du)).log_K_e
+             - rate(atom, math.exp(u - du)).log_K_e) / (2.0 * du)
+    tol = max(1e-13, 4.0 * abs(slope) * (math.ulp(u) + sys.float_info.epsilon))
+    return slope, tol + math.ulp(rate(atom, F).log_K_e)
+
+
+def _check_round_trip(rate, method, atom, F):
+    """invert_rate(K(F)) is F to within the inverter's resolution: its
+    stopping rule plus the rounding of the target K, over the slope."""
+    result = rate(atom, F)
+    if result.K_e == 0.0:  # the rate underflows: no float target stands for it
+        with pytest.raises(TargetUnattainable):
+            invert_rate(result.K_e, atom, method=method)
+        return
+    answer = invert_rate(result.K_e, atom, method=method)
+    slope, tol = _stopping_tolerance(rate, atom, F)
+    target_rounding = abs(math.log(result.K_e) - result.log_K_e)
+    u = math.log(F)
+    assert abs(math.log(answer.F) - u) <= (tol + target_rounding) / slope + 2.0 * math.ulp(u)
+
+
+@CONTRACT
+@given(atom_and_deep_fields(1))
+def test_ll_inversion_of_the_rate_is_the_identity(case):
+    atom, (F,) = case
+    if F <= _ll_peak(atom):
+        _check_round_trip(rate_ll, "ll", atom, F)
+        return
+    # past the closed form's maximum the rate falls: the inverter answers
+    # with the field below the maximum that gives the same rate
+    target = rate_ll(atom, F).K_e
+    answer = invert_rate(target, atom)
+    _, tol = _stopping_tolerance(rate_ll, atom, answer.F)
+    assert answer.F < _ll_peak(atom)
+    assert abs(rate_ll(atom, answer.F).log_K_e - math.log(target)) <= tol
+
+
+@settings(CONTRACT, max_examples=12)
+@given(atom_and_deep_fields(1))
+def test_jwkb_inversion_of_the_rate_is_the_identity(case):
+    atom, (F,) = case
+    rate = _jwkb(MotiveVariant.TRANSFORMED_PARABOLIC)
+    if _finite_or_refused(lambda: rate(atom, F)) is None:
+        return  # no barrier at F: no rate to invert
+    if not _jwkb_peaks_below_guard(atom):
+        _check_round_trip(rate, "jwkb-parabolic", atom, F)
+        return
+    # the default bracket ends past the rate's maximum, or past the
+    # suppression field: the identity or one of these refusals
+    try:
+        _check_round_trip(rate, "jwkb-parabolic", atom, F)
+    except (TargetUnattainable, BarrierSuppressed):
+        pass
+
+
+@CONTRACT
+@given(atom_and_deep_fields(2))
+def test_log_rate_does_not_fall_with_field_below_the_guard(case):
+    atom, (f_lo, f_hi) = case
+    rates = {"ll": rate_ll,
+             "jwkb-parabolic": _jwkb(MotiveVariant.TRANSFORMED_PARABOLIC),
+             "jwkb-cartesian": _jwkb(MotiveVariant.TRANSFORMED_CARTESIAN)}
+    for name, rate in rates.items():
+        lo = _finite_or_refused(lambda: rate(atom, f_lo))
+        hi = _finite_or_refused(lambda: rate(atom, f_hi))
+        if lo is None or hi is None or lo.log_K_e <= hi.log_K_e:
+            continue
+        # the known falls: past the closed form's maximum, and the JWKB
+        # rates of an atom whose I is far above Z^2 I_H
+        assert f_hi > _ll_peak(atom) if name == "ll" else _jwkb_peaks_below_guard(atom)

@@ -1,12 +1,14 @@
 """Inverse field calibration round trips and failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from esfi import errors
+from esfi import errors, invert
 from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb
 from esfi.hydrogenic import make_atom
-from esfi.invert import invert_rate
+from esfi.invert import _log_rate_fn, invert_rate
 from esfi.rates import guard_field, rate_ll
 
 
@@ -114,3 +116,56 @@ def test_numpy_scalar_bracket_gives_the_float_result():
     result = invert_rate(1e9, atom, method="jwkb-parabolic", bracket=numpy_bracket)
     expected = invert_rate(1e9, atom, method="jwkb-parabolic", bracket=(1.0, 50.0))
     assert result.F == expected.F
+
+
+_PARITY_FIELDS = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-50,
+                  1e-6, 0.01, 0.3, 1.0, 3.7, 12.0, 16.07, 40.0, 1e3, 1e6,
+                  1e50, 1e200, 1e308]
+
+
+@pytest.mark.parametrize("Z", [1e-4, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0])
+@pytest.mark.parametrize("I", [None, 0.1, 30.0, 3000.0])
+def test_ll_evaluator_is_rate_ll_bit_for_bit(Z, I):
+    atom = make_atom(Z, I)
+    log_rate = _log_rate_fn(atom, "ll")
+    guard = guard_field(atom)
+    fields = _PARITY_FIELDS + [0.5 * guard, np.nextafter(guard, 0.0), guard, 2.0 * guard]
+    for F in map(float, fields):
+        expected = rate_ll(atom, F, allow_shallow=True).log_K_e
+        assert log_rate(F) == expected, F  # inf == inf, -inf == -inf
+    for F in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(errors.NonPositiveField) as raised:
+            log_rate(F)
+        with pytest.raises(errors.NonPositiveField) as expected:
+            rate_ll(atom, F, allow_shallow=True)
+        assert str(raised.value) == str(expected.value)
+
+
+def _outcome(target, atom, bracket):
+    try:
+        return invert_rate(target, atom, bracket=bracket)
+    except errors.EsfiError as exc:
+        return type(exc), str(exc)
+
+
+def test_ll_inversion_matches_the_rate_ll_evaluations(monkeypatch):
+    # 200 targets around each atom's attainable range, in and out of it
+    rng = np.random.default_rng(808)
+    cases = []
+    for _ in range(200):
+        atom = make_atom(float(rng.uniform(0.3, 12.0)),
+                         float(rng.uniform(1.0, 100.0)) if rng.random() < 0.3 else None)
+        guard = guard_field(atom)
+        lo, hi = (rate_ll(atom, F, allow_shallow=True).log_K_e for F in (guard / 40, guard))
+        target = math.exp(rng.uniform(lo - 5.0, hi + 5.0))
+        bracket = (guard / 50, 1.5 * guard) if rng.random() < 0.2 else None
+        cases.append((target, atom, bracket))
+    now = [_outcome(*case) for case in cases]
+
+    monkeypatch.setattr(
+        invert, "_log_rate_fn",
+        lambda atom, method: lambda F: rate_ll(atom, F, allow_shallow=True).log_K_e,
+    )
+    assert [_outcome(*case) for case in cases] == now
+    solved = sum(isinstance(result, invert.InversionResult) for result in now)
+    assert 100 < solved < 200  # both results and refusals are compared
