@@ -42,6 +42,10 @@ and numpy for an array, each entry of which stops as it would alone.
 :func:`rate_jwkb` runs it on one field, names the reason for any failure
 and alone has the composite rule; :func:`rate_jwkb_array` runs it on
 blocks of fields and hands the few it cannot settle to :func:`rate_jwkb`.
+A block can hold several barrier shapes at once, as lanes (field x shape)
+whose coefficients are arrays; only the quadrature's matrix product runs
+shape by shape, so that each lane gets the bits a block of its own shape
+would give it.
 """
 
 from __future__ import annotations
@@ -97,14 +101,17 @@ _ROOT3_3_2, _ROOT3_2_3 = 1.5 * math.sqrt(3.0), 2.0 / math.sqrt(3.0)  # 3^(3/2)/2
 # a zero divisor and math.log on zero.
 _SCALAR = SimpleNamespace(
     sqrt=math.sqrt, cos=math.cos, acos=math.acos, exp=math.exp, log1p=math.log1p,
-    log=lambda x: math.log(x) if x else -math.inf, any=bool,
+    log=lambda x: math.log(x) if x else -math.inf, any=bool, all=bool,
     clip=lambda x, lo, hi: (x if x < hi else hi) if x > lo else lo,  # min(hi, max(lo, x))
     where=lambda cond, a, b: a if cond else b,
     divide=lambda v, d: v / d if d else math.inf,
 )
 _ARRAY = SimpleNamespace(
-    sqrt=np.sqrt, cos=np.cos, acos=np.arccos, exp=np.exp, log=np.log,
-    log1p=np.log1p, any=np.ndarray.any, clip=np.clip, where=np.where, divide=np.divide,
+    sqrt=np.sqrt, cos=np.cos, acos=np.arccos, exp=np.exp, log=np.log, log1p=np.log1p,
+    # the quickest forms for a few hundred entries
+    any=np.count_nonzero, all=lambda a: np.count_nonzero(a) == a.size,
+    clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
+    where=np.where, divide=np.divide,
 )
 _ARITHMETIC = {np.ndarray: _ARRAY}
 
@@ -168,26 +175,27 @@ def _slope_and_curvature(k, c):
     return -A1 + ic * ic * (A2 + 2.0 * A3 * ic), -(ic**3) * (2.0 * A2 + 6.0 * A3 * ic)
 
 
-def _polish(fn, k, c):
+def _polish(fn, k, c, live=True):
     """Newton steps on fn(k, c) -> (value, derivative) from close estimates;
     a step is kept only while it shrinks |value|, and each entry of an
-    array stops as it would alone."""
+    array stops as it would alone (an entry not `live` stays at c)."""
     ns = _arithmetic(c)
     v, d = fn(k, c)
-    live = True
     for _ in range(_NEWTON_MAX):
         step = ns.divide(v, d)
         size = abs(step)
         tol = _EPS * c
         nxt = c - step
         # a step within rounding of c is the last, taken unchecked
-        c = ns.where(live & (size <= tol), nxt, c)
+        last = live & (size <= tol)
         live = live & (size > tol) & (nxt > 0.0)  # a nan step stops too
         if not ns.any(live):
-            break
-        v_next, d_next = fn(k, nxt)  # stopped entries drop theirs below
+            return ns.where(last, nxt, c)
+        # a stopped entry never moves again, so its v and d no longer matter
+        v_next, d = fn(k, nxt)
         live = live & (abs(v_next) < abs(v))
-        c, v, d = ns.where(live, (nxt, v_next, d_next), (c, v, d))
+        c = ns.where(last | live, nxt, c)
+        v = v_next
     return c
 
 
@@ -209,8 +217,9 @@ def _peak(k):
     """Location of the single maximum of M, for A1 > 0."""
     ns = _arithmetic(k[1])
     _, A1, A2, A3 = k
-    s = math.sqrt(A2) / ns.sqrt(A1)  # the naive barrier's peak
-    if A3 == 0.0:
+    s = ns.sqrt(A2) / ns.sqrt(A1)  # the naive barrier's peak
+    transformed = A3 != 0.0
+    if not ns.any(transformed):
         return s
     # c = s x turns A1 c^3 - A2 c - 2 A3 = 0 into x^3 - x - kappa = 0,
     # whose single positive root is trigonometric (three real roots) or
@@ -220,7 +229,7 @@ def _peak(k):
     cos3 = ns.clip(_ROOT3_3_2 * kappa, -1.0, 1.0)
     w = (0.5 * kappa + ns.sqrt(abs(d))) ** (1.0 / 3.0)  # d < 0 takes cos3
     x = ns.where(d < 0.0, _ROOT3_2_3 * ns.cos(ns.acos(cos3) / 3.0), w + 1.0 / (3.0 * w))
-    return _polish(_slope_and_curvature, k, s * x)
+    return _polish(_slope_and_curvature, k, ns.where(transformed, s * x, s), transformed)
 
 
 def motive_peak(model: MotiveModel) -> tuple[float, float]:
@@ -232,21 +241,21 @@ def motive_peak(model: MotiveModel) -> tuple[float, float]:
         peak = _peak(k)
         return peak, _motive(k, peak)
     except (ArithmeticError, ValueError) as exc:
-        raise _no_barrier(model, exc) from exc
+        raise _no_barrier(model.variant, model.atom, model.F, exc) from exc
 
 
-def _no_barrier(model: MotiveModel, exc: Exception | None = None) -> EsfiError:
+def _no_barrier(
+    variant: MotiveVariant, atom: HydrogenicAtom, F: float, exc: Exception | None = None
+) -> EsfiError:
     """BarrierSuppressed; or, for float arithmetic that left the float range
     (exc: Python raises where numpy gives inf or nan) below the suppression
     field, BracketingFailure."""
-    f_bs = suppression_field(model.atom, model.variant)
-    if exc is not None and model.F < f_bs:
-        return BracketingFailure(
-            f"the barrier at F={model.F:.6g} V/nm leaves the float range ({exc})"
-        )
+    f_bs = suppression_field(atom, variant)
+    if exc is not None and F < f_bs:
+        return BracketingFailure(f"the barrier at F={F:.6g} V/nm leaves the float range ({exc})")
     return BarrierSuppressed(
-        f"barrier vanished at F={model.F:.6g} V/nm "
-        f"(suppression field {f_bs:.6g} V/nm for {model.variant.value})",
+        f"barrier vanished at F={F:.6g} V/nm "
+        f"(suppression field {f_bs:.6g} V/nm for {variant.value})",
         suppression_field=f_bs,
     )
 
@@ -272,8 +281,8 @@ def suppression_field(atom: HydrogenicAtom, variant: MotiveVariant) -> float:
         return w * w * (0.5 * atom.B + 0.5 * inv_sigma2 * w) / REGISTRY.e.value
 
 
-def _zeros(k):
-    """(c_in, c_out), each a closed form polished by Newton steps on M (c_out
+def _zero_estimates(k):
+    """(c_in, c_out) in closed form, for Newton steps on M to polish (c_out
     is nan where its closed form is infinite).  With c = (A0/A1) y the zeros
     of c^2 M solve y^3 - y^2 + alpha y + beta = 0 (beta = 0 and one factor y
     fewer for the naive barrier).  The outer zero is its largest root,
@@ -285,7 +294,8 @@ def _zeros(k):
     A0, A1, A2, A3 = k
     ratio = A1 / A0
     alpha = ratio * (A2 / A0)
-    if A3 == 0.0:
+    naive = A3 == 0.0
+    if ns.all(naive):
         y_out = 0.5 + ns.sqrt(0.25 - alpha)
     else:
         beta = (A3 / A0) * ratio * ratio
@@ -294,13 +304,15 @@ def _zeros(k):
         r = ns.sqrt(-p / 3.0)
         cos3 = ns.clip(1.5 * q / (p * r), -1.0, 1.0)
         y_out = 1.0 / 3.0 + 2.0 * r * ns.cos(ns.acos(cos3) / 3.0)
+        if ns.any(naive):  # lanes of both kinds
+            y_out = ns.where(naive, 0.5 + ns.sqrt(0.25 - alpha), y_out)
     c_out = y_out * (A0 / A1)
     # A1 (c - c_out)(c^2 + u c + w) = -c^2 M with w = -A3/D, u = -g,
     # D = A1 c_out; the positive root of the quadratic is the inner zero
     D = A0 * y_out
     g = (A2 + A3 / c_out) / D
     c_in = 0.5 * (g + ns.sqrt(g * g + 4.0 * A3 / D))
-    return _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
+    return c_in, c_out
 
 
 def turning_points(model: MotiveModel) -> tuple[float, float]:
@@ -308,15 +320,18 @@ def turning_points(model: MotiveModel) -> tuple[float, float]:
 
     The barrier peak (unique: M is concave) decides suppression first; a
     peak within rounding error of zero counts as merged turning points.
-    Each zero is closed form, polished by Newton steps on M (:func:`_zeros`).
+    Each zero is closed form (:func:`_zero_estimates`), polished by Newton
+    steps on M.
     """
     peak, peak_value = motive_peak(model)
     if peak_value <= _SUPPRESSED * model.atom.I:
-        raise _no_barrier(model)
+        raise _no_barrier(model.variant, model.atom, model.F)
+    k = model._coeffs
     try:
-        c_in, c_out = _zeros(model._coeffs)
+        c_in, c_out = _zero_estimates(k)
+        c_in, c_out = _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
     except (ArithmeticError, ValueError) as exc:
-        raise _no_barrier(model, exc) from exc
+        raise _no_barrier(model.variant, model.atom, model.F, exc) from exc
     if not c_out < math.inf:
         raise BracketingFailure(
             f"the outer motive zero at F={model.F:.6g} V/nm lies beyond the float range"
@@ -445,21 +460,36 @@ class BarrierArrays(NamedTuple):
     log_K_e: np.ndarray
 
 
-def _assemble(variant: MotiveVariant, atom: HydrogenicAtom, c_in, c_out, G, unit_prefactor):
+_D_EFF = BarrierArrays._fields.index("D_eff")
+
+
+# eta_in / c_in at the inner zero (eta = 2 z on the symmetry axis); 0 marks
+# the unit pre-factor of the naive barrier
+_ETA_SCALE = {
+    MotiveVariant.TRANSFORMED_PARABOLIC: 1.0,
+    MotiveVariant.TRANSFORMED_CARTESIAN: 2.0,
+    MotiveVariant.NAIVE_1D: 0.0,
+}
+
+
+def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
     """The numeric fields of :class:`BarrierSolution`, in their order.
-    P_jwkb = x e^-x with x = (2I/B) eta_in at the inner zero c_in (eta = 2 z
-    on the symmetry axis), or 1 with `unit_prefactor`."""
+    P_jwkb = x e^-x with x = (2I/B) eta_in, eta_in = eta_scale c_in at the
+    inner zero c_in, or 1 where eta_scale is 0 (one per field over an
+    array of fields)."""
     ns = _arithmetic(c_in)
-    if unit_prefactor:
-        P_jwkb = P_eff = 1.0
-    else:
-        eta_in = c_in if variant is MotiveVariant.TRANSFORMED_PARABOLIC else 2.0 * c_in
-        x = 2.0 * atom.I / atom.B * eta_in
+    unit = eta_scale == 0.0
+    prefactor = not ns.all(unit)  # some field carries x e^-x
+    P_jwkb = P_eff = 1.0
+    if prefactor:
+        x = 2.0 * atom.I / atom.B * (eta_scale * c_in)
         P_jwkb = x * ns.exp(-x)
         P_eff = 2.0 * math.pi * P_jwkb
+        if ns.any(unit):
+            P_jwkb, P_eff = ns.where(unit, 1.0, P_jwkb), ns.where(unit, 1.0, P_eff)
     D_eff = P_eff * ns.exp(-G)
     log_P = ns.log(atom.nu_Z * P_eff)
-    if not unit_prefactor and ns.any(P_eff == 0.0):  # x e^-x underflows past x ~ 745
+    if prefactor and ns.any(P_eff == 0.0):  # x e^-x underflows past x ~ 745
         log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * atom.nu_Z) + ns.log(x) - x)
     log_K_e = log_P - G
     return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_K_e
@@ -492,8 +522,8 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
     """
     c_in, c_out = turning_points(model)
     G = _strength_between(model, c_in, c_out)
-    unit_prefactor = simple_prefactor or model.variant is MotiveVariant.NAIVE_1D
-    values = _assemble(model.variant, model.atom, c_in, c_out, G, unit_prefactor)
+    eta_scale = 0.0 if simple_prefactor else _ETA_SCALE[model.variant]
+    values = _assemble(model.atom, c_in, c_out, G, eta_scale)
     D_eff = values[5]
     if D_eff > 1.0:
         _warn_shallow(D_eff, stacklevel=2)
@@ -506,32 +536,87 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
     return BarrierSolution(method, *values, regime=regime)
 
 
-def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray, out):
-    """Solve a block of fields into the columns of `out` (rows in the
-    order of BarrierArrays); return the indices left to rate_jwkb."""
-    A0, A1, A2, A3 = _coefficients(variant, atom, F)
-    # rate_jwkb refuses the others: F not positive and finite, e F
-    # underflowing, G past the float range
-    resolvable = (A1 > 0.0) & (F < math.inf) & _strength_fits((A0, A1, A2, A3))
-    rows = np.flatnonzero(resolvable)
-    scalar = [np.flatnonzero(~resolvable)]
+def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
+    """Solve a block of fields for every shape of `variants` at once, as
+    lanes: shape after shape, each shape's fields in order.  Return, lane
+    by lane, the rows of BarrierArrays (nan where unsolved), the lanes left
+    to rate_jwkb and the lanes whose barrier was found suppressed."""
+    coeffs = [_coefficients(variant, atom, F) for variant in variants]
+    # rate_jwkb refuses the others: F not finite, e F underflowing (A1 = 0
+    # does not fit) and G past the float range
+    finite = F < math.inf
+    resolvable = np.concatenate([_strength_fits(k) & finite for k in coeffs])
+    # rows A0, A1 (filled in below), A2, A3 and eta_in's scale: a shape's
+    # numbers repeated for each of its fields
+    shapes = [(k[0], 0.0, k[2], k[3], _ETA_SCALE[v]) for v, k in zip(variants, coeffs)]
+    lanes = np.array(shapes).T.repeat(F.size, axis=1)
+    np.concatenate([k[1] for k in coeffs], out=lanes[1])
 
-    k = (A0, A1[rows], A2, A3)
+    k = lanes[0], lanes[1], lanes[2], lanes[3]
     peak = _peak(k)
     barrier = ~(_motive(k, peak) <= _SUPPRESSED * atom.I)  # nan counts as a barrier
-    rows, peak = rows[barrier], peak[barrier]
+    (index,) = (resolvable & barrier).nonzero()
+    lanes, peak = lanes[:, index], peak[index]
+    k, eta_scale = (lanes[0], lanes[1], lanes[2], lanes[3]), lanes[4]
 
-    k = (A0, A1[rows], A2, A3)
-    c_in, c_out = _zeros(k)
-    G_coarse, G = _strength_pair((A0, k[1][:, None], A2, A3), c_in[:, None], c_out[:, None])
+    c_in, c_out = _zero_estimates(k)
+    # both zeros of every lane in one pass, each polished as it would be alone
+    k2 = np.concatenate((lanes[:4], lanes[:4]), axis=1)
+    zeros = _polish(_motive_and_slope, (k2[0], k2[1], k2[2], k2[3]), np.concatenate((c_in, c_out)))
+    c_in, c_out = zeros[: index.size], zeros[index.size :]
+    # G shape by shape, over the rows a block of that shape alone would
+    # pass: BLAS orders a row's sum by the number of rows beside it
+    bounds = index.searchsorted([j * F.size for j in range(len(variants) + 1)]).tolist()
+    G_coarse, G = np.concatenate([
+        _strength_pair((A0, k[1][lo:hi, None], A2, A3), c_in[lo:hi, None], c_out[lo:hi, None])
+        for (A0, _, A2, A3), lo, hi in zip(coeffs, bounds, bounds[1:])
+    ], axis=1)
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)
     solved = _converged(G_coarse, G) & bracketed
-    scalar.append(rows[~solved])
-    values = _assemble(variant, atom, c_in[solved], c_out[solved], G[solved],
-                       variant is MotiveVariant.NAIVE_1D)
-    for row, value in zip(out, values):
-        row[rows[solved]] = value
-    return np.concatenate(scalar)
+
+    values = np.full((len(BarrierArrays._fields), resolvable.size), np.nan)
+    done = index[solved]
+    solution = _assemble(atom, c_in[solved], c_out[solved], G[solved], eta_scale[solved])
+    for row, value in zip(values, solution):
+        row[done] = value
+    left = ~resolvable
+    left[index[~solved]] = True
+    return values, left, resolvable & ~barrier
+
+
+def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
+    """:func:`rate_jwkb_array` for every shape of `variants`, each block of
+    fields solved for all of them in one pass: per shape, its
+    BarrierArrays and the mask of the fields whose barrier the block found
+    suppressed (nan, not handed to :func:`rate_jwkb`).  Shallow-barrier
+    warnings name the caller `stacklevel` frames up."""
+    F = np.asarray(F, dtype=float)
+    flat = F.ravel()
+    out = np.empty((len(BarrierArrays._fields), len(variants), flat.size))
+    left = np.empty((len(variants), flat.size), dtype=bool)
+    suppressed = np.empty_like(left)
+    # masked-out lanes compute garbage; nothing of it reaches the results
+    with np.errstate(all="ignore"):
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            values, scalar, gone = _solve_block(variants, atom, flat[block])
+            out[:, :, block] = values.reshape(len(values), len(variants), -1)
+            left[:, block] = scalar.reshape(len(variants), -1)
+            suppressed[:, block] = gone.reshape(len(variants), -1)
+    for j, variant in enumerate(variants):
+        D_eff = out[_D_EFF, j]
+        shallow = D_eff[D_eff > 1.0]  # solved here: the fields left to rate_jwkb are nan
+        for i in left[j].nonzero()[0]:
+            try:
+                sol = rate_jwkb(MotiveModel(variant, atom, float(flat[i])))
+            except EsfiError:
+                continue
+            out[:, j, i] = [getattr(sol, name) for name in BarrierArrays._fields]
+        for value in shallow:
+            _warn_shallow(float(value), stacklevel=stacklevel + 1)
+    out = out.reshape(out.shape[:2] + F.shape)
+    suppressed = suppressed.reshape(suppressed.shape[:1] + F.shape)
+    return [(BarrierArrays(*out[:, j]), suppressed[j]) for j in range(len(variants))]
 
 
 def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierArrays:
@@ -543,28 +628,11 @@ def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierA
     float range), is handed to :func:`rate_jwkb`.  Results agree with
     :func:`rate_jwkb` to rounding; where the barrier is suppressed or
     :func:`rate_jwkb` raises they are nan, and :func:`rate_jwkb` on that
-    field gives the reason.  Fields with D_eff > 1 warn as there.
+    field gives the reason.  Fields with D_eff > 1 warn as there.  A
+    field's G can differ in its last ulp with the number of fields solved
+    beside it: BLAS orders the quadrature's sums by the size of the block.
     """
-    F = np.asarray(F, dtype=float)
-    flat = F.ravel()
-    out = np.full((len(BarrierArrays._fields), flat.size), np.nan)
-    scalar = []
-    # masked-out lanes compute garbage; nothing of it reaches the results
-    with np.errstate(all="ignore"):
-        for start in range(0, flat.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            scalar.append(start + _solve_block(variant, atom, flat[block], out[:, block]))
-    D_eff = BarrierArrays(*out).D_eff
-    shallow = D_eff[D_eff > 1.0]  # solved here: the fields left to rate_jwkb are nan
-    for i in np.concatenate(scalar) if scalar else ():
-        try:
-            sol = rate_jwkb(MotiveModel(variant, atom, float(flat[i])))
-        except EsfiError:
-            continue
-        out[:, i] = [getattr(sol, name) for name in BarrierArrays._fields]
-    for value in shallow:
-        _warn_shallow(float(value), stacklevel=2)
-    return BarrierArrays(*(row.reshape(F.shape) for row in out))
+    return _rate_jwkb_arrays((variant,), atom, F, stacklevel=2)[0][0]
 
 
 def attempt_frequency_rate(atom: HydrogenicAtom, D: float) -> float:

@@ -21,7 +21,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .barrier import MotiveModel, MotiveVariant, rate_jwkb, rate_jwkb_array
+from .barrier import (
+    MotiveModel,
+    MotiveVariant,
+    _no_barrier,
+    _rate_jwkb_arrays,
+    rate_jwkb,
+    suppression_field,
+)
 from .errors import (
     BarrierSuppressed,
     NonFiniteValue,
@@ -32,7 +39,7 @@ from .errors import (
 )
 from .hydrogenic import make_atom
 from .invert import invert_rate
-from .rates import rate_ll, rate_ll_array
+from .rates import _check_field, rate_ll, rate_ll_array
 from .units import (
     FIELD,
     FREQUENCY,
@@ -45,7 +52,7 @@ from .units import (
 )
 
 _METHODS = ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")
-_ROWS_PER_WRITE = 65536  # sweep rows formatted and written at a time
+_ROWS_PER_WRITE = 65536  # sweep rows (and refused rows' notes) formatted and written at a time
 # below this many cells a block is cheaper to format one row at a time: the
 # vectorised writer's fixed cost is some 40 numpy calls, which whole sweeps
 # recoup at about 160 cells for closed-form blocks and about 400 for JWKB
@@ -54,6 +61,9 @@ _VECTOR_CELLS = 400
 _SLOT = 20  # bytes per cell: "-1.234567890e-308", its separator and zero bytes
 _EXP_LO, _EXP_HI = -330, 330  # decimal exponents of the tables; float64 spans -324..308
 _WIDE = np.longdouble  # type of the scaled significand; its precision sets the doubt margin
+# past the suppression field by this relative margin, the array solver and
+# the scalar path agree that the barrier is suppressed
+_SUPPRESSION_MARGIN = 1e-6
 
 
 def _guard_override() -> bool:
@@ -162,15 +172,56 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_column(method: str, atom, F: np.ndarray, allow_shallow: bool):
-    """K_e and exponent of one method over canonical fields, nan where the
-    method refuses a field."""
+def _sweep_columns(methods: list[str], atom, F: np.ndarray, allow_shallow: bool):
+    """K_e and exponent of each method over canonical fields, nan where the
+    method refuses a field, and the refused fields whose reason needs no
+    scalar solve: every refused ll field, and JWKB fields whose barrier the
+    array solver found suppressed, past the suppression field by a margin."""
+    variants = [MotiveVariant(m) for m in methods if m != "ll"]
+    jwkb = iter(_rate_jwkb_arrays(variants, atom, F) if variants else ())
+    columns = []
+    for method in methods:
+        if method == "ll":
+            r = rate_ll_array(atom, F)
+            refused = ~((F > 0.0) & (r.deep | allow_shallow))
+            K, exponent = np.where(refused, np.nan, r.K_e), np.where(refused, np.nan, r.exponent)
+            columns.append((K, exponent, refused))
+            continue
+        sol, suppressed = next(jwkb)
+        f_bs = suppression_field(atom, MotiveVariant(method))
+        columns.append((sol.K_e, sol.G, suppressed & (F >= f_bs * (1.0 + _SUPPRESSION_MARGIN))))
+    return columns
+
+
+def _refuse(method: str, atom, F_canonical: float, allow_shallow: bool) -> None:
+    """Raise the scalar path's error for a field that a sweep refused
+    without solving it: the guard's for ll, suppression for JWKB."""
     if method == "ll":
-        r = rate_ll_array(atom, F)
-        refused = ~((F > 0.0) & (r.deep | allow_shallow))
-        return np.where(refused, np.nan, r.K_e), np.where(refused, np.nan, r.exponent)
-    sol = rate_jwkb_array(MotiveVariant(method), atom, F)
-    return sol.K_e, sol.G
+        _check_field(atom, F_canonical, allow_shallow)
+    else:
+        raise _no_barrier(MotiveVariant(method), atom, F_canonical)
+
+
+def _notes(rows, methods, columns, atom, F, grid, allow_shallow: bool) -> str:
+    """The note lines of the refused cells in `rows`, row by row.  A
+    cell's note comes from the closed-form fields where they give it; any
+    other cell goes through the scalar path, which gives the reason (or,
+    at a rounding-level boundary, the value, written into its column)."""
+    notes = []
+    for i in rows:
+        f = float(F[i])
+        for m, (K, exponent, by_closed_form) in zip(methods, columns):
+            if not math.isnan(exponent[i]):
+                continue
+            try:
+                if by_closed_form[i]:
+                    _refuse(m, atom, f, allow_shallow)
+                rec = _rate_record(atom, m, f, allow_shallow)
+            except (ValidationError, RegimeError, NumericError) as exc:
+                notes.append(f"note: {m} at F={grid[i]:.9e}: {exc}\n")
+            else:
+                K[i], exponent[i] = rec["K_e"], rec["exponent"]
+    return "".join(notes)
 
 
 def _words(texts: list[bytes], width: int) -> np.ndarray:
@@ -297,25 +348,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(f"F_max {args.f_max} exceeds the float range in V/nm")
     F = grid * scale  # the same product as converting each field on its own
 
-    columns = [_sweep_column(m, atom, F, allow_shallow) for m in methods]
-    # a refused cell goes through the scalar path, which gives the reason
-    # (or, at a rounding-level boundary, the value)
+    columns = _sweep_columns(methods, atom, F, allow_shallow)
     refused = np.zeros(F.size, dtype=bool)
-    for _, exponent in columns:
+    for _, exponent, _ in columns:
         refused |= np.isnan(exponent)
-    for i in np.flatnonzero(refused):
-        for m, (K, exponent) in zip(methods, columns):
-            if not np.isnan(exponent[i]):
-                continue
-            try:
-                rec = _rate_record(atom, m, float(F[i]), allow_shallow)
-            except (ValidationError, RegimeError, NumericError) as exc:
-                print(f"note: {m} at F={grid[i]:.9e}: {exc}", file=sys.stderr)
-            else:
-                K[i], exponent[i] = rec["K_e"], rec["exponent"]
+    rows = np.flatnonzero(refused).tolist()
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        block = rows[start : start + _ROWS_PER_WRITE]
+        sys.stderr.write(_notes(block, methods, columns, atom, F, grid, allow_shallow))
 
-    cells = [grid] + [from_canonical(K, FREQUENCY, system) for K, _ in columns]
-    cells += [e for _, e in columns]
+    cells = [grid] + [from_canonical(K, FREQUENCY, system) for K, _, _ in columns]
+    cells += [e for _, e, _ in columns]
     with _output(args.out) as fh:
         fh.write(
             "F,"

@@ -1,19 +1,24 @@
 """Property checks: the field-array kernels against the scalar path."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esfi.barrier import (
+    BarrierArrays,
     MotiveModel,
     MotiveVariant,
+    _rate_jwkb_arrays,
     rate_jwkb,
     rate_jwkb_array,
     suppression_field,
 )
-from esfi.errors import BarrierSuppressed, EsfiError
+from esfi.errors import BarrierSuppressed, EsfiError, ShallowBarrierWarning
 from esfi.hydrogenic import make_atom
 from esfi.rates import rate_ll, rate_ll_array
 
@@ -52,3 +57,33 @@ def test_array_kernels_match_scalar_path(case):
             assert abs(b.G[i] - s.G) <= 1e-13 * s.G
             assert abs(b.log_K_e[i] - s.log_K_e) <= 1e-13 * max(1.0, s.G)
             assert abs(b.coord_out[i] / s.coord_out - 1.0) <= 1e-13
+
+
+def _edge_grid(atom, n):
+    """n fields over H's barriers, with the edge cases spread among them:
+    e F underflowing, G past the float range, composite-rule fields and
+    both suppression fields."""
+    specials = [5e-324, 1e-310, 1e-30, 1e-200]
+    specials += [suppression_field(atom, v) * s for v in MotiveVariant for s in (1.0, 1.0 + 1e-7)]
+    F = np.geomspace(0.5, 1.3 * suppression_field(atom, MotiveVariant.TRANSFORMED_PARABOLIC), n)
+    F[np.linspace(0, n - 1, min(n, len(specials))).astype(int)] = specials[:n]
+    return F
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 1023, 1024, 1025, 2049])
+def test_stacked_solve_matches_one_shape_at_a_time(n):
+    # each shape's quadrature sums run over the rows its own block would
+    # give them, so a column's bits do not depend on the shapes beside it
+    atom = make_atom(1.0)
+    F = _edge_grid(atom, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShallowBarrierWarning)
+        alone = {v: rate_jwkb_array(v, atom, F) for v in MotiveVariant}
+        suppressed = {v: _rate_jwkb_arrays([v], atom, F)[0][1] for v in MotiveVariant}
+        for size in (1, 2, 3):
+            for variants in itertools.permutations(MotiveVariant, size):
+                stacked = _rate_jwkb_arrays(variants, atom, F)
+                for variant, (arrays, found) in zip(variants, stacked):
+                    for name, a, b in zip(BarrierArrays._fields, arrays, alone[variant]):
+                        assert np.array_equal(a, b, equal_nan=True), (variants, variant, name)
+                    assert np.array_equal(found, suppressed[variant]), (variants, variant)

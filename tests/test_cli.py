@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb, rate_jwkb_array
+from esfi import cli
+from esfi.barrier import (
+    MotiveModel,
+    MotiveVariant,
+    rate_jwkb,
+    rate_jwkb_array,
+    suppression_field,
+)
 from esfi.cli import main
 from esfi.errors import EsfiError
 from esfi.hydrogenic import make_atom
@@ -166,13 +173,13 @@ def test_sweep_grid_past_the_float_range_exits_2(capsys):
     assert "exceeds the float range" in err
 
 
-def _scalar_sweep(Z, I, units, f_min, f_max, points, methods, allow_shallow):
+def _scalar_sweep(Z, I, units, f_min, f_max, points, methods, allow_shallow, spacing="log"):
     """The sweep CSV and notes rebuilt field by field from the scalar
     rate_ll and rate_jwkb, except that numeric JWKB cells carry the array
     solver's values, which are checked against the scalar ones here."""
     system = UnitSystem(units)
     atom = make_atom(Z, I)
-    grid = np.geomspace(f_min, f_max, points)
+    grid = (np.geomspace if spacing == "log" else np.linspace)(f_min, f_max, points)
     F = [to_canonical(float(f), FIELD, system).value for f in grid]
     rate_scale = REGISTRY.au_time if system is UnitSystem.AU else 1.0
     batch = {m: rate_jwkb_array(MotiveVariant(m), atom, F) for m in methods if m != "ll"}
@@ -346,6 +353,58 @@ def test_sweep_golden_output(capsys, monkeypatch):
     assert code == 0
     assert out == GOLDEN_SWEEP_CSV
     assert err == GOLDEN_SWEEP_NOTES
+
+
+def _count_scalar_records(monkeypatch):
+    """The fields cli._rate_record is called with, as it is called."""
+    fields = []
+    record = cli._rate_record
+
+    def counted(atom, method, F_canonical, allow_shallow):
+        fields.append((method, F_canonical))
+        return record(atom, method, F_canonical, allow_shallow)
+
+    monkeypatch.setattr(cli, "_rate_record", counted)
+    return fields
+
+
+def test_sweep_notes_come_without_scalar_solves(capsys, monkeypatch):
+    # the golden sweep's refused cells are past the guard or past a
+    # suppression field, whose notes the closed-form fields give
+    monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
+    fields = _count_scalar_records(monkeypatch)
+    code, out, err = run_cli(
+        ["sweep", "--methods", ",".join(ALL_METHODS), "--spacing", "linear",
+         "--f-min", "1e-30", "--f-max", "80", "--points", "21"],
+        capsys,
+    )
+    assert code == 0
+    assert out == GOLDEN_SWEEP_CSV
+    assert err == GOLDEN_SWEEP_NOTES
+    assert fields == []
+
+
+@pytest.mark.parametrize("variant", list(MotiveVariant))
+def test_sweep_cells_just_past_suppression_take_the_scalar_path(capsys, monkeypatch, variant):
+    # within 1e-6 above the suppression field, the array solver and the
+    # scalar path could disagree by rounding, so the scalar path decides
+    atom = make_atom(1.0)
+    f_bs = suppression_field(atom, variant)
+    grid = np.linspace(f_bs, f_bs * (1.0 + 3e-6), 7)
+    fields = _count_scalar_records(monkeypatch)
+    code, out, err = run_cli(
+        ["sweep", "--methods", variant.value, "--spacing", "linear", "--f-min", repr(f_bs),
+         "--f-max", repr(f_bs * (1.0 + 3e-6)), "--points", str(grid.size)],
+        capsys,
+    )
+    assert code == 0
+    within = [float(f) for f in grid if f < f_bs * (1.0 + 1e-6)]
+    assert fields == [(variant.value, f) for f in within]
+    expected, notes = _scalar_sweep(1.0, None, "evnm", f_bs, f_bs * (1.0 + 3e-6), grid.size,
+                                    [variant.value], False, spacing="linear")
+    assert out == expected
+    assert err.splitlines() == notes
+    assert len(notes) == grid.size
 
 
 GOLDEN_BARRIER = {
