@@ -253,6 +253,11 @@ def _no_barrier(
     f_bs = suppression_field(atom, variant)
     if exc is not None and F < f_bs:
         return BracketingFailure(f"the barrier at F={F:.6g} V/nm leaves the float range ({exc})")
+    return _barrier_suppressed(variant, F, f_bs)
+
+
+def _barrier_suppressed(variant: MotiveVariant, F: float, f_bs: float) -> BarrierSuppressed:
+    """BarrierSuppressed at F for the shape whose suppression field is f_bs."""
     return BarrierSuppressed(
         f"barrier vanished at F={F:.6g} V/nm "
         f"(suppression field {f_bs:.6g} V/nm for {variant.value})",
@@ -587,9 +592,11 @@ def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
 def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
     """:func:`rate_jwkb_array` for every shape of `variants`, each block of
     fields solved for all of them in one pass: per shape, its
-    BarrierArrays and the mask of the fields whose barrier the block found
-    suppressed (nan, not handed to :func:`rate_jwkb`).  Shallow-barrier
-    warnings name the caller `stacklevel` frames up."""
+    BarrierArrays, the mask of the fields whose barrier the block found
+    suppressed (nan, not handed to :func:`rate_jwkb`), and a dict from the
+    flat index of each field that :func:`rate_jwkb` refused to the text of
+    its error.  Shallow-barrier warnings name the caller `stacklevel`
+    frames up."""
     F = np.asarray(F, dtype=float)
     flat = F.ravel()
     out = np.empty((len(BarrierArrays._fields), len(variants), flat.size))
@@ -603,20 +610,26 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
             out[:, :, block] = values.reshape(len(values), len(variants), -1)
             left[:, block] = scalar.reshape(len(variants), -1)
             suppressed[:, block] = gone.reshape(len(variants), -1)
+    refusals = []
     for j, variant in enumerate(variants):
         D_eff = out[_D_EFF, j]
         shallow = D_eff[D_eff > 1.0]  # solved here: the fields left to rate_jwkb are nan
-        for i in left[j].nonzero()[0]:
+        refused = {}
+        for i in left[j].nonzero()[0].tolist():
             try:
                 sol = rate_jwkb(MotiveModel(variant, atom, float(flat[i])))
-            except EsfiError:
+            except EsfiError as exc:
+                refused[i] = str(exc)
                 continue
             out[:, j, i] = [getattr(sol, name) for name in BarrierArrays._fields]
         for value in shallow:
             _warn_shallow(float(value), stacklevel=stacklevel + 1)
+        refusals.append(refused)
     out = out.reshape(out.shape[:2] + F.shape)
     suppressed = suppressed.reshape(suppressed.shape[:1] + F.shape)
-    return [(BarrierArrays(*out[:, j]), suppressed[j]) for j in range(len(variants))]
+    return [
+        (BarrierArrays(*out[:, j]), suppressed[j], refusals[j]) for j in range(len(variants))
+    ]
 
 
 def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierArrays:

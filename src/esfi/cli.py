@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import __version__
 from .barrier import (
     MotiveModel,
     MotiveVariant,
-    _no_barrier,
+    _barrier_suppressed,
     _rate_jwkb_arrays,
     rate_jwkb,
     suppression_field,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .hydrogenic import make_atom
 from .invert import invert_rate
-from .rates import _check_field, rate_ll, rate_ll_array
+from .rates import _check_field, _ll_rate_and_exponent, guard_field, rate_ll
 from .units import (
     FIELD,
     FREQUENCY,
@@ -172,50 +172,68 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Column(NamedTuple):
+    """One method's cells of a sweep over canonical fields, and what words
+    the notes of its refused cells without a scalar solve."""
+
+    K: np.ndarray  # K_e, nan where the method refuses a field
+    exponent: np.ndarray  # nan where the method refuses a field
+    # every refused ll field, and JWKB fields whose barrier the array
+    # solver found suppressed, past the suppression field by a margin
+    by_closed_form: np.ndarray
+    # index -> error text of each JWKB field whose scalar solve failed
+    # inside the array solver; its note takes it out
+    refusals: dict
+    f_bs: Optional[float]  # the JWKB shape's suppression field
+
+
 def _sweep_columns(methods: list[str], atom, F: np.ndarray, allow_shallow: bool):
-    """K_e and exponent of each method over canonical fields, nan where the
-    method refuses a field, and the refused fields whose reason needs no
-    scalar solve: every refused ll field, and JWKB fields whose barrier the
-    array solver found suppressed, past the suppression field by a margin."""
+    """The :class:`_Column` of each method over canonical fields F."""
     variants = [MotiveVariant(m) for m in methods if m != "ll"]
     jwkb = iter(_rate_jwkb_arrays(variants, atom, F) if variants else ())
     columns = []
     for method in methods:
         if method == "ll":
-            r = rate_ll_array(atom, F)
-            refused = ~((F > 0.0) & (r.deep | allow_shallow))
-            K, exponent = np.where(refused, np.nan, r.K_e), np.where(refused, np.nan, r.exponent)
-            columns.append((K, exponent, refused))
+            K, exponent = _ll_rate_and_exponent(atom, F)
+            refused = ~((F > 0.0) & ((F < guard_field(atom)) | allow_shallow))
+            K[refused] = exponent[refused] = np.nan
+            columns.append(_Column(K, exponent, refused, {}, None))
             continue
-        sol, suppressed = next(jwkb)
+        sol, suppressed, refusals = next(jwkb)
         f_bs = suppression_field(atom, MotiveVariant(method))
-        columns.append((sol.K_e, sol.G, suppressed & (F >= f_bs * (1.0 + _SUPPRESSION_MARGIN))))
+        past = suppressed & (F >= f_bs * (1.0 + _SUPPRESSION_MARGIN))
+        columns.append(_Column(sol.K_e, sol.G, past, refusals, f_bs))
     return columns
 
 
-def _refuse(method: str, atom, F_canonical: float, allow_shallow: bool) -> None:
+def _refuse(method: str, atom, F_canonical: float, allow_shallow: bool, f_bs) -> None:
     """Raise the scalar path's error for a field that a sweep refused
-    without solving it: the guard's for ll, suppression for JWKB."""
+    without solving it: the guard's for ll, suppression past the
+    suppression field f_bs for JWKB."""
     if method == "ll":
         _check_field(atom, F_canonical, allow_shallow)
     else:
-        raise _no_barrier(MotiveVariant(method), atom, F_canonical)
+        raise _barrier_suppressed(MotiveVariant(method), F_canonical, f_bs)
 
 
 def _notes(rows, methods, columns, atom, F, grid, allow_shallow: bool) -> str:
     """The note lines of the refused cells in `rows`, row by row.  A
-    cell's note comes from the closed-form fields where they give it; any
-    other cell goes through the scalar path, which gives the reason (or,
-    at a rounding-level boundary, the value, written into its column)."""
+    cell's note comes from the closed-form fields, or from the error the
+    array solver saw, where they give it; any other cell goes through the
+    scalar path, which gives the reason (or, at a rounding-level boundary,
+    the value, written into its column)."""
     notes = []
     for i in rows:
         f = float(F[i])
-        for m, (K, exponent, by_closed_form) in zip(methods, columns):
+        for m, (K, exponent, by_closed_form, refusals, f_bs) in zip(methods, columns):
             if not math.isnan(exponent[i]):
+                continue
+            if i in refusals:  # its note is the text's last use
+                notes.append(f"note: {m} at F={grid[i]:.9e}: {refusals.pop(i)}\n")
                 continue
             try:
                 if by_closed_form[i]:
-                    _refuse(m, atom, f, allow_shallow)
+                    _refuse(m, atom, f, allow_shallow, f_bs)
                 rec = _rate_record(atom, m, f, allow_shallow)
             except (ValidationError, RegimeError, NumericError) as exc:
                 notes.append(f"note: {m} at F={grid[i]:.9e}: {exc}\n")
@@ -350,15 +368,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     columns = _sweep_columns(methods, atom, F, allow_shallow)
     refused = np.zeros(F.size, dtype=bool)
-    for _, exponent, _ in columns:
-        refused |= np.isnan(exponent)
+    for column in columns:
+        refused |= np.isnan(column.exponent)
     rows = np.flatnonzero(refused).tolist()
     for start in range(0, len(rows), _ROWS_PER_WRITE):
         block = rows[start : start + _ROWS_PER_WRITE]
         sys.stderr.write(_notes(block, methods, columns, atom, F, grid, allow_shallow))
 
-    cells = [grid] + [from_canonical(K, FREQUENCY, system) for K, _, _ in columns]
-    cells += [e for _, e, _ in columns]
+    cells = [grid] + [from_canonical(c.K, FREQUENCY, system) for c in columns]
+    cells += [c.exponent for c in columns]
     with _output(args.out) as fh:
         fh.write(
             "F,"

@@ -79,11 +79,13 @@ def test_stacked_solve_matches_one_shape_at_a_time(n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShallowBarrierWarning)
         alone = {v: rate_jwkb_array(v, atom, F) for v in MotiveVariant}
-        suppressed = {v: _rate_jwkb_arrays([v], atom, F)[0][1] for v in MotiveVariant}
+        one_shape = {v: _rate_jwkb_arrays([v], atom, F)[0] for v in MotiveVariant}
         for size in (1, 2, 3):
             for variants in itertools.permutations(MotiveVariant, size):
                 stacked = _rate_jwkb_arrays(variants, atom, F)
-                for variant, (arrays, found) in zip(variants, stacked):
+                for variant, (arrays, found, refused) in zip(variants, stacked):
                     for name, a, b in zip(BarrierArrays._fields, arrays, alone[variant]):
                         assert np.array_equal(a, b, equal_nan=True), (variants, variant, name)
-                    assert np.array_equal(found, suppressed[variant]), (variants, variant)
+                    _, suppressed, refusals = one_shape[variant]
+                    assert np.array_equal(found, suppressed), (variants, variant)
+                    assert refused == refusals, (variants, variant)

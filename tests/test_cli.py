@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esfi import cli
+from esfi import barrier, cli, rates
 from esfi.barrier import (
     MotiveModel,
     MotiveVariant,
@@ -405,6 +405,75 @@ def test_sweep_cells_just_past_suppression_take_the_scalar_path(capsys, monkeypa
     assert out == expected
     assert err.splitlines() == notes
     assert len(notes) == grid.size
+
+
+@pytest.mark.parametrize("points", [40, 700])
+@pytest.mark.parametrize("units", ["evnm", "au", "si"])
+def test_sweep_ll_cells_through_the_underflow_band(capsys, monkeypatch, units, points):
+    # H's exponent from 700 to 820: K_e [1/s] runs from normal doubles
+    # through the subnormal band to zero, on both sides of the writer's
+    # cutover
+    monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
+    atom = make_atom(1.0)
+    coeff = rate_ll(atom, 1.0).exponent
+    scale = to_canonical(1.0, FIELD, UnitSystem(units)).value
+    f_min, f_max = coeff / 820.0 / scale, coeff / 700.0 / scale
+    K = np.array([rate_ll(atom, float(f) * scale).K_e
+                  for f in np.geomspace(f_min, f_max, points)])
+    tiny = np.finfo(float).tiny
+    assert (K == 0).any() and ((K > 0) & (K < tiny)).any() and (K >= tiny).any()
+    code, out, err = run_cli(
+        ["sweep", "--f-min", repr(f_min), "--f-max", repr(f_max), "--points", str(points),
+         "--units", units],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    expected, notes = _scalar_sweep(1.0, None, units, f_min, f_max, points, ["ll"], False)
+    assert out == expected and notes == []
+
+
+def test_sweep_ll_column_takes_only_the_closed_forms_first_step(capsys, monkeypatch):
+    # neither the full kernel nor the array evaluator built on it runs
+    def refuse(*args):
+        raise AssertionError("the sweep ran the full closed form")
+
+    monkeypatch.setattr(rates, "_closed_form", refuse)
+    monkeypatch.setattr(rates, "rate_ll_array", refuse)
+    monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
+    code, out, err = run_cli(
+        ["sweep", "--f-min", "2", "--f-max", "30", "--points", "500"], capsys
+    )
+    assert code == 0
+    assert err.count("note: ll at") == sum(
+        float(f) >= rates.guard_field(make_atom(1.0)) for f in np.geomspace(2, 30, 500)
+    )
+
+
+def test_sweep_solves_each_refused_jwkb_cell_once(capsys, monkeypatch):
+    # e F underflows, or G leaves the float range: the array solver hands
+    # each such field to rate_jwkb once, and its error words the note
+    solves = []
+    solve = barrier.rate_jwkb
+
+    def counted(model, **kwargs):
+        solves.append((model.variant.value, model.F))
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(barrier, "rate_jwkb", counted)
+    monkeypatch.setattr(cli, "rate_jwkb", counted)
+    methods = ALL_METHODS[1:]
+    grid = np.geomspace(5e-324, 1e-309, 9)
+    code, out, err = run_cli(
+        ["sweep", "--f-min", "5e-324", "--f-max", "1e-309", "--points", str(grid.size),
+         "--methods", ",".join(methods)],
+        capsys,
+    )
+    assert code == 0
+    assert sorted(solves) == sorted((m, float(f)) for f in grid for m in methods)
+    expected, notes = _scalar_sweep(1.0, None, "evnm", 5e-324, 1e-309, grid.size, methods, False)
+    assert out == expected
+    assert err.splitlines() == notes
+    assert len(notes) == grid.size * len(methods)
 
 
 GOLDEN_BARRIER = {

@@ -2,11 +2,12 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from esfi import errors
+from esfi import errors, rates
 from esfi.hydrogenic import make_atom
 from esfi.rates import (
     barrier_integral_log_part,
@@ -18,6 +19,7 @@ from esfi.rates import (
     guard_field,
     rate_gaussian_check,
     rate_ll,
+    rate_ll_array,
     rate_z_form,
     suppression_field_naive,
 )
@@ -231,3 +233,81 @@ def test_rate_result_serialization_round_trip():
     r = rate_ll(make_atom(1), 10.0)
     loaded = json.loads(json.dumps(r.as_dict()))
     assert loaded == r.as_dict()
+
+
+def _underflow_edge_values():
+    """Long doubles around the double's underflow: 2^-1075 and its
+    long-double neighbours, the subnormals next to it, the largest
+    subnormal and the smallest normal double, with both signs, and zeros,
+    nan and infinities."""
+    ld = np.longdouble
+    half = ld(2.0**-1074) / 2
+    tiny = [
+        half,
+        np.nextafter(half, ld(0)),
+        np.nextafter(half, ld(1)),
+        ld(1.5) * ld(2.0**-1074),
+        ld(2.0**-1074),
+        ld(np.nextafter(2.0**-1022, 0.0)),  # the largest subnormal
+        ld(2.0**-1022),
+        half / 7,
+        ld(1e-4000),
+        ld(1e-330),
+    ]
+    return tiny + [-v for v in tiny] + [ld(0.0), -ld(0.0), ld("nan"), ld("inf"), -ld("inf")]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_underflow_flush_keeps_the_bits_of_the_cast():
+    values = _underflow_edge_values()
+    assert np.finfo(np.longdouble).nmant == 63  # 2^-1075 and its neighbours are distinct
+    flushed = rates._flush_underflow(np.array(values))
+    expected = [np.float64(float(v)) for v in values]
+    assert _bits(flushed).tolist() == _bits(expected).tolist()
+    # the values that round to a zero are zeros now, of their sign
+    assert np.count_nonzero(flushed == 0) == 12
+
+
+def test_underflow_flush_is_exact_where_long_double_is_double():
+    # on such a platform _UNDERFLOW rounds to 0 and the values are doubles:
+    # the flush must change nothing
+    doubles = np.array([float(v) for v in _underflow_edge_values()])
+    with mock.patch.object(rates, "_UNDERFLOW", np.float64(2.0**-1074) / 2):
+        assert rates._UNDERFLOW == 0.0
+        flushed = rates._flush_underflow(doubles.copy())
+    assert _bits(flushed).tolist() == _bits(doubles).tolist()
+
+
+def _underflow_grid(atom, n):
+    """n fields whose exponent runs from 600 to 800 (K_e normal, then
+    subnormal, then zero in double), with a few fields past the guard."""
+    coeff = rate_ll(atom, 1.0, allow_shallow=True).exponent
+    past = guard_field(atom) * np.array([1.0, 2.0, 3.0])
+    return np.concatenate([coeff / np.linspace(600.0, 800.0, n - past.size), past])
+
+
+@pytest.mark.parametrize("n", [16, 65536, 65537])
+def test_lean_sweep_kernel_keeps_the_bits_of_rate_ll_array(n):
+    # the flush before the store changes no bit of K_e, across the block
+    # edge of 65 536 fields
+    atom = make_atom(1.0)
+    F = _underflow_grid(atom, n)
+    r = rate_ll_array(atom, F)
+    K_e, exponent = rates._ll_rate_and_exponent(atom, F)
+    assert _bits(K_e).tolist() == _bits(r.K_e).tolist()
+    assert _bits(exponent).tolist() == _bits(r.exponent).tolist()
+    K = r.K_e[F < guard_field(atom)]
+    assert (K == 0).any() and ((K > 0) & (K < 2.0**-1022)).any() and (K >= 2.0**-1022).any()
+
+
+@pytest.mark.parametrize("Z, I", [(1.0, None), (2.5, None), (0.357, None), (1.0, 30.0)])
+def test_lean_sweep_kernel_is_rate_ll_bit_for_bit(Z, I):
+    atom = make_atom(Z, I)
+    F = np.concatenate([_underflow_grid(atom, 40), [5e-324, 1e-200, 1e300]])
+    K_e, exponent = rates._ll_rate_and_exponent(atom, F)
+    for i, f in enumerate(F.tolist()):
+        s = rate_ll(atom, f, allow_shallow=True)
+        assert (_bits(K_e[i]), _bits(exponent[i])) == (_bits(s.K_e), _bits(s.exponent)), f
