@@ -93,6 +93,9 @@ _TOL_ABS, _TOL_REL = 1e-10, 1e-12
 _SUPPRESSED = 1e3 * _EPS  # peak motive, relative to I, counted as merged zeros
 _STRENGTH_BOUND = 4.0 * REGISTRY.sigma.value / 3.0  # G < this * A0^(3/2)/A1
 _BLOCK = 1024  # fields per block of the array solver
+# within this relative margin past the suppression field, rounding can turn
+# the array solver's verdict of suppression; rate_jwkb settles those fields
+_SUPPRESSION_MARGIN = 1e-6
 _ROOT3_3_2, _ROOT3_2_3 = 1.5 * math.sqrt(3.0), 2.0 / math.sqrt(3.0)  # 3^(3/2)/2, 2/3^(1/2)
 
 # The arithmetic of one field and of an array of fields.  The scalar
@@ -591,25 +594,25 @@ def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
 
 def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
     """:func:`rate_jwkb_array` for every shape of `variants`, each block of
-    fields solved for all of them in one pass: per shape, its
-    BarrierArrays, the mask of the fields whose barrier the block found
-    suppressed (nan, not handed to :func:`rate_jwkb`), and a dict from the
-    flat index of each field that :func:`rate_jwkb` refused to the text of
-    its error.  Shallow-barrier warnings name the caller `stacklevel`
-    frames up."""
+    fields solved for all of them in one pass: per shape, its BarrierArrays
+    and a dict from the flat index of each field that :func:`rate_jwkb`
+    refused to the text of its error.  Every other nan field lies past the
+    shape's suppression field by more than the margin.  Shallow-barrier
+    warnings name the caller `stacklevel` frames up."""
     F = np.asarray(F, dtype=float)
     flat = F.ravel()
     out = np.empty((len(BarrierArrays._fields), len(variants), flat.size))
     left = np.empty((len(variants), flat.size), dtype=bool)
-    suppressed = np.empty_like(left)
+    # each shape's suppression field and margin, as a column against the fields
+    near = np.array([[suppression_field(atom, v) * (1.0 + _SUPPRESSION_MARGIN)] for v in variants])
     # masked-out lanes compute garbage; nothing of it reaches the results
     with np.errstate(all="ignore"):
         for start in range(0, flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             values, scalar, gone = _solve_block(variants, atom, flat[block])
             out[:, :, block] = values.reshape(len(values), len(variants), -1)
-            left[:, block] = scalar.reshape(len(variants), -1)
-            suppressed[:, block] = gone.reshape(len(variants), -1)
+            gone = gone.reshape(len(variants), -1) & (flat[block] < near)
+            left[:, block] = scalar.reshape(len(variants), -1) | gone
     refusals = []
     for j, variant in enumerate(variants):
         D_eff = out[_D_EFF, j]
@@ -626,24 +629,22 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
             _warn_shallow(float(value), stacklevel=stacklevel + 1)
         refusals.append(refused)
     out = out.reshape(out.shape[:2] + F.shape)
-    suppressed = suppressed.reshape(suppressed.shape[:1] + F.shape)
-    return [
-        (BarrierArrays(*out[:, j]), suppressed[j], refusals[j]) for j in range(len(variants))
-    ]
+    return [(BarrierArrays(*out[:, j]), refusals[j]) for j in range(len(variants))]
 
 
 def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierArrays:
     """:func:`rate_jwkb` (its default pre-factor) for one barrier shape
     over an array of fields [V/nm], solved a block of fields at a time.
 
-    A field that the 32/64-node pair leaves unconverged, or that the
-    scalar path refuses (field not positive, e F underflowing, G past the
-    float range), is handed to :func:`rate_jwkb`.  Results agree with
-    :func:`rate_jwkb` to rounding; where the barrier is suppressed or
-    :func:`rate_jwkb` raises they are nan, and :func:`rate_jwkb` on that
-    field gives the reason.  Fields with D_eff > 1 warn as there.  A
-    field's G can differ in its last ulp with the number of fields solved
-    beside it: BLAS orders the quadrature's sums by the size of the block.
+    A field that the 32/64-node pair leaves unconverged, that the scalar
+    path refuses (field not positive, e F underflowing, G past the float
+    range), or whose barrier the block finds suppressed within 1e-6 past
+    the suppression field, is handed to :func:`rate_jwkb`.  Results agree
+    with :func:`rate_jwkb` to rounding and are nan exactly where it
+    raises; :func:`rate_jwkb` on that field gives the reason.  Fields with
+    D_eff > 1 warn as there.  A field's G can differ in its last ulp with
+    the number of fields solved beside it: BLAS orders the quadrature's
+    sums by the size of the block.
     """
     return _rate_jwkb_arrays((variant,), atom, F, stacklevel=2)[0][0]
 

@@ -52,7 +52,10 @@ from .units import (
 )
 
 _METHODS = ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")
-_ROWS_PER_WRITE = 65536  # sweep rows (and refused rows' notes) formatted and written at a time
+# sweep rows solved, noted and written at a time; a multiple of the JWKB
+# array solver's block, so that each field is solved beside the same
+# neighbours however long the sweep
+_ROWS_PER_WRITE = 65536
 # below this many cells a block is cheaper to format one row at a time: the
 # vectorised writer's fixed cost is some 40 numpy calls, which whole sweeps
 # recoup at about 160 cells for closed-form blocks and about 400 for JWKB
@@ -61,9 +64,6 @@ _VECTOR_CELLS = 400
 _SLOT = 20  # bytes per cell: "-1.234567890e-308", its separator and zero bytes
 _EXP_LO, _EXP_HI = -330, 330  # decimal exponents of the tables; float64 spans -324..308
 _WIDE = np.longdouble  # type of the scaled significand; its precision sets the doubt margin
-# past the suppression field by this relative margin, the array solver and
-# the scalar path agree that the barrier is suppressed
-_SUPPRESSION_MARGIN = 1e-6
 
 
 def _guard_override() -> bool:
@@ -72,11 +72,15 @@ def _guard_override() -> bool:
 
 @contextlib.contextmanager
 def _output(out: Optional[str]):
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            yield fh
-    else:
+    if not out:
         yield sys.stdout
+        return
+    try:
+        fh = open(out, "w", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {out}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -174,15 +178,12 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 class _Column(NamedTuple):
     """One method's cells of a sweep over canonical fields, and what words
-    the notes of its refused cells without a scalar solve."""
+    the notes of its refused cells."""
 
     K: np.ndarray  # K_e, nan where the method refuses a field
     exponent: np.ndarray  # nan where the method refuses a field
-    # every refused ll field, and JWKB fields whose barrier the array
-    # solver found suppressed, past the suppression field by a margin
-    by_closed_form: np.ndarray
-    # index -> error text of each JWKB field whose scalar solve failed
-    # inside the array solver; its note takes it out
+    # index -> error text of each JWKB field that rate_jwkb refused; every
+    # other refused JWKB field lies past the suppression field
     refusals: dict
     f_bs: Optional[float]  # the JWKB shape's suppression field
 
@@ -197,48 +198,39 @@ def _sweep_columns(methods: list[str], atom, F: np.ndarray, allow_shallow: bool)
             K, exponent = _ll_rate_and_exponent(atom, F)
             refused = ~((F > 0.0) & ((F < guard_field(atom)) | allow_shallow))
             K[refused] = exponent[refused] = np.nan
-            columns.append(_Column(K, exponent, refused, {}, None))
+            columns.append(_Column(K, exponent, {}, None))
             continue
-        sol, suppressed, refusals = next(jwkb)
+        sol, refusals = next(jwkb)
         f_bs = suppression_field(atom, MotiveVariant(method))
-        past = suppressed & (F >= f_bs * (1.0 + _SUPPRESSION_MARGIN))
-        columns.append(_Column(sol.K_e, sol.G, past, refusals, f_bs))
+        columns.append(_Column(sol.K_e, sol.G, refusals, f_bs))
     return columns
 
 
-def _refuse(method: str, atom, F_canonical: float, allow_shallow: bool, f_bs) -> None:
-    """Raise the scalar path's error for a field that a sweep refused
-    without solving it: the guard's for ll, suppression past the
-    suppression field f_bs for JWKB."""
-    if method == "ll":
+def _refusal(method: str, atom, F_canonical: float, allow_shallow: bool, f_bs) -> str:
+    """The text of the scalar path's error at a field that a sweep refused
+    without solving it: the guard's for ll, whose refused fields are the
+    ones the guard rejects, and suppression past the suppression field
+    f_bs for JWKB.  Only the text leaves: a caught error's traceback would
+    tie the caller's frame, and the block it holds, into a cycle."""
+    if method != "ll":
+        return str(_barrier_suppressed(MotiveVariant(method), F_canonical, f_bs))
+    try:
         _check_field(atom, F_canonical, allow_shallow)
-    else:
-        raise _barrier_suppressed(MotiveVariant(method), F_canonical, f_bs)
+    except (ValidationError, RegimeError) as exc:
+        return str(exc)
 
 
-def _notes(rows, methods, columns, atom, F, grid, allow_shallow: bool) -> str:
-    """The note lines of the refused cells in `rows`, row by row.  A
-    cell's note comes from the closed-form fields, or from the error the
-    array solver saw, where they give it; any other cell goes through the
-    scalar path, which gives the reason (or, at a rounding-level boundary,
-    the value, written into its column)."""
+def _notes(methods, columns, atom, F, grid, allow_shallow: bool) -> str:
+    """The note lines of the refused cells over fields F, row by row: the
+    error text the array solver recorded, or else the reason the closed
+    forms give."""
     notes = []
-    for i in rows:
-        f = float(F[i])
-        for m, (K, exponent, by_closed_form, refusals, f_bs) in zip(methods, columns):
-            if not math.isnan(exponent[i]):
-                continue
-            if i in refusals:  # its note is the text's last use
-                notes.append(f"note: {m} at F={grid[i]:.9e}: {refusals.pop(i)}\n")
-                continue
-            try:
-                if by_closed_form[i]:
-                    _refuse(m, atom, f, allow_shallow, f_bs)
-                rec = _rate_record(atom, m, f, allow_shallow)
-            except (ValidationError, RegimeError, NumericError) as exc:
-                notes.append(f"note: {m} at F={grid[i]:.9e}: {exc}\n")
-            else:
-                K[i], exponent[i] = rec["K_e"], rec["exponent"]
+    refused = np.isnan([column.exponent for column in columns]).any(axis=0)
+    for i in np.flatnonzero(refused).tolist():
+        for m, (_, exponent, refusals, f_bs) in zip(methods, columns):
+            if math.isnan(exponent[i]):
+                reason = refusals.get(i) or _refusal(m, atom, float(F[i]), allow_shallow, f_bs)
+                notes.append(f"note: {m} at F={grid[i]:.9e}: {reason}\n")
     return "".join(notes)
 
 
@@ -366,17 +358,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(f"F_max {args.f_max} exceeds the float range in V/nm")
     F = grid * scale  # the same product as converting each field on its own
 
-    columns = _sweep_columns(methods, atom, F, allow_shallow)
-    refused = np.zeros(F.size, dtype=bool)
-    for column in columns:
-        refused |= np.isnan(column.exponent)
-    rows = np.flatnonzero(refused).tolist()
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
-        block = rows[start : start + _ROWS_PER_WRITE]
-        sys.stderr.write(_notes(block, methods, columns, atom, F, grid, allow_shallow))
-
-    cells = [grid] + [from_canonical(c.K, FREQUENCY, system) for c in columns]
-    cells += [c.exponent for c in columns]
     with _output(args.out) as fh:
         fh.write(
             "F,"
@@ -386,7 +367,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             + "\n"
         )
         for start in range(0, F.size, _ROWS_PER_WRITE):
-            fh.write(_csv_rows([c[start : start + _ROWS_PER_WRITE] for c in cells]))
+            block = slice(start, start + _ROWS_PER_WRITE)
+            columns = _sweep_columns(methods, atom, F[block], allow_shallow)
+            sys.stderr.write(_notes(methods, columns, atom, F[block], grid[block], allow_shallow))
+            cells = [grid[block]] + [from_canonical(c.K, FREQUENCY, system) for c in columns]
+            fh.write(_csv_rows(cells + [c.exponent for c in columns]))
     return 0
 
 

@@ -355,24 +355,26 @@ def test_sweep_golden_output(capsys, monkeypatch):
     assert err == GOLDEN_SWEEP_NOTES
 
 
-def _count_scalar_records(monkeypatch):
-    """The fields cli._rate_record is called with, as it is called."""
-    fields = []
-    record = cli._rate_record
+def _count_jwkb_solves(monkeypatch):
+    """The (shape, field) of each rate_jwkb call, as it is called."""
+    solves = []
+    solve = barrier.rate_jwkb
 
-    def counted(atom, method, F_canonical, allow_shallow):
-        fields.append((method, F_canonical))
-        return record(atom, method, F_canonical, allow_shallow)
+    def counted(model, **kwargs):
+        solves.append((model.variant.value, model.F))
+        return solve(model, **kwargs)
 
-    monkeypatch.setattr(cli, "_rate_record", counted)
-    return fields
+    monkeypatch.setattr(barrier, "rate_jwkb", counted)
+    monkeypatch.setattr(cli, "rate_jwkb", counted)
+    return solves
 
 
 def test_sweep_notes_come_without_scalar_solves(capsys, monkeypatch):
     # the golden sweep's refused cells are past the guard or past a
-    # suppression field, whose notes the closed-form fields give
+    # suppression field, whose notes the closed-form fields give; only the
+    # composite-rule field 1e-30 V/nm goes to rate_jwkb, which solves it
     monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
-    fields = _count_scalar_records(monkeypatch)
+    fields = _count_jwkb_solves(monkeypatch)
     code, out, err = run_cli(
         ["sweep", "--methods", ",".join(ALL_METHODS), "--spacing", "linear",
          "--f-min", "1e-30", "--f-max", "80", "--points", "21"],
@@ -381,7 +383,7 @@ def test_sweep_notes_come_without_scalar_solves(capsys, monkeypatch):
     assert code == 0
     assert out == GOLDEN_SWEEP_CSV
     assert err == GOLDEN_SWEEP_NOTES
-    assert fields == []
+    assert sorted(fields) == sorted((m, 1e-30) for m in ALL_METHODS[1:])
 
 
 @pytest.mark.parametrize("variant", list(MotiveVariant))
@@ -391,7 +393,7 @@ def test_sweep_cells_just_past_suppression_take_the_scalar_path(capsys, monkeypa
     atom = make_atom(1.0)
     f_bs = suppression_field(atom, variant)
     grid = np.linspace(f_bs, f_bs * (1.0 + 3e-6), 7)
-    fields = _count_scalar_records(monkeypatch)
+    fields = _count_jwkb_solves(monkeypatch)
     code, out, err = run_cli(
         ["sweep", "--methods", variant.value, "--spacing", "linear", "--f-min", repr(f_bs),
          "--f-max", repr(f_bs * (1.0 + 3e-6)), "--points", str(grid.size)],
@@ -474,6 +476,64 @@ def test_sweep_solves_each_refused_jwkb_cell_once(capsys, monkeypatch):
     assert out == expected
     assert err.splitlines() == notes
     assert len(notes) == grid.size * len(methods)
+
+
+def test_sweep_blocks_are_a_whole_number_of_solver_blocks():
+    # so each JWKB field is solved beside the same neighbours, and BLAS
+    # gives it the same bits, however the sweep is cut into blocks
+    assert cli._ROWS_PER_WRITE % barrier._BLOCK == 0
+
+
+def test_sweep_output_does_not_depend_on_its_block_size(capsys, monkeypatch):
+    # e F underflowing, the composite-rule band, the ll guard and both
+    # suppression fields, in blocks of 1 024, 2 048 and 65 536 fields
+    monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
+    sizes = []
+    columns = cli._sweep_columns
+
+    def recorded(methods, atom, F, allow_shallow):
+        sizes.append(F.size)
+        return columns(methods, atom, F, allow_shallow)
+
+    monkeypatch.setattr(cli, "_sweep_columns", recorded)
+    argv = ["sweep", "--f-min", "5e-324", "--f-max", "80", "--points", "5000",
+            "--methods", ",".join(ALL_METHODS)]
+    runs = []
+    for rows in (1024, 2048, cli._ROWS_PER_WRITE):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
+        sizes.clear()
+        runs.append(run_cli(argv, capsys))
+        assert sum(sizes) == 5000 and max(sizes) <= rows
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1] == runs[2]
+    assert "e F underflows" in runs[0][2] and "guard" in runs[0][2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants"],
+    ["rate", "--field", "12"],
+    ["sweep", "--f-min", "1", "--f-max", "40", "--points", "3", "--methods", "ll"],
+    ["invert", "--target", "1e9"],
+    ["barrier", "--field", "8"],
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # the sweep opens its output before it solves anything, so a refused
+    # path leaves no notes behind
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out {path}: No such file or directory\n"
+
+
+def test_invert_over_a_falling_bracket_exits_4(capsys):
+    # H's closed form peaks near 340 V/nm, so the rate falls over the bracket
+    code, out, err = run_cli(
+        ["invert", "--target", "1e10", "--f-lo", "400", "--f-hi", "1e5"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: rate not increasing over bracket (400, 100000) V/nm\n"
 
 
 GOLDEN_BARRIER = {

@@ -76,6 +76,12 @@ def test_invalid_bracket():
         invert_rate(1e9, atom, bracket=(-1.0, 5.0))
 
 
+def test_falling_bracket_is_non_monotone():
+    # H's closed form peaks near 340 V/nm and falls beyond it
+    with pytest.raises(errors.NonMonotoneBracket):
+        invert_rate(1e10, make_atom(1), bracket=(400.0, 1e5))
+
+
 def test_unknown_method():
     with pytest.raises(ValueError):
         invert_rate(1e9, make_atom(1), method="nope")
