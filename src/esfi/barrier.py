@@ -74,7 +74,6 @@ from .hydrogenic import HydrogenicAtom
 from .rates import (
     REGIME_DEEP,
     REGIME_EXTRAPOLATED,
-    REGIME_SHALLOW,
     guard_field,
     suppression_field_naive,
 )
@@ -90,7 +89,10 @@ _LOG_SPAN_PER_PANEL = 20.0  # units of half the log-span of c per fallback panel
 # quadrature tolerance: 1e-10 absolute, relaxed proportionally once G is
 # so large that the bound would sit below float64 roundoff
 _TOL_ABS, _TOL_REL = 1e-10, 1e-12
-_SUPPRESSED = 1e3 * _EPS  # peak motive, relative to I, counted as merged zeros
+# peak motive, relative to the shape's energy scale A0, counted as merged
+# zeros; the parabolic motive (A0 = I/4) is the Cartesian one at z = eta/2
+# over 4, so both shapes call the same fields suppressed
+_SUPPRESSED = 1e3 * _EPS
 _STRENGTH_BOUND = 4.0 * REGISTRY.sigma.value / 3.0  # G < this * A0^(3/2)/A1
 _BLOCK = 1024  # fields per block of the array solver
 # within this relative margin past the suppression field, rounding can turn
@@ -332,9 +334,9 @@ def turning_points(model: MotiveModel) -> tuple[float, float]:
     steps on M.
     """
     peak, peak_value = motive_peak(model)
-    if peak_value <= _SUPPRESSED * model.atom.I:
-        raise _no_barrier(model.variant, model.atom, model.F)
     k = model._coeffs
+    if peak_value <= _SUPPRESSED * k[0]:
+        raise _no_barrier(model.variant, model.atom, model.F)
     try:
         c_in, c_out = _zero_estimates(k)
         c_in, c_out = _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
@@ -468,9 +470,6 @@ class BarrierArrays(NamedTuple):
     log_K_e: np.ndarray
 
 
-_D_EFF = BarrierArrays._fields.index("D_eff")
-
-
 # eta_in / c_in at the inner zero (eta = 2 z on the symmetry axis); 0 marks
 # the unit pre-factor of the naive barrier
 _ETA_SCALE = {
@@ -503,15 +502,6 @@ def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
     return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_K_e
 
 
-def _warn_shallow(D_eff: float, stacklevel: int) -> None:
-    warnings.warn(
-        f"escape probability {D_eff:.4g} exceeds 1; barrier too shallow "
-        "for the quasi-classical treatment",
-        ShallowBarrierWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
 def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierSolution:
     """JWKB-form rate constant for the given barrier model.
 
@@ -532,14 +522,7 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
     G = _strength_between(model, c_in, c_out)
     eta_scale = 0.0 if simple_prefactor else _ETA_SCALE[model.variant]
     values = _assemble(model.atom, c_in, c_out, G, eta_scale)
-    D_eff = values[5]
-    if D_eff > 1.0:
-        _warn_shallow(D_eff, stacklevel=2)
-        regime = REGIME_SHALLOW
-    elif model.F < guard_field(model.atom):
-        regime = REGIME_DEEP
-    else:
-        regime = REGIME_EXTRAPOLATED
+    regime = REGIME_DEEP if model.F < guard_field(model.atom) else REGIME_EXTRAPOLATED
     method = model.variant.value + ("-simple" if simple_prefactor else "")
     return BarrierSolution(method, *values, regime=regime)
 
@@ -562,7 +545,7 @@ def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
 
     k = lanes[0], lanes[1], lanes[2], lanes[3]
     peak = _peak(k)
-    barrier = ~(_motive(k, peak) <= _SUPPRESSED * atom.I)  # nan counts as a barrier
+    barrier = ~(_motive(k, peak) <= _SUPPRESSED * k[0])  # nan counts as a barrier
     (index,) = (resolvable & barrier).nonzero()
     lanes, peak = lanes[:, index], peak[index]
     k, eta_scale = (lanes[0], lanes[1], lanes[2], lanes[3]), lanes[4]
@@ -592,13 +575,12 @@ def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
     return values, left, resolvable & ~barrier
 
 
-def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
+def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F):
     """:func:`rate_jwkb_array` for every shape of `variants`, each block of
     fields solved for all of them in one pass: per shape, its BarrierArrays
     and a dict from the flat index of each field that :func:`rate_jwkb`
     refused to the text of its error.  Every other nan field lies past the
-    shape's suppression field by more than the margin.  Shallow-barrier
-    warnings name the caller `stacklevel` frames up."""
+    shape's suppression field by more than the margin."""
     F = np.asarray(F, dtype=float)
     flat = F.ravel()
     out = np.empty((len(BarrierArrays._fields), len(variants), flat.size))
@@ -615,8 +597,6 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
             left[:, block] = scalar.reshape(len(variants), -1) | gone
     refusals = []
     for j, variant in enumerate(variants):
-        D_eff = out[_D_EFF, j]
-        shallow = D_eff[D_eff > 1.0]  # solved here: the fields left to rate_jwkb are nan
         refused = {}
         for i in left[j].nonzero()[0].tolist():
             try:
@@ -625,8 +605,6 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F, stacklevel: int = 1):
                 refused[i] = str(exc)
                 continue
             out[:, j, i] = [getattr(sol, name) for name in BarrierArrays._fields]
-        for value in shallow:
-            _warn_shallow(float(value), stacklevel=stacklevel + 1)
         refusals.append(refused)
     out = out.reshape(out.shape[:2] + F.shape)
     return [(BarrierArrays(*out[:, j]), refusals[j]) for j in range(len(variants))]
@@ -641,12 +619,12 @@ def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierA
     range), or whose barrier the block finds suppressed within 1e-6 past
     the suppression field, is handed to :func:`rate_jwkb`.  Results agree
     with :func:`rate_jwkb` to rounding and are nan exactly where it
-    raises; :func:`rate_jwkb` on that field gives the reason.  Fields with
-    D_eff > 1 warn as there.  A field's G can differ in its last ulp with
+    raises; :func:`rate_jwkb` on that field gives the reason.  A field's G
+    can differ in its last ulp with
     the number of fields solved beside it: BLAS orders the quadrature's
     sums by the size of the block.
     """
-    return _rate_jwkb_arrays((variant,), atom, F, stacklevel=2)[0][0]
+    return _rate_jwkb_arrays((variant,), atom, F)[0][0]
 
 
 def attempt_frequency_rate(atom: HydrogenicAtom, D: float) -> float:

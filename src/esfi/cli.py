@@ -408,15 +408,13 @@ def cmd_barrier(args: argparse.Namespace) -> int:
             simple_prefactor=args.simple,
         )
     except BarrierSuppressed as exc:
-        if exc.suppression_field is not None:
-            f_bs = from_canonical(exc.suppression_field, FIELD, system)
-            raise BarrierSuppressed(
-                f"barrier suppressed for {args.model}: field "
-                f"{args.field:.6g} is at or above the suppression field "
-                f"{f_bs:.6g} ({system.value})",
-                exc.suppression_field,
-            ) from exc
-        raise
+        f_bs = from_canonical(exc.suppression_field, FIELD, system)
+        raise BarrierSuppressed(
+            f"barrier suppressed for {args.model}: field "
+            f"{args.field:.6g} is at or above the suppression field "
+            f"{f_bs:.6g} ({system.value})",
+            exc.suppression_field,
+        ) from exc
     record = {
         "model": args.model,
         "unit_system": system.value,

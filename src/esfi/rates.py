@@ -42,7 +42,6 @@ from .units import EXTENDED, FIELD, REGISTRY, UnitSystem, to_canonical
 
 REGIME_DEEP = "deep"
 REGIME_EXTRAPOLATED = "extrapolated"
-REGIME_SHALLOW = "shallow"
 
 
 @dataclass(frozen=True)

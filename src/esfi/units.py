@@ -93,6 +93,9 @@ class Dimension:
 
     def label(self, system: UnitSystem = UnitSystem.EVNM) -> str:
         """Human-readable unit string, e.g. 'eV^-3/2 V nm^-1'."""
+        if system is UnitSystem.GAUSSIAN:
+            # the Gaussian counterpart's own dimension, in eV and nm
+            return _GAUSSIAN_DIMENSION[self].label()
         if system is UnitSystem.AU:
             return "" if self.is_dimensionless else "a.u."
         names = {
@@ -127,6 +130,7 @@ PERMITTIVITY = ENERGY * VOLTAGE**-2 * LENGTH**-1
 # F_s = (4 pi eps0)^1/2 F.  Their dimensions in the canonical system:
 GAUSSIAN_CHARGE = (ENERGY * LENGTH) ** _HALF
 GAUSSIAN_FIELD = ENERGY**_HALF * LENGTH ** Fraction(-3, 2)
+_GAUSSIAN_DIMENSION = {CHARGE: GAUSSIAN_CHARGE, FIELD: GAUSSIAN_FIELD}
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,15 @@ def _scale_factor(dim: Dimension, system: UnitSystem) -> float:
         r = REGISTRY
         base = (r.hartree, r.au_voltage, r.au_length, r.au_time)
     else:
-        raise ValueError(f"no scale factor for system {system}")
+        root = math.sqrt(REGISTRY.four_pi_eps0.value)
+        if dim == CHARGE:
+            return root
+        if dim == FIELD:
+            return 1.0 / root
+        raise UnsupportedGaussianDimension(
+            "gaussian conversion is defined only for charge and field "
+            f"dimensions, not {dim}"
+        )
     factor = 1.0
     for unit, exp in zip(base, dim.exponents()):
         factor *= unit ** float(exp)
@@ -344,16 +356,6 @@ def convert(q: Quantity, target: UnitSystem) -> Converted:
     electric-field dimensions, the two Gaussian-convention quantities the
     rate formulas ever meet.
     """
-    if target is UnitSystem.GAUSSIAN:
-        root = math.sqrt(REGISTRY.four_pi_eps0.value)
-        if q.dim == CHARGE:
-            return Converted(q.value / root, GAUSSIAN_CHARGE.label(), target)
-        if q.dim == FIELD:
-            return Converted(q.value * root, GAUSSIAN_FIELD.label(), target)
-        raise UnsupportedGaussianDimension(
-            "gaussian conversion is defined only for charge and field "
-            f"dimensions, not {q.dim}"
-        )
     return Converted(from_canonical(q.value, q.dim, target), q.dim.label(target), target)
 
 
@@ -366,26 +368,17 @@ def from_canonical(value, dim: Dimension, system: UnitSystem):
 def to_canonical(value: float, dim: Dimension, system: UnitSystem) -> Quantity:
     """Inverse of :func:`convert`: build a canonical quantity from a value
     expressed in the given system."""
-    if system is UnitSystem.GAUSSIAN:
-        if dim == CHARGE:
-            return gaussian_charge_to_isq(value)
-        if dim == FIELD:
-            return gaussian_field_to_isq(value)
-        raise UnsupportedGaussianDimension(
-            "gaussian values are accepted only for charge and field "
-            f"dimensions, not {dim}"
-        )
     return Quantity(value * _scale_factor(dim, system), dim)
 
 
 def gaussian_field_to_isq(field_gaussian: float) -> Quantity:
     """ISQ electric field from its Gaussian counterpart: F = F_s / (4 pi eps0)^1/2."""
-    return Quantity(field_gaussian / math.sqrt(REGISTRY.four_pi_eps0.value), FIELD)
+    return to_canonical(field_gaussian, FIELD, UnitSystem.GAUSSIAN)
 
 
 def gaussian_charge_to_isq(charge_gaussian: float) -> Quantity:
     """ISQ charge from its Gaussian counterpart: e = e_s * (4 pi eps0)^1/2."""
-    return Quantity(charge_gaussian * math.sqrt(REGISTRY.four_pi_eps0.value), CHARGE)
+    return to_canonical(charge_gaussian, CHARGE, UnitSystem.GAUSSIAN)
 
 
 class ExtendedConstants:

@@ -20,6 +20,7 @@ from esfi.barrier import (
     motive,
     motive_peak,
     rate_jwkb,
+    rate_jwkb_array,
     suppression_field,
     turning_points,
 )
@@ -211,6 +212,30 @@ def test_jwkb_parabolic_and_cartesian_agree():
         c = rate_jwkb(au_model(CARTESIAN, F_au))
         assert c.log_K_e == pytest.approx(p.log_K_e, abs=1e-9)
         assert c.coord_in == pytest.approx(p.coord_in / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("atom", [make_atom(1), make_atom(2.5), make_atom(0.357),
+                                  make_atom(1, 30.0), make_atom(1, 0.5)],
+                         ids=["H", "Z=2.5", "Z=0.357", "I=30", "I=0.5"])
+def test_parabolic_and_cartesian_agree_bit_for_bit_just_below_suppression(atom):
+    # M_par(2 z) = M_cart(z)/4 exactly, so both shapes must call the same
+    # fields suppressed; 4 000 fields in steps of 1e-15 of f_bs, down from it
+    F = suppression_field(atom, CARTESIAN) * (1.0 - 1e-15 * np.arange(4000))
+    p, c = rate_jwkb_array(PARABOLIC, atom, F), rate_jwkb_array(CARTESIAN, atom, F)
+    assert not np.isnan(c.G).all()
+    for name in ("G", "K_e", "log_K_e"):
+        assert np.array_equal(getattr(p, name), getattr(c, name), equal_nan=True), name
+    assert np.array_equal(p.coord_in, 2.0 * c.coord_in, equal_nan=True)
+    for f in F[::20].tolist():
+        try:
+            sp = rate_jwkb(MotiveModel(PARABOLIC, atom, f))
+        except errors.EsfiError as exc:
+            with pytest.raises(type(exc)):
+                rate_jwkb(MotiveModel(CARTESIAN, atom, f))
+            continue
+        sc = rate_jwkb(MotiveModel(CARTESIAN, atom, f))
+        assert (sp.G, sp.K_e, sp.log_K_e) == (sc.G, sc.K_e, sc.log_K_e), f
+        assert sp.coord_in == 2.0 * sc.coord_in, f
 
 
 def test_jwkb_to_closed_form_ratio_weak_field_dependence():

@@ -526,6 +526,14 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert err == f"error: cannot write --out {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("bound", [["--f-lo", "1"], ["--f-hi", "1"]])
+def test_invert_half_given_bracket_exits_2(capsys, bound):
+    code, out, err = run_cli(["invert", "--target", "1e9"] + bound, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: provide both --f-lo and --f-hi or neither\n"
+
+
 def test_invert_over_a_falling_bracket_exits_4(capsys):
     # H's closed form peaks near 340 V/nm, so the rate falls over the bracket
     code, out, err = run_cli(

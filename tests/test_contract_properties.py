@@ -125,6 +125,46 @@ def test_naive_strength_is_forbes_deane(case):
         assert G == pytest.approx(naive_strength_forbes_deane(atom, F), rel=1e-12)
 
 
+def test_escape_probability_stays_below_its_bound():
+    # D_eff = P_eff e^-G depends on the atom only through I/(sigma B)^2 and
+    # on F/F_bs; at suppression x = (2I/B) eta_in >= 4, so
+    # P_eff <= 2 pi 4 e^-4 = 0.46 there, and the unit pre-factor keeps the
+    # naive barrier and the simple mode at or below 1 (G >= 0)
+    ratios = np.concatenate([np.geomspace(1e-6, 0.95, 100), np.linspace(0.95, 1.0, 200),
+                             1.0 - np.geomspace(1e-3, 1e-12, 100)])
+    bound = {MotiveVariant.TRANSFORMED_PARABOLIC: 0.5,
+             MotiveVariant.TRANSFORMED_CARTESIAN: 0.5,
+             MotiveVariant.NAIVE_1D: 1.0}
+    for Z in (0.01, 1.0, 30.0):
+        for I in Z * Z * REGISTRY.I_H.value * np.geomspace(1e-12, 1e12, 25):
+            atom = make_atom(Z, float(I))
+            for variant in MotiveVariant:
+                f_bs = suppression_field(atom, variant)
+                batch = rate_jwkb_array(variant, atom, ratios * f_bs)
+                assert np.nanmax(batch.D_eff) <= bound[variant], (Z, I, variant)
+                solved = ~np.isnan(batch.G)
+                assert (batch.G[solved] >= 0.0).all(), (Z, I, variant)
+                for ratio in (1e-6, 0.3, 0.99, 1.0 - 1e-9):
+                    model = MotiveModel(variant, atom, ratio * f_bs)
+                    sol = _finite_or_refused(lambda: rate_jwkb(model, simple_prefactor=True))
+                    assert sol is None or sol.D_eff <= 1.0, (Z, I, variant, ratio)
+
+
+@CONTRACT
+@given(st.floats(0.1, 30.0), st.floats(0.01, 20.0))
+def test_jwkb_rates_scale_with_the_charge(Z, f):
+    # a default-I atom at F is hydrogen at F/Z^3: the same G, and K_e
+    # scaled by Z^2 (nu_Z); Z^2, Z^3 and F/Z^3 each round once
+    atom, hydrogen, F = make_atom(Z), make_atom(1.0), f * Z**3
+    for variant in MotiveVariant:
+        scaled = rate_jwkb(MotiveModel(variant, atom, F))
+        ref = rate_jwkb(MotiveModel(variant, hydrogen, F / Z**3))
+        assert scaled.G == pytest.approx(ref.G, rel=8 * sys.float_info.epsilon, abs=0)
+        assert scaled.log_K_e - ref.log_K_e == pytest.approx(
+            2.0 * math.log(Z), rel=0, abs=1e-14 * max(1.0, ref.G)
+        )
+
+
 @pytest.mark.parametrize("Z, I, fields", [
     # x = (2I/B) eta_in is some 2700: P_jwkb = x e^-x underflows
     (1.0, 1e8, np.geomspace(1e9, 1e12, 5)),

@@ -227,3 +227,15 @@ def test_gaussian_rejects_other_dimensions():
         convert(Quantity(1.0, ENERGY), UnitSystem.GAUSSIAN)
     with pytest.raises(errors.UnsupportedGaussianDimension):
         to_canonical(1.0, LENGTH, UnitSystem.GAUSSIAN)
+
+
+@pytest.mark.parametrize("dim, value", [(CHARGE, REGISTRY.e.value), (FIELD, 25.0)])
+def test_from_canonical_round_trips_gaussian(dim, value):
+    viewed = from_canonical(value, dim, UnitSystem.GAUSSIAN)
+    assert viewed == convert(Quantity(value, dim), UnitSystem.GAUSSIAN).value
+    assert to_canonical(viewed, dim, UnitSystem.GAUSSIAN).value == pytest.approx(value, rel=1e-14)
+
+
+def test_from_canonical_refuses_other_gaussian_dimensions():
+    with pytest.raises(errors.UnsupportedGaussianDimension):
+        from_canonical(1.0, ENERGY, UnitSystem.GAUSSIAN)
