@@ -40,8 +40,10 @@ One solver core serves one field and an array of fields: each step is
 written once over the arithmetic of its input, :mod:`math` for a float
 and numpy for an array, each entry of which stops as it would alone.
 :func:`rate_jwkb` runs it on one field, names the reason for any failure
-and alone has the composite rule; :func:`rate_jwkb_array` runs it on
-blocks of fields and hands the few it cannot settle to :func:`rate_jwkb`.
+and alone has the composite rule, with :func:`_jwkb_log_rate`, which
+computes ln K_e alone and its slope on ln F from the quadrature's nodes,
+for the inverse solver; :func:`rate_jwkb_array` runs it on blocks of
+fields and hands the few it cannot settle to :func:`rate_jwkb`.
 A block can hold several barrier shapes at once, as lanes (field x shape)
 whose coefficients are arrays; only the quadrature's matrix product runs
 shape by shape, so that each lane gets the bits a block of its own shape
@@ -74,6 +76,7 @@ from .hydrogenic import HydrogenicAtom
 from .rates import (
     REGIME_DEEP,
     REGIME_EXTRAPOLATED,
+    _check_positive,
     guard_field,
     suppression_field_naive,
 )
@@ -237,16 +240,21 @@ def _peak(k):
     return _polish(_slope_and_curvature, k, ns.where(transformed, s * x, s), transformed)
 
 
-def motive_peak(model: MotiveModel) -> tuple[float, float]:
-    """Location and value of the single barrier maximum."""
-    k = model._coeffs
+def _motive_peak(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
+    """:func:`motive_peak` of the barrier with coefficients k, the shape
+    `variant` of `atom` at the field F."""
     if not k[1] > 0.0:
         raise BracketingFailure("field too small to resolve: e F underflows")
     try:
         peak = _peak(k)
         return peak, _motive(k, peak)
     except (ArithmeticError, ValueError) as exc:
-        raise _no_barrier(model.variant, model.atom, model.F, exc) from exc
+        raise _no_barrier(variant, atom, F, exc) from exc
+
+
+def motive_peak(model: MotiveModel) -> tuple[float, float]:
+    """Location and value of the single barrier maximum."""
+    return _motive_peak(model._coeffs, model.variant, model.atom, model.F)
 
 
 def _no_barrier(
@@ -325,6 +333,29 @@ def _zero_estimates(k):
     return c_in, c_out
 
 
+def _turning_points(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
+    """:func:`turning_points` of the barrier with coefficients k, the
+    shape `variant` of `atom` at the field F."""
+    peak, peak_value = _motive_peak(k, variant, atom, F)
+    if peak_value <= _SUPPRESSED * k[0]:
+        raise _no_barrier(variant, atom, F)
+    try:
+        c_in, c_out = _zero_estimates(k)
+        c_in, c_out = _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
+    except (ArithmeticError, ValueError) as exc:
+        raise _no_barrier(variant, atom, F, exc) from exc
+    if not c_out < math.inf:
+        raise BracketingFailure(
+            f"the outer motive zero at F={F:.6g} V/nm lies beyond the float range"
+        )
+    if not 0.0 < c_in < peak < c_out:
+        raise BracketingFailure(
+            f"could not resolve the motive zeros around peak {peak:.6g} nm "
+            f"(got {c_in:.6g}, {c_out:.6g})"
+        )
+    return c_in, c_out
+
+
 def turning_points(model: MotiveModel) -> tuple[float, float]:
     """Both zeros of the motive energy, to ~machine relative precision.
 
@@ -333,25 +364,7 @@ def turning_points(model: MotiveModel) -> tuple[float, float]:
     Each zero is closed form (:func:`_zero_estimates`), polished by Newton
     steps on M.
     """
-    peak, peak_value = motive_peak(model)
-    k = model._coeffs
-    if peak_value <= _SUPPRESSED * k[0]:
-        raise _no_barrier(model.variant, model.atom, model.F)
-    try:
-        c_in, c_out = _zero_estimates(k)
-        c_in, c_out = _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
-    except (ArithmeticError, ValueError) as exc:
-        raise _no_barrier(model.variant, model.atom, model.F, exc) from exc
-    if not c_out < math.inf:
-        raise BracketingFailure(
-            f"the outer motive zero at F={model.F:.6g} V/nm lies beyond the float range"
-        )
-    if not 0.0 < c_in < peak < c_out:
-        raise BracketingFailure(
-            f"could not resolve the motive zeros around peak {peak:.6g} nm "
-            f"(got {c_in:.6g}, {c_out:.6g})"
-        )
-    return c_in, c_out
+    return _turning_points(model._coeffs, model.variant, model.atom, model.F)
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,8 +398,10 @@ def _strength_fits(k):
 
 def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES):
     """G between the turning points by the coarser and the finer of two
-    sine-mapped rules, stacked along the first axis.  Over an array of
-    fields, A1, c_in and c_out are columns: a row of nodes per field."""
+    sine-mapped rules, stacked along the first axis, and the nodes: half
+    the log-span of c, c and the integrand c M^(1/2) at every node, and
+    the rules' weights.  Over an array of fields, A1, c_in and c_out are
+    columns: a row of nodes per field."""
     # log c = log c_in + half (1 + sin t), so dc = c half cos t dt
     half = 0.5 * _arithmetic(c_in).log1p((c_out - c_in) / c_in)
     rise, weights = _sine_mapped_rules(rules)
@@ -395,7 +410,8 @@ def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES):
     # c M^(1/2), in place; rounding can push M a hair below zero at the ends
     M = _motive(k, c)
     integrand = np.multiply(np.sqrt(np.maximum(M, 0.0, out=M), out=M), c, out=M)
-    return (2.0 * REGISTRY.sigma.value * half * (integrand @ weights.T)).T
+    G = (2.0 * REGISTRY.sigma.value * half * (integrand @ weights.T)).T
+    return G, (half, c, integrand, weights)
 
 
 def _converged(G_coarse, G):
@@ -405,27 +421,31 @@ def _converged(G_coarse, G):
     return (err <= _TOL_ABS) | (err <= _TOL_REL * abs(G))
 
 
-def _strength_between(model: MotiveModel, c_in: float, c_out: float) -> float:
-    k = model._coeffs
+def _strength_between(k, F: float, c_in: float, c_out: float):
+    """G of the barrier with coefficients k at the field F, by the 32/64-
+    node pair or, where they disagree, the composite rule; and the nodes
+    of the rule that settled it (as :func:`_strength_pair` gives them)."""
     # G, or the quadrature's nodes c and 1/c, past the float range
     if not (_strength_fits(k) and c_out / c_in < math.inf and 1.0 / c_in < math.inf):
         raise BracketingFailure(
-            f"barrier strength at F={model.F:.6g} V/nm exceeds the float range"
+            f"barrier strength at F={F:.6g} V/nm exceeds the float range"
         )
-    G_coarse, G = _strength_pair(k, c_in, c_out).tolist()
+    pair, nodes = _strength_pair(k, c_in, c_out)
+    G_coarse, G = pair.tolist()
     if not _converged(G_coarse, G):
         # once log c spans some 45 units (fields below about 1e-19 of
         # suppression) 32 nodes fall short, so split t into panels as the
         # span grows, and check against twice as many
         panels = math.ceil(0.5 * math.log1p((c_out - c_in) / c_in) / _LOG_SPAN_PER_PANEL)
         rules = ((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels))
-        G_coarse, G = _strength_pair(k, c_in, c_out, rules).tolist()
+        pair, nodes = _strength_pair(k, c_in, c_out, rules)
+        G_coarse, G = pair.tolist()
     if not _converged(G_coarse, G):
         raise QuadratureNonConvergence(
             f"barrier-strength quadrature error {abs(G - G_coarse):.3e} "
             f"exceeds tolerance (G={G:.6g})"
         )
-    return G
+    return G, nodes
 
 
 def barrier_strength(model: MotiveModel) -> float:
@@ -433,7 +453,7 @@ def barrier_strength(model: MotiveModel) -> float:
     turning points (dimensionless).  Parametrization-invariant: the eta
     and z forms agree."""
     c_in, c_out = turning_points(model)
-    return _strength_between(model, c_in, c_out)
+    return _strength_between(model._coeffs, model.F, c_in, c_out)[0]
 
 
 @dataclass(frozen=True)
@@ -486,20 +506,26 @@ def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
     array of fields)."""
     ns = _arithmetic(c_in)
     unit = eta_scale == 0.0
-    prefactor = not ns.all(unit)  # some field carries x e^-x
     P_jwkb = P_eff = 1.0
-    if prefactor:
+    x = None
+    if not ns.all(unit):  # some field carries x e^-x
         x = 2.0 * atom.I / atom.B * (eta_scale * c_in)
         P_jwkb = x * ns.exp(-x)
         P_eff = 2.0 * math.pi * P_jwkb
         if ns.any(unit):
             P_jwkb, P_eff = ns.where(unit, 1.0, P_jwkb), ns.where(unit, 1.0, P_eff)
     D_eff = P_eff * ns.exp(-G)
-    log_P = ns.log(atom.nu_Z * P_eff)
-    if prefactor and ns.any(P_eff == 0.0):  # x e^-x underflows past x ~ 745
-        log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * atom.nu_Z) + ns.log(x) - x)
-    log_K_e = log_P - G
+    log_K_e = _log_pre_exponential(ns, atom.nu_Z, P_eff, x) - G
     return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_K_e
+
+
+def _log_pre_exponential(ns, nu_Z: float, P_eff, x):
+    """ln(nu_Z P_eff), in the arithmetic ns; from x where P_eff =
+    2 pi x e^-x underflows (past x ~ 745; x is None where P_eff is 1)."""
+    log_P = ns.log(nu_Z * P_eff)
+    if x is not None and ns.any(P_eff == 0.0):
+        log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * nu_Z) + ns.log(x) - x)
+    return log_P
 
 
 def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierSolution:
@@ -519,12 +545,67 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
     K_e = nu_Z * exp(-G) is used instead (tunnelling pre-factor 1).
     """
     c_in, c_out = turning_points(model)
-    G = _strength_between(model, c_in, c_out)
+    G, _ = _strength_between(model._coeffs, model.F, c_in, c_out)
     eta_scale = 0.0 if simple_prefactor else _ETA_SCALE[model.variant]
     values = _assemble(model.atom, c_in, c_out, G, eta_scale)
     regime = REGIME_DEEP if model.F < guard_field(model.atom) else REGIME_EXTRAPOLATED
     method = model.variant.value + ("-simple" if simple_prefactor else "")
     return BarrierSolution(method, *values, regime=regime)
+
+
+def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
+    """F [V/nm] -> ln K_e of the atom's barrier of the given shape, bit for
+    bit ``rate_jwkb(MotiveModel(variant, atom, F)).log_K_e`` (and the same
+    refusals), with the per-atom numbers of the pre-factor computed once:
+    the evaluation inside an inversion.  Its ``slope()`` gives d ln K_e / d ln F at the
+    field of the last evaluation, from the nodes of the rule that settled
+    G there:
+
+        sigma A1 * integral of c/M^(1/2) dc  +  (1 - x) A1/M'(c_in),
+
+    the first the fall of G (dA1/d ln F = A1; the ends, where M = 0, add
+    nothing), the second the change of ln(x e^-x) (dc_in/dA1 =
+    c_in/M'(c_in)).
+    """
+    eta_scale = _ETA_SCALE[variant]
+    x_per_eta = 2.0 * atom.I / atom.B
+    log_unit = _log_pre_exponential(_SCALAR, atom.nu_Z, 1.0, None)  # P_eff = 1
+    last = None  # what slope() needs of the last evaluation
+
+    def log_rate(F) -> float:
+        nonlocal last
+        last = None  # a refused field leaves no slope behind
+        F = float(F)
+        _check_positive(F)
+        k = _coefficients(variant, atom, F)
+        c_in, c_out = _turning_points(k, variant, atom, F)
+        G, nodes = _strength_between(k, F, c_in, c_out)
+        x = None
+        if eta_scale:
+            x = x_per_eta * (eta_scale * c_in)
+            P_eff = 2.0 * math.pi * (x * math.exp(-x))
+            log_K = _log_pre_exponential(_SCALAR, atom.nu_Z, P_eff, x) - G
+        else:
+            log_K = log_unit - G
+        last = k, c_in, x, nodes
+        return log_K
+
+    def slope() -> float:
+        """d ln K_e / d ln F at the field of the last evaluation."""
+        k, c_in, x, (half, c, integrand, weights) = last
+        A1 = k[1]
+        # 1/M^(1/2) = c/(c M^(1/2)), taken as 0 where M rounds to zero
+        # (at nodes within rounding of a turning point); times the finer
+        # rule's weights (zero at the coarser rule's nodes) before c, as
+        # they vanish at the ends, where 1/M^(1/2) grows
+        inv_root = np.divide(c, integrand, out=np.zeros(c.shape), where=integrand > 0.0)
+        d_log_K = REGISTRY.sigma.value * half * float((A1 * c) @ (c * (inv_root * weights[-1])))
+        if x is not None:
+            d_log_K += (1.0 - x) * A1 / _motive_and_slope(k, c_in)[1]
+        return d_log_K
+
+    log_rate.slope = slope
+    return log_rate
 
 
 def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
@@ -559,7 +640,7 @@ def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
     # pass: BLAS orders a row's sum by the number of rows beside it
     bounds = index.searchsorted([j * F.size for j in range(len(variants) + 1)]).tolist()
     G_coarse, G = np.concatenate([
-        _strength_pair((A0, k[1][lo:hi, None], A2, A3), c_in[lo:hi, None], c_out[lo:hi, None])
+        _strength_pair((A0, k[1][lo:hi, None], A2, A3), c_in[lo:hi, None], c_out[lo:hi, None])[0]
         for (A0, _, A2, A3), lo, hi in zip(coeffs, bounds, bounds[1:])
     ], axis=1)
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)

@@ -3,11 +3,17 @@
 Rates span tens of orders of magnitude over the valid field range, so the
 solve runs on ln K_e as a function of ln F, where the problem is smooth
 and well conditioned: bisection narrows the bracket, Newton polishes.
-The root is unique where K_e rises over the bracket.  That holds below the
-deep-tunnelling guard unless the ionization energy is far above Z^2 I_H:
-the closed form then peaks below the guard, and its default bracket ends
-at that peak; the JWKB rates peak below the guard once I passes about
-48 Z^2 I_H, where their default bracket can miss an attainable target.
+Newton's slope d ln K_e / d ln F comes with each JWKB evaluation, from
+the nodes of its barrier-strength quadrature, so a Newton step costs one
+barrier solve; for the closed form it is a central difference.
+
+The root is unique where K_e rises over the bracket.  That holds below
+the deep-tunnelling guard unless the ionization energy is far above
+Z^2 I_H: the closed form then peaks below the guard, and its default
+bracket ends at that peak; the JWKB rates peak below the guard once I
+passes about 48 Z^2 I_H, and their default bracket ends below the
+suppression field and, for a target above the rate there, at the rate's
+maximum, located from the same slope.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .barrier import MotiveModel, MotiveVariant, rate_jwkb
+from .barrier import MotiveVariant, _jwkb_log_rate, suppression_field
 from .errors import NonMonotoneBracket, NumericError, TargetUnattainable
 from .hydrogenic import HydrogenicAtom
 from .rates import _ll_log_rate, guard_field
@@ -26,6 +32,12 @@ from .units import REGISTRY
 _RESIDUAL_TOL = 1e-13  # |ln K - ln target| at convergence, where resolvable
 _EPS = sys.float_info.epsilon
 _MAX_ITER = 300
+# the default JWKB bracket ends this far below the suppression field, and
+# its maximum is located to this width on ln F (ln K then lies within
+# rounding of its maximum)
+_BELOW_SUPPRESSION = 1.0 - 1e-6
+_PEAK_WIDTH = 1e-9
+_VARIANTS = {variant.value: variant for variant in MotiveVariant}
 
 
 @dataclass(frozen=True)
@@ -38,11 +50,31 @@ class InversionResult:
 def _log_rate_fn(atom: HydrogenicAtom, method: str) -> Callable[[float], float]:
     if method == "ll":
         return _ll_log_rate(atom)
-    try:
-        variant = MotiveVariant(method)
-    except ValueError:
-        raise ValueError(f"unknown inversion method {method!r}") from None
-    return lambda F: rate_jwkb(MotiveModel(variant, atom, F)).log_K_e
+    if method not in _VARIANTS:
+        raise ValueError(f"unknown inversion method {method!r}")
+    return _jwkb_log_rate(atom, _VARIANTS[method])
+
+
+def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, budget: int):
+    """The maximum of ln K between u_lo and u_hi (ln F), where ln K rises
+    at u_lo and the JWKB evaluator's slope at u_hi is not positive, by
+    bisection on the slope's sign until the bracket is _PEAK_WIDTH wide
+    or `budget` evaluations are spent.  Returns the end of the bracket
+    with the larger ln K, its ln K - ln target (g_hi at u_hi), and the
+    evaluations spent."""
+    g_lo = None
+    evaluations = 0
+    while u_hi - u_lo > _PEAK_WIDTH and evaluations < budget:
+        u = 0.5 * (u_lo + u_hi)
+        g = log_rate(math.exp(u)) - log_t
+        evaluations += 1
+        if log_rate.slope() > 0.0:
+            u_lo, g_lo = u, g
+        else:
+            u_hi, g_hi = u, g
+    if g_lo is not None and g_lo > g_hi:
+        return u_lo, g_lo, evaluations
+    return u_hi, g_hi, evaluations
 
 
 def invert_rate(
@@ -61,10 +93,18 @@ def invert_rate(
     method : 'll' (default) or one of the jwkb-* barrier methods.
     bracket : optional (F_lo, F_hi) in V/nm; defaults to
         (1e-6, guard field), for 'll' ended at the closed form's maximum
-        where that lies below the guard.
+        where that lies below the guard, and for the JWKB methods ended
+        just below the suppression field and, for a target above the rate
+        there, at the rate's maximum, where either lies below the guard.
+        A given bracket over which the rate falls raises
+        NonMonotoneBracket.
 
-    Converges to |K_e(F) - target|/target < 1e-10 (typically much
-    tighter).
+    Bisection on ln F narrows the bracket to 1e-2, then Newton steps on
+    ln F polish, each falling back to bisection where it would leave the
+    bracket.  JWKB evaluations give the slope analytically (one solve per
+    step); for 'll' it is a central difference (three evaluations per
+    step).  Converges to |K_e(F) - target|/target < 1e-10 (typically much
+    tighter); ``iterations`` counts the rate evaluations.
     """
     if not (target > 0.0) or not math.isfinite(target):
         raise TargetUnattainable(f"target rate must be positive and finite, got {target}")
@@ -78,15 +118,29 @@ def invert_rate(
             peak = REGISTRY.b.value * atom.I**1.5
             if f_lo < peak < f_hi:
                 f_hi = peak
+        elif method in _VARIANTS:
+            # suppressed below the guard once I passes 110 Z^2 I_H
+            f_hi = min(f_hi, _BELOW_SUPPRESSION * suppression_field(atom, _VARIANTS[method]))
     if not (0.0 < f_lo < f_hi):
         raise TargetUnattainable(f"invalid bracket ({f_lo}, {f_hi})")
 
     log_rate = _log_rate_fn(atom, method)
+    # d ln K/d ln F at the field evaluated last, from the JWKB evaluators
+    analytic_slope = None if method == "ll" else log_rate.slope
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
-    g_lo = log_rate(f_lo) - log_t
     g_hi = log_rate(f_hi) - log_t
     evaluations = 2
+    # a target above the rate at the end of the default bracket may still
+    # lie below the JWKB rate's maximum inside it: end the bracket there.
+    # (Below the rate at f_hi, the root below the maximum is the only one:
+    # past the maximum the rate falls to no less than at f_hi.)
+    if g_hi < 0.0 and bracket is None and analytic_slope is not None and analytic_slope() <= 0.0:
+        u_hi, g_hi, spent = _rate_peak(log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations)
+        evaluations += spent
+        f_hi = math.exp(u_hi)
+    # last, so that Newton's first slope is at f_lo if no bisection step runs
+    g_lo = log_rate(f_lo) - log_t
 
     if g_lo > g_hi:
         raise NonMonotoneBracket(
@@ -110,13 +164,17 @@ def invert_rate(
         else:
             u_lo = u
 
-    # Newton on u = ln F with d(ln K)/d(ln F) by central difference,
-    # falling back to bisection whenever a step leaves the bracket
+    # Newton on u = ln F, the field evaluated last, with d(ln K)/d(ln F)
+    # the JWKB evaluator's or, for 'll', a central difference; falling
+    # back to bisection whenever a step leaves the bracket
     du = 1e-6
     tol = _RESIDUAL_TOL
     while abs(g) > tol and evaluations < _MAX_ITER:
-        slope = (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
-        evaluations += 2
+        if analytic_slope is not None:
+            slope = analytic_slope()
+        else:
+            slope = (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
+            evaluations += 2
         # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
         # of u and F, so deep in the barrier it cannot resolve 1e-13
         tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))

@@ -15,6 +15,9 @@ from esfi import errors
 from esfi.barrier import (
     MotiveModel,
     MotiveVariant,
+    _converged,
+    _jwkb_log_rate,
+    _strength_pair,
     attempt_frequency_rate,
     barrier_strength,
     motive,
@@ -366,3 +369,65 @@ def test_numpy_scalar_field_gives_the_float_result(variant):
     model = MotiveModel(variant, atom, np.float64(12.0))
     assert type(model.F) is float
     assert rate_jwkb(model).G == rate_jwkb(MotiveModel(variant, atom, 12.0)).G
+
+
+def _log_rate_or_refusal(call):
+    try:
+        return call()
+    except errors.EsfiError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("Z", [1e-4, 0.5, 1.0, 2.5, 30.0])
+@pytest.mark.parametrize("I", [None, 0.1, 30.0, 3000.0])
+def test_jwkb_evaluator_is_rate_jwkb_bit_for_bit(Z, I):
+    # from fields whose G leaves the float range, through the composite
+    # rule's and the 32/64-node pair's, to past suppression
+    atom = make_atom(Z, I)
+    for variant in MotiveVariant:
+        log_rate = _jwkb_log_rate(atom, variant)
+        f_bs = suppression_field(atom, variant)
+        fields = [5e-324, 1e-310, 1e-300, 1e-200, 1e-50, 1e-6, 1.0, 1e3, 1e6,
+                  *(f_bs * np.geomspace(1e-25, 1.0, 30)),
+                  f_bs * (1 - 1e-9), f_bs * (1 + 1e-9), 2.0 * f_bs, guard_field(atom),
+                  np.float64(0.5 * f_bs), 0.0, -1.0, math.nan, math.inf]
+        for F in fields:
+            expected = _log_rate_or_refusal(lambda: rate_jwkb(MotiveModel(variant, atom, F)).log_K_e)
+            assert _log_rate_or_refusal(lambda: log_rate(F)) == expected, (variant, F)
+
+
+def _central_slope(log_rate, F, du=1e-5):
+    u = math.log(F)
+    return (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
+@pytest.mark.parametrize("atom", [make_atom(1), make_atom(0.5), make_atom(2.5, 40.0)],
+                         ids=["H", "Z0.5", "Z2.5-I40"])
+def test_jwkb_slope_matches_a_central_difference(atom, variant):
+    # fields below about 1e-19 of suppression take the composite rule
+    f_bs = suppression_field(atom, variant)
+    log_rate = _jwkb_log_rate(atom, variant)
+    composite = []
+    for f in (1e-30, 1e-22, 1e-15, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9):
+        model = MotiveModel(variant, atom, f * f_bs)
+        pair, _ = _strength_pair(model._coeffs, *turning_points(model))
+        composite.append(not _converged(*pair.tolist()))
+        log_rate(model.F)
+        assert log_rate.slope() == pytest.approx(_central_slope(log_rate, model.F), rel=1e-8)
+    assert composite == [True, True] + [False] * 7
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("F", [1e-30, 1e-100, 1e-150, 1e-300, 3e-306])
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
+def test_jwkb_slope_at_vanishing_field_is_the_leading_term(variant, F):
+    # ln K ~ -b I^(3/2)/F, so its slope on ln F is b I^(3/2)/F, up to
+    # 1.1e308; the composite rule that settles G to 1e-12 gets the slope's
+    # integral to a few 1e-10
+    atom = make_atom(1)
+    log_rate = _jwkb_log_rate(atom, variant)
+    log_rate(F)
+    assert log_rate.slope() == pytest.approx(REGISTRY.b.value * atom.I**1.5 / F, rel=1e-9)

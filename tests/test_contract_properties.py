@@ -11,12 +11,13 @@ import mpmath
 import numpy as np
 import pytest
 from helpers import naive_strength_forbes_deane
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esfi.barrier import (
     MotiveModel,
     MotiveVariant,
+    _jwkb_log_rate,
     barrier_strength,
     motive_peak,
     rate_jwkb,
@@ -25,7 +26,6 @@ from esfi.barrier import (
     turning_points,
 )
 from esfi.errors import (
-    BarrierSuppressed,
     EsfiError,
     ShallowBarrierWarning,
     TargetUnattainable,
@@ -231,6 +231,13 @@ def _jwkb_peaks_below_guard(atom):
     return atom.I > 45.0 * atom.Z**2 * REGISTRY.I_H.value
 
 
+def _jwkb_slope(atom, F):
+    """d ln K / d ln F of the transformed-parabolic JWKB rate at F."""
+    log_rate = _jwkb_log_rate(atom, MotiveVariant.TRANSFORMED_PARABOLIC)
+    log_rate(F)
+    return log_rate.slope()
+
+
 def _stopping_tolerance(rate, atom, F):
     """The slope d ln K / d ln F at F by the inverter's central difference,
     and the inverter's float-resolution stopping rule on |ln K - ln target|
@@ -276,20 +283,24 @@ def test_ll_inversion_of_the_rate_is_the_identity(case):
 
 @settings(CONTRACT, max_examples=12)
 @given(atom_and_deep_fields(1))
+# past the maximum (near 7.7e4 and 1.2e5 V/nm), below the guard
+@example((make_atom(1, 1086.0), [9e4]))
+@example((make_atom(1, 1498.0), [1.5e5]))
 def test_jwkb_inversion_of_the_rate_is_the_identity(case):
     atom, (F,) = case
     rate = _jwkb(MotiveVariant.TRANSFORMED_PARABOLIC)
     if _finite_or_refused(lambda: rate(atom, F)) is None:
         return  # no barrier at F: no rate to invert
-    if not _jwkb_peaks_below_guard(atom):
+    if not _jwkb_peaks_below_guard(atom) or _jwkb_slope(atom, F) > 0.0:
         _check_round_trip(rate, "jwkb-parabolic", atom, F)
         return
-    # the default bracket ends past the rate's maximum, or past the
-    # suppression field: the identity or one of these refusals
-    try:
-        _check_round_trip(rate, "jwkb-parabolic", atom, F)
-    except (TargetUnattainable, BarrierSuppressed):
-        pass
+    # past the JWKB rate's maximum the rate falls: the inverter answers
+    # with the field below the maximum that gives the same rate
+    target = rate(atom, F).K_e
+    answer = invert_rate(target, atom, method="jwkb-parabolic")
+    _, tol = _stopping_tolerance(rate, atom, answer.F)
+    assert answer.F < F and _jwkb_slope(atom, answer.F) > 0.0
+    assert abs(rate(atom, answer.F).log_K_e - math.log(target)) <= tol
 
 
 @CONTRACT

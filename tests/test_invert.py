@@ -175,3 +175,65 @@ def test_ll_inversion_matches_the_rate_ll_evaluations(monkeypatch):
     assert [_outcome(*case) for case in cases] == now
     solved = sum(isinstance(result, invert.InversionResult) for result in now)
     assert 100 < solved < 200  # both results and refusals are compared
+
+
+# (target, Z, I, bracket) -> (F, iterations, residual) of 'll' inversions,
+# pinned: its Newton keeps the central difference at the same points
+_LL_GOLDEN = [
+    (1e-300, 1, None, None, 0.46487565871077213, 22, 0.0),
+    (1e-50, 1, None, None, 2.1391307942580546, 22, 1.4210854715202105e-14),
+    (1.0, 1, None, None, 7.820944868810926, 22, 1.7451318168326664e-15),
+    (1e9, 1, None, None, 15.276920949794167, 22, 7.105427357601027e-15),
+    (1e9, 2, None, None, 114.80298748287717, 22, 7.105427357601027e-15),
+    (1e6, 0.5, None, None, 1.5201281064830117, 22, 0.0),
+    (1e3, 2.5, 30.0, None, 29.88258856994929, 22, 0.0),
+    (1e3, 10, None, None, 8265.571304453095, 23, 2.57571741713033e-14),
+    (1e8, 30.0, None, None, 290186.6603360526, 23, 3.552713678800507e-15),
+    (1e-10, 0.3, None, None, 0.14274597128857403, 22, 7.105427357600977e-15),
+    (1e13, 1, 1000.0, None, 12511.736517833397, 20, 1.065814103640156e-14),
+    (1e15, 1, 5000.0, None, 171721.71010873024, 23, 7.105427357601027e-15),
+    (1e9, 1, None, (1.0, 50.0), 15.276920949794167, 20, 7.105427357601027e-15),
+    (1e6, 3, None, (5.0, 300.0), 290.1866603360527, 20, 1.065814103640156e-14),
+]
+
+
+@pytest.mark.parametrize("target, Z, I, bracket, F, iterations, residual", _LL_GOLDEN)
+def test_ll_inversion_results_are_unchanged(target, Z, I, bracket, F, iterations, residual):
+    result = invert_rate(target, make_atom(Z, I), bracket=bracket)
+    assert result == invert.InversionResult(F, iterations, residual)
+
+
+def test_jwkb_inversion_of_hydrogen_takes_one_solve_per_newton_step():
+    # two bracket ends, eleven bisection steps, then Newton steps whose
+    # slope comes with the evaluation
+    atom = make_atom(1)
+    for F in (3.0, 6.0, 12.0):
+        target = rate_jwkb(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, atom, F)).K_e
+        result = invert_rate(target, atom, method="jwkb-parabolic")
+        assert result.F == pytest.approx(F, rel=1e-12)
+        assert result.iterations <= 17
+    assert invert_rate(1e8, atom, method="jwkb-parabolic").iterations <= 17
+
+
+def _jwkb_log_rate_at(atom, F):
+    return rate_jwkb(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, atom, F)).log_K_e
+
+
+@pytest.mark.parametrize("I, target", [(1086.0, 3.83999e13), (1498.0, 1.4e11)])
+def test_jwkb_default_bracket_answers_below_the_rate_maximum(I, target):
+    # at 1086 eV the rate peaks below the guard; at 1498 eV the barrier is
+    # also suppressed below it
+    atom = make_atom(1, I)
+    result = invert_rate(target, atom, method="jwkb-parabolic")
+    assert result.residual < 1e-10
+    assert _jwkb_log_rate_at(atom, result.F) == pytest.approx(math.log(target), abs=1e-12)
+    # the answer lies below the maximum, where the rate still rises
+    up = _jwkb_log_rate_at(atom, result.F * (1 + 1e-6))
+    assert up > _jwkb_log_rate_at(atom, result.F)
+
+
+def test_jwkb_user_bracket_past_the_maximum_is_non_monotone():
+    # the default bracket would end at the maximum, near 7.7e4 V/nm
+    atom = make_atom(1, 1086.0)
+    with pytest.raises(errors.NonMonotoneBracket):
+        invert_rate(1e13, atom, method="jwkb-parabolic", bracket=(8e4, guard_field(atom)))
