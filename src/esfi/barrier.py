@@ -38,12 +38,14 @@ float range raise BracketingFailure before any arithmetic overflows.
 
 One solver core serves one field and an array of fields: each step is
 written once over the arithmetic of its input, :mod:`math` for a float
-and numpy for an array, each entry of which stops as it would alone.
+and numpy for an array, each entry of which stops as it would alone, and
+:func:`_assemble` turns its turning points and G into the rate.
 :func:`rate_jwkb` runs it on one field, names the reason for any failure
 and alone has the composite rule, with :func:`_jwkb_log_rate`, which
-computes ln K_e alone and its slope on ln F from the quadrature's nodes,
-for the inverse solver; :func:`rate_jwkb_array` runs it on blocks of
-fields and hands the few it cannot settle to :func:`rate_jwkb`.
+skips the model objects, keeps only ln K_e and gives its slope on ln F
+from the quadrature's nodes, for the inverse solver;
+:func:`rate_jwkb_array` runs it on blocks of fields and hands the few it
+cannot settle to :func:`rate_jwkb`.
 A block can hold several barrier shapes at once, as lanes (field x shape)
 whose coefficients are arrays; only the quadrature's matrix product runs
 shape by shape, so that each lane gets the bits a block of its own shape
@@ -68,18 +70,12 @@ from .errors import (
     BracketingFailure,
     EsfiError,
     NonPositiveCoordinate,
-    NonPositiveField,
     QuadratureNonConvergence,
     ShallowBarrierWarning,
+    ValidationError,
 )
 from .hydrogenic import HydrogenicAtom
-from .rates import (
-    REGIME_DEEP,
-    REGIME_EXTRAPOLATED,
-    _check_positive,
-    guard_field,
-    suppression_field_naive,
-)
+from .rates import _check_field, _check_positive, suppression_field_naive
 from .units import REGISTRY
 
 _EPS = float(np.finfo(float).eps)
@@ -146,8 +142,7 @@ class MotiveModel:
     def __post_init__(self):
         # a numpy scalar would carry numpy's overflow warnings into the solve
         object.__setattr__(self, "F", float(self.F))
-        if not math.isfinite(self.F) or self.F <= 0:
-            raise NonPositiveField(f"field must be positive, got {self.F}")
+        _check_positive(self.F)
         # not a field: built once for every step of a solve
         object.__setattr__(self, "_coeffs", _coefficients(self.variant, self.atom, self.F))
 
@@ -507,25 +502,17 @@ def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
     ns = _arithmetic(c_in)
     unit = eta_scale == 0.0
     P_jwkb = P_eff = 1.0
-    x = None
     if not ns.all(unit):  # some field carries x e^-x
         x = 2.0 * atom.I / atom.B * (eta_scale * c_in)
         P_jwkb = x * ns.exp(-x)
         P_eff = 2.0 * math.pi * P_jwkb
         if ns.any(unit):
             P_jwkb, P_eff = ns.where(unit, 1.0, P_jwkb), ns.where(unit, 1.0, P_eff)
+    log_P = ns.log(atom.nu_Z * P_eff)
+    if ns.any(P_eff == 0.0):  # ln(nu_Z P_eff) from x where x e^-x underflows (x past ~745)
+        log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * atom.nu_Z) + ns.log(x) - x)
     D_eff = P_eff * ns.exp(-G)
-    log_K_e = _log_pre_exponential(ns, atom.nu_Z, P_eff, x) - G
-    return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_K_e
-
-
-def _log_pre_exponential(ns, nu_Z: float, P_eff, x):
-    """ln(nu_Z P_eff), in the arithmetic ns; from x where P_eff =
-    2 pi x e^-x underflows (past x ~ 745; x is None where P_eff is 1)."""
-    log_P = ns.log(nu_Z * P_eff)
-    if x is not None and ns.any(P_eff == 0.0):
-        log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * nu_Z) + ns.log(x) - x)
-    return log_P
+    return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_P - G
 
 
 def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierSolution:
@@ -548,7 +535,7 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
     G, _ = _strength_between(model._coeffs, model.F, c_in, c_out)
     eta_scale = 0.0 if simple_prefactor else _ETA_SCALE[model.variant]
     values = _assemble(model.atom, c_in, c_out, G, eta_scale)
-    regime = REGIME_DEEP if model.F < guard_field(model.atom) else REGIME_EXTRAPOLATED
+    regime = _check_field(model.atom, model.F, allow_shallow=True)
     method = model.variant.value + ("-simple" if simple_prefactor else "")
     return BarrierSolution(method, *values, regime=regime)
 
@@ -556,10 +543,10 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
 def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
     """F [V/nm] -> ln K_e of the atom's barrier of the given shape, bit for
     bit ``rate_jwkb(MotiveModel(variant, atom, F)).log_K_e`` (and the same
-    refusals), with the per-atom numbers of the pre-factor computed once:
-    the evaluation inside an inversion.  Its ``slope()`` gives d ln K_e / d ln F at the
-    field of the last evaluation, from the nodes of the rule that settled
-    G there:
+    refusals), by the same steps and :func:`_assemble` but without the
+    MotiveModel and BarrierSolution: the evaluation inside an inversion.
+    Its ``slope()`` gives d ln K_e / d ln F at the field of the last
+    evaluation, from the nodes of the rule that settled G there:
 
         sigma A1 * integral of c/M^(1/2) dc  +  (1 - x) A1/M'(c_in),
 
@@ -568,8 +555,6 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
     c_in/M'(c_in)).
     """
     eta_scale = _ETA_SCALE[variant]
-    x_per_eta = 2.0 * atom.I / atom.B
-    log_unit = _log_pre_exponential(_SCALAR, atom.nu_Z, 1.0, None)  # P_eff = 1
     last = None  # what slope() needs of the last evaluation
 
     def log_rate(F) -> float:
@@ -580,19 +565,12 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
         k = _coefficients(variant, atom, F)
         c_in, c_out = _turning_points(k, variant, atom, F)
         G, nodes = _strength_between(k, F, c_in, c_out)
-        x = None
-        if eta_scale:
-            x = x_per_eta * (eta_scale * c_in)
-            P_eff = 2.0 * math.pi * (x * math.exp(-x))
-            log_K = _log_pre_exponential(_SCALAR, atom.nu_Z, P_eff, x) - G
-        else:
-            log_K = log_unit - G
-        last = k, c_in, x, nodes
-        return log_K
+        last = k, c_in, nodes
+        return _assemble(atom, c_in, c_out, G, eta_scale)[-1]
 
     def slope() -> float:
         """d ln K_e / d ln F at the field of the last evaluation."""
-        k, c_in, x, (half, c, integrand, weights) = last
+        k, c_in, (half, c, integrand, weights) = last
         A1 = k[1]
         # 1/M^(1/2) = c/(c M^(1/2)), taken as 0 where M rounds to zero
         # (at nodes within rounding of a turning point); times the finer
@@ -600,7 +578,8 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
         # they vanish at the ends, where 1/M^(1/2) grows
         inv_root = np.divide(c, integrand, out=np.zeros(c.shape), where=integrand > 0.0)
         d_log_K = REGISTRY.sigma.value * half * float((A1 * c) @ (c * (inv_root * weights[-1])))
-        if x is not None:
+        if eta_scale:
+            x = 2.0 * atom.I / atom.B * (eta_scale * c_in)  # as _assemble has it
             d_log_K += (1.0 - x) * A1 / _motive_and_slope(k, c_in)[1]
         return d_log_K
 
@@ -713,8 +692,10 @@ def attempt_frequency_rate(atom: HydrogenicAtom, D: float) -> float:
     supplied escape probability D.
 
     D > 1 is formally possible near barrier suppression and only draws a
-    warning.
+    warning; D negative, infinite or nan is refused (ValidationError).
     """
+    if not 0.0 <= D < math.inf:
+        raise ValidationError(f"escape probability must be finite and non-negative, got {D}")
     if D > 1.0:
         warnings.warn(
             f"escape probability {D:.4g} exceeds 1",

@@ -80,8 +80,10 @@ class QuadratureNonConvergence(NumericError):
 
 
 class NonMonotoneBracket(NumericError):
-    """Rate was not monotone over the inversion bracket (diagnostic; should
-    not occur below the deep-tunnelling guard)."""
+    """Rate was not monotone over the inversion bracket.  The default
+    brackets end below each rate's maximum; a given bracket that reaches
+    past it raises this, which for ionization energies far above Z^2 I_H
+    happens even below the deep-tunnelling guard."""
 
 
 class Eta0OutsideWindow(UserWarning):

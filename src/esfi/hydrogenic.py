@@ -55,7 +55,10 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
         Z^2 * I_H (the Coulomb constant stays Z-based).
 
     The ionization energy, given or Z^2 * I_H, must come out positive
-    and below 1.34e154 eV (ValidationError otherwise).
+    and below 1.34e154 eV (ValidationError otherwise).  A subnormal one,
+    below 2.2e-308 eV (with the default I, Z below about 1e-154), is
+    accepted but keeps only a few significant bits, as do the rates
+    derived from it.
     """
     if not (Z > 0) or not math.isfinite(Z):
         raise NonPositiveZ(f"charge number Z must be positive, got {Z}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .barrier import MotiveVariant, _jwkb_log_rate, suppression_field
-from .errors import NonMonotoneBracket, NumericError, TargetUnattainable
+from .errors import NonMonotoneBracket, NumericError, TargetUnattainable, ValidationError
 from .hydrogenic import HydrogenicAtom
 from .rates import _ll_log_rate, guard_field
 from .units import REGISTRY
@@ -51,7 +51,7 @@ def _log_rate_fn(atom: HydrogenicAtom, method: str) -> Callable[[float], float]:
     if method == "ll":
         return _ll_log_rate(atom)
     if method not in _VARIANTS:
-        raise ValueError(f"unknown inversion method {method!r}")
+        raise ValidationError(f"unknown inversion method {method!r}")
     return _jwkb_log_rate(atom, _VARIANTS[method])
 
 
@@ -153,44 +153,35 @@ def invert_rate(
             f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
         )
 
-    # bisection on ln F until the bracket is small enough for Newton
+    # on u = ln F: bisection until the bracket is 1e-2 wide, then Newton
+    # steps from the field evaluated last, with d(ln K)/d(ln F) the JWKB
+    # evaluator's or, for 'll', a central difference, and the midpoint
+    # wherever a step would leave the bracket
     u, g = u_lo, g_lo
-    while u_hi - u_lo > 1e-2 and evaluations < _MAX_ITER:
-        u = 0.5 * (u_lo + u_hi)
+    du = 1e-6
+    tol = _RESIDUAL_TOL
+    while evaluations < _MAX_ITER:
+        u_next = 0.5 * (u_lo + u_hi)
+        if u_hi - u_lo <= 1e-2:
+            if abs(g) <= tol:
+                break
+            if analytic_slope is not None:
+                slope = analytic_slope()
+            else:
+                slope = (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
+                evaluations += 2
+            # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
+            # of u and F, so deep in the barrier it cannot resolve 1e-13
+            tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))
+            if slope > 0.0 and u_lo <= u - g / slope <= u_hi:
+                u_next = u - g / slope
+        u = u_next
         g = log_rate(math.exp(u)) - log_t
         evaluations += 1
         if g > 0.0:
             u_hi = u
         else:
             u_lo = u
-
-    # Newton on u = ln F, the field evaluated last, with d(ln K)/d(ln F)
-    # the JWKB evaluator's or, for 'll', a central difference; falling
-    # back to bisection whenever a step leaves the bracket
-    du = 1e-6
-    tol = _RESIDUAL_TOL
-    while abs(g) > tol and evaluations < _MAX_ITER:
-        if analytic_slope is not None:
-            slope = analytic_slope()
-        else:
-            slope = (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
-            evaluations += 2
-        # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
-        # of u and F, so deep in the barrier it cannot resolve 1e-13
-        tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))
-        step_ok = slope > 0.0
-        if step_ok:
-            u_next = u - g / slope
-            step_ok = u_lo <= u_next <= u_hi
-        if not step_ok:
-            u_next = 0.5 * (u_lo + u_hi)
-        u = u_next
-        g = log_rate(math.exp(u)) - log_t
-        evaluations += 1
-        if g > 0.0:
-            u_hi = min(u_hi, u)
-        else:
-            u_lo = max(u_lo, u)
 
     if abs(g) > tol:
         raise NumericError(

@@ -38,7 +38,15 @@ import numpy as np
 
 from .errors import Eta0OutsideWindow, NonPositiveField, ShallowTunnellingRegime
 from .hydrogenic import HydrogenicAtom, make_atom
-from .units import EXTENDED, FIELD, REGISTRY, UnitSystem, to_canonical
+from .units import (
+    EXTENDED,
+    FIELD,
+    FREQUENCY,
+    REGISTRY,
+    UnitSystem,
+    _unsupported_gaussian,
+    to_canonical,
+)
 
 REGIME_DEEP = "deep"
 REGIME_EXTRAPOLATED = "extrapolated"
@@ -281,6 +289,8 @@ def rate_z_form(
     atom = make_atom(Z)
     F_canonical = to_canonical(float(F), FIELD, unit_system).value
     regime = _check_field(atom, F_canonical, allow_shallow)
+    if unit_system not in EXTENDED:  # Gaussian: a rate has no Gaussian view
+        raise _unsupported_gaussian(FREQUENCY)
 
     x = EXTENDED[unit_system]
     Zl = np.longdouble(Z)

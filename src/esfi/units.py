@@ -95,6 +95,8 @@ class Dimension:
         """Human-readable unit string, e.g. 'eV^-3/2 V nm^-1'."""
         if system is UnitSystem.GAUSSIAN:
             # the Gaussian counterpart's own dimension, in eV and nm
+            if self not in _GAUSSIAN_DIMENSION:
+                raise _unsupported_gaussian(self)
             return _GAUSSIAN_DIMENSION[self].label()
         if system is UnitSystem.AU:
             return "" if self.is_dimensionless else "a.u."
@@ -323,6 +325,15 @@ def build_registry() -> ConstantsRegistry:
 REGISTRY = build_registry()
 
 
+def _unsupported_gaussian(dim: Dimension) -> UnsupportedGaussianDimension:
+    """The error for a Gaussian-system view of any dimension other than
+    charge and field."""
+    return UnsupportedGaussianDimension(
+        "gaussian conversion is defined only for charge and field "
+        f"dimensions, not {dim}"
+    )
+
+
 def _scale_factor(dim: Dimension, system: UnitSystem) -> float:
     """Canonical value of one target-system unit of the given dimension."""
     if system is UnitSystem.EVNM:
@@ -339,10 +350,7 @@ def _scale_factor(dim: Dimension, system: UnitSystem) -> float:
             return root
         if dim == FIELD:
             return 1.0 / root
-        raise UnsupportedGaussianDimension(
-            "gaussian conversion is defined only for charge and field "
-            f"dimensions, not {dim}"
-        )
+        raise _unsupported_gaussian(dim)
     factor = 1.0
     for unit, exp in zip(base, dim.exponents()):
         factor *= unit ** float(exp)

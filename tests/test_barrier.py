@@ -280,6 +280,12 @@ def test_attempt_frequency_rate_cases():
         attempt_frequency_rate(atom, 1.5)
 
 
+@pytest.mark.parametrize("D", [-1e-300, -1.0, math.inf, -math.inf, math.nan])
+def test_attempt_frequency_rate_refuses_invalid_probabilities(D):
+    with pytest.raises(errors.ValidationError, match="escape probability"):
+        attempt_frequency_rate(make_atom(1), D)
+
+
 def test_regime_labels():
     atom = make_atom(1)
     deep = rate_jwkb(MotiveModel(PARABOLIC, atom, 0.5 * guard_field(atom)))

@@ -87,6 +87,11 @@ def test_unknown_method():
         invert_rate(1e9, make_atom(1), method="nope")
 
 
+def test_unknown_method_is_a_validation_error():
+    with pytest.raises(errors.ValidationError, match="unknown inversion method 'nope'"):
+        invert_rate(1e9, make_atom(1), method="nope")
+
+
 def test_jwkb_default_bracket_for_higher_charge():
     # the default bracket starts at 1e-6 V/nm, where G is about 1.5e10
     atom = make_atom(3.5)
@@ -237,3 +242,39 @@ def test_jwkb_user_bracket_past_the_maximum_is_non_monotone():
     atom = make_atom(1, 1086.0)
     with pytest.raises(errors.NonMonotoneBracket):
         invert_rate(1e13, atom, method="jwkb-parabolic", bracket=(8e4, guard_field(atom)))
+
+
+# (target, Z, I, method, bracket) -> (F, iterations, residual) of JWKB
+# inversions, pinned: every shape, default and given brackets, and the
+# default bracket ending at the rate's maximum (I = 1086 eV)
+_JWKB_GOLDEN = [
+    (1e8, 1, None, "jwkb-parabolic", None, 13.464690817226842, 16, 3.5527136788004946e-15),
+    (1e8, 1, None, "jwkb-cartesian", None, 13.464690817226842, 16, 3.5527136788004946e-15),
+    (1e8, 1, None, "jwkb-naive", None, 11.202502571351644, 16, 3.552713678800507e-15),
+    (1e-30, 1, None, "jwkb-parabolic", None, 2.994585336393802, 16, 0.0),
+    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381657, 16, 3.552713678800507e-15),
+    (1e9, 1, None, "jwkb-parabolic", (1.0, 50.0), 14.870456021456336, 14, 0.0),
+    (1e9, 1, None, "jwkb-naive", (2.0, 20.0), 12.181698367410192, 13, 0.0),
+    (1e6, 2.5, None, "jwkb-parabolic", None, 166.6655349372163, 16, 7.105427357601027e-15),
+    (1e10, 2.5, None, "jwkb-naive", (20.0, 400.0), 193.8088851745512, 14, 0.0),
+    (1e3, 2.5, 30.0, "jwkb-cartesian", None, 26.488248292557927, 16, 7.105427357601027e-15),
+    (1e11, 1, 30.0, "jwkb-parabolic", (1.0, 80.0), 65.95849964740303, 14, 3.5527136788004946e-15),
+    (3.83999e13, 1, 1086.0, "jwkb-parabolic", None, 51190.3093440342, 52, 3.552713678800507e-15),
+]
+
+
+@pytest.mark.parametrize("target, Z, I, method, bracket, F, iterations, residual", _JWKB_GOLDEN)
+def test_jwkb_inversion_results_are_unchanged(
+    target, Z, I, method, bracket, F, iterations, residual
+):
+    result = invert_rate(target, make_atom(Z, I), method=method, bracket=bracket)
+    assert result == invert.InversionResult(F, iterations, residual)
+
+
+def test_jwkb_refused_target_names_the_attainable_range():
+    with pytest.raises(errors.TargetUnattainable) as raised:
+        invert_rate(1e99, make_atom(1), method="jwkb-parabolic")
+    assert str(raised.value) == (
+        "target 1e+99 s^-1 outside attainable range [0, 5.14366e+09] s^-1 "
+        "on bracket (1e-06, 16.0694) V/nm"
+    )

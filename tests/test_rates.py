@@ -37,6 +37,12 @@ def test_atomic_units_hydrogen_value():
     assert r.regime == "extrapolated"
 
 
+def test_z_form_refuses_gaussian_units():
+    # the Gaussian system converts charges and fields, not rates
+    with pytest.raises(errors.UnsupportedGaussianDimension, match="charge and field"):
+        rate_z_form(1, 1e-3, unit_system=UnitSystem.GAUSSIAN)
+
+
 def test_canonical_hydrogen_value_at_25_v_per_nm():
     # frozen from an arbitrary-precision evaluation of the closed form
     r = rate_ll(make_atom(1), 25.0, allow_shallow=True)

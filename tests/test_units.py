@@ -236,6 +236,12 @@ def test_from_canonical_round_trips_gaussian(dim, value):
     assert to_canonical(viewed, dim, UnitSystem.GAUSSIAN).value == pytest.approx(value, rel=1e-14)
 
 
+def test_gaussian_label_refuses_other_dimensions():
+    assert FIELD.label(UnitSystem.GAUSSIAN) == "eV^1/2 nm^-3/2"
+    with pytest.raises(errors.UnsupportedGaussianDimension, match="charge and field"):
+        ENERGY.label(UnitSystem.GAUSSIAN)
+
+
 def test_from_canonical_refuses_other_gaussian_dimensions():
     with pytest.raises(errors.UnsupportedGaussianDimension):
         from_canonical(1.0, ENERGY, UnitSystem.GAUSSIAN)
