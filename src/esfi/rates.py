@@ -19,7 +19,8 @@ pre-exponential, K_e, D_eff, T and ln K_e); :func:`rate_ll` and
 of fields at once, together with the mask of fields below the guard.
 The kernel's field-dependent part is one piece of its own, which field
 inversion evaluates alone, with the atom's factors computed once, for
-ln K_e; its first step, K_e and the exponent, is another, which a field
+ln K_e, dividing each float field straight into those long-double
+factors; its first step, K_e and the exponent, is another, which a field
 sweep evaluates alone over an array of fields, zeroing each K_e that
 underflows a double before it is stored as one, which gives the same
 bits as the cast and skips its slow path.
@@ -130,8 +131,15 @@ _BLOCK = 65536  # fields per block of rate_ll_array
 
 def _coefficients(x, I):
     """The per-atom factors of the closed form, in extended precision, with
-    I (a long double) in the unit system of the constants x: b I^(3/2),
-    C_FI I^(5/2) and pi hbar C_FI I^(3/2)."""
+    I in the unit system of the constants x: b I^(3/2), C_FI I^(5/2) and
+    pi hbar C_FI I^(3/2).
+
+    I may be a float: an operation between a float and a long double
+    converts the float exactly, so the factors, and the quotients of
+    :func:`_field_terms` by a float field, are those of the field and I
+    as long doubles, bit for bit.  That holds only where every operation
+    a float enters has a long-double operand; :func:`_closed_form`'s
+    ``2 * I / B`` has none, so its callers convert I, B and F first."""
     I_3_2 = I**_THREE_HALVES
     return x.b * I_3_2, x.C_FI * I**_FIVE_HALVES, x.pi_hbar_C_FI * I_3_2
 
@@ -165,14 +173,15 @@ def _closed_form(x, I, B, F):
 def _ll_log_rate(atom: HydrogenicAtom) -> Callable[[float], float]:
     """F [V/nm] -> ln K_e of the atom, bit for bit
     ``rate_ll(atom, F, allow_shallow=True).log_K_e``, with the per-atom
-    factors computed once: the evaluation inside an inversion."""
-    exponent_coeff, pre_coeff, _ = _coefficients(
-        EXTENDED[UnitSystem.EVNM], np.longdouble(atom.I)
-    )
+    factors computed once: the evaluation inside an inversion.  I and F
+    go into the long-double arithmetic as they are, without a conversion
+    of their own (see :func:`_coefficients`): building a long double
+    costs about as much as the rest of an evaluation."""
+    exponent_coeff, pre_coeff, _ = _coefficients(EXTENDED[UnitSystem.EVNM], atom.I)
 
     def log_rate(F: float) -> float:
         _check_positive(F)
-        pre, exponent = _field_terms(exponent_coeff, pre_coeff, np.longdouble(F))
+        pre, exponent = _field_terms(exponent_coeff, pre_coeff, F)
         return float(np.log(pre) - exponent)
 
     return log_rate

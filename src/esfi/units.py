@@ -298,7 +298,16 @@ def _derive(num, e, m_e, hbar, eps0) -> dict:
 
 
 def build_registry() -> ConstantsRegistry:
-    """Derive every registry constant from the CODATA-2010 fundamentals."""
+    """Derive every registry constant from the CODATA-2010 fundamentals.
+
+    The derivation runs in float64, so each constant keeps the rounding
+    of its chain of operations: up to 3 ulps from the same derivation in
+    long double rounded once to float64.  C_FI is 3 ulps above it, I_H 2
+    below and pi_hbar_C_FI 2 above.  The values stay as derived: the
+    closed form reads the long doubles of :data:`EXTENDED`, not these,
+    and rounding them once would move the ``constants`` dump, which is
+    pinned byte for byte.
+    """
     e, m_e, hbar, eps0 = (
         Quantity(value, dim)
         for value, dim in zip(_fundamentals(float), (CHARGE, MASS, ACTION, PERMITTIVITY))
@@ -327,10 +336,10 @@ REGISTRY = build_registry()
 
 def _unsupported_gaussian(dim: Dimension) -> UnsupportedGaussianDimension:
     """The error for a Gaussian-system view of any dimension other than
-    charge and field."""
+    charge and field, naming the dimension by its eV-V-nm-s label."""
     return UnsupportedGaussianDimension(
         "gaussian conversion is defined only for charge and field "
-        f"dimensions, not {dim}"
+        f"dimensions, not {dim.label() or 'dimensionless'}"
     )
 
 

@@ -152,6 +152,20 @@ def test_ll_evaluator_is_rate_ll_bit_for_bit(Z, I):
         assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("Z", [1e-4, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0])
+@pytest.mark.parametrize("I", [None, 0.1, 30.0, 3000.0])
+def test_ll_evaluator_takes_numpy_and_int_fields_bit_for_bit(Z, I):
+    atom = make_atom(Z, I)
+    log_rate = _log_rate_fn(atom, "ll")
+    guard = guard_field(atom)
+    fields = _PARITY_FIELDS + [0.5 * guard, np.nextafter(guard, 0.0), guard, 2.0 * guard]
+    numbers = [np.float64(F) for F in fields] + [np.longdouble(F) for F in fields]
+    numbers += [int(F) for F in fields if F >= 1.0]
+    for F in numbers:
+        expected = rate_ll(atom, F, allow_shallow=True).log_K_e
+        assert log_rate(F) == expected, (F, type(F))
+
+
 def _outcome(target, atom, bracket):
     try:
         return invert_rate(target, atom, bracket=bracket)

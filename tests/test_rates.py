@@ -23,7 +23,7 @@ from esfi.rates import (
     rate_z_form,
     suppression_field_naive,
 )
-from esfi.units import REGISTRY, UnitSystem
+from esfi.units import EXTENDED, REGISTRY, UnitSystem
 
 AU_FIELD = REGISTRY.au_field
 AU_TIME = REGISTRY.au_time
@@ -41,6 +41,36 @@ def test_z_form_refuses_gaussian_units():
     # the Gaussian system converts charges and fields, not rates
     with pytest.raises(errors.UnsupportedGaussianDimension, match="charge and field"):
         rate_z_form(1, 1e-3, unit_system=UnitSystem.GAUSSIAN)
+
+
+# fields from the least subnormal to near the largest double
+_PREMISE_FIELDS = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-6,
+                   0.3, 1.0, 12.0, 16.07, 1e6, 1e200, 1e308]
+
+
+def _as_float_float64_and_int(values):
+    for v in values:
+        yield v
+        yield np.float64(v)
+        if v >= 1.0:
+            yield int(v)
+
+
+@pytest.mark.parametrize("I", [1e-300, 1.36e-4, 13.605692534724878, 3000.0, 1e150])
+def test_floats_meet_long_doubles_exactly(I):
+    # the ll evaluator divides float fields into long-double factors
+    # computed from a float I; numpy converts a float, a float64 or an int
+    # that meets a long double exactly, so each result is the long
+    # double's own
+    ld = np.longdouble
+    for c in rates._coefficients(EXTENDED[UnitSystem.EVNM], ld(I)):
+        for F in _as_float_float64_and_int(_PREMISE_FIELDS):
+            assert type(c / F) is ld, type(F)
+            assert c / F == c / ld(F), (F, type(F))
+    for I_any in _as_float_float64_and_int([I]):
+        for power in (rates._THREE_HALVES, rates._FIVE_HALVES):
+            assert type(I_any**power) is ld
+            assert I_any**power == ld(I_any) ** power, (I_any, type(I_any))
 
 
 def test_canonical_hydrogen_value_at_25_v_per_nm():

@@ -242,6 +242,15 @@ def test_gaussian_label_refuses_other_dimensions():
         ENERGY.label(UnitSystem.GAUSSIAN)
 
 
+@pytest.mark.parametrize(
+    "dim, name", [(TIME**-1, "s^-1"), (ENERGY / LENGTH**2, "eV nm^-2"), (DIMENSIONLESS, "dimensionless")]
+)
+def test_gaussian_refusal_names_the_dimension_by_its_label(dim, name):
+    with pytest.raises(errors.UnsupportedGaussianDimension) as raised:
+        from_canonical(1.0, dim, UnitSystem.GAUSSIAN)
+    assert str(raised.value).endswith(f"dimensions, not {name}")
+
+
 def test_from_canonical_refuses_other_gaussian_dimensions():
     with pytest.raises(errors.UnsupportedGaussianDimension):
         from_canonical(1.0, ENERGY, UnitSystem.GAUSSIAN)
