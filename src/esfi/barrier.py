@@ -28,7 +28,8 @@ The barrier-strength integrand M^(1/2) has square-root zeros at both
 turning points.  The quadrature maps [c_in, c_out] to log c, which spreads
 the many decades between the turning points at low field evenly, then
 substitutes a sine, which makes the integrand analytic at the endpoints.
-Fixed 32- and 64-node Gauss-Legendre rules give G and its error estimate.
+Fixed 32- and 64-node Gauss-Legendre rules, each node and weight within
+half an ulp of exact, give G and its error estimate.
 Where they disagree (log c spanning some 45 units or more, fields below
 about 1e-19 of suppression) a composite rule takes over: 64 nodes on each
 of P equal panels of the sine-mapped coordinate, P growing with the
@@ -328,17 +329,23 @@ def _zero_estimates(k):
     return c_in, c_out
 
 
+def _zeros(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
+    """Both motive zeros of a barrier known to stand, with coefficients k
+    (the shape `variant` of `atom` at the field F): closed form, polished."""
+    try:
+        c_in, c_out = _zero_estimates(k)
+        return _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
+    except (ArithmeticError, ValueError) as exc:
+        raise _no_barrier(variant, atom, F, exc) from exc
+
+
 def _turning_points(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
     """:func:`turning_points` of the barrier with coefficients k, the
     shape `variant` of `atom` at the field F."""
     peak, peak_value = _motive_peak(k, variant, atom, F)
     if peak_value <= _SUPPRESSED * k[0]:
         raise _no_barrier(variant, atom, F)
-    try:
-        c_in, c_out = _zero_estimates(k)
-        c_in, c_out = _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
-    except (ArithmeticError, ValueError) as exc:
-        raise _no_barrier(variant, atom, F, exc) from exc
+    c_in, c_out = _zeros(k, variant, atom, F)
     if not c_out < math.inf:
         raise BracketingFailure(
             f"the outer motive zero at F={F:.6g} V/nm lies beyond the float range"
@@ -362,6 +369,31 @@ def turning_points(model: MotiveModel) -> tuple[float, float]:
     return _turning_points(model._coeffs, model.variant, model.atom, model.F)
 
 
+def _legendre(n: int, x):
+    """P_n(x) and its derivative, by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1], nodes ascending, each
+    node and weight within half an ulp of exact: Tricomi's estimate of
+    each node, three Newton steps on the recurrence in long double (each
+    doubles the correct digits, from about 5), and w = 2/((1 - x^2) P_n'^2)
+    rounded once to float64."""
+    i = np.arange(n, 0, -1)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (i - 0.25) / (n + 0.5))
+    x = x.astype(np.longdouble)
+    for _ in range(3):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    _, dp = _legendre(n, x)
+    return x.astype(float), (2.0 / ((1.0 - x * x) * dp * dp)).astype(float)
+
+
 @functools.lru_cache(maxsize=None)
 def _sine_mapped_rules(rules: tuple[tuple[int, int], ...]):
     """Composite Gauss-Legendre rules on t in [-pi/2, pi/2], each given as
@@ -369,7 +401,7 @@ def _sine_mapped_rules(rules: tuple[tuple[int, int], ...]):
     one weight row per rule (w cos t, zero at the other rules' nodes)."""
     ts, ws = [], []
     for order, panels in rules:
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _gauss_legendre(order)
         width = np.pi / panels
         centres = -0.5 * np.pi + width * (np.arange(panels) + 0.5)
         ts.append((centres[:, None] + 0.5 * width * x).ravel())
@@ -552,21 +584,30 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
 
     the first the fall of G (dA1/d ln F = A1; the ends, where M = 0, add
     nothing), the second the change of ln(x e^-x) (dc_in/dA1 =
-    c_in/M'(c_in)).
+    c_in/M'(c_in)).  Its ``inside(F)`` is the same ln K_e, and leaves the
+    same slope, at a field between two where it answered, without locating
+    the barrier's peak to check that it stands: it does, as the peak only
+    falls as F rises.
     """
     eta_scale = _ETA_SCALE[variant]
     last = None  # what slope() needs of the last evaluation
 
-    def log_rate(F) -> float:
+    def evaluate(F, zeros) -> float:
         nonlocal last
         last = None  # a refused field leaves no slope behind
         F = float(F)
         _check_positive(F)
         k = _coefficients(variant, atom, F)
-        c_in, c_out = _turning_points(k, variant, atom, F)
+        c_in, c_out = zeros(k, variant, atom, F)
         G, nodes = _strength_between(k, F, c_in, c_out)
         last = k, c_in, nodes
         return _assemble(atom, c_in, c_out, G, eta_scale)[-1]
+
+    def log_rate(F) -> float:
+        return evaluate(F, _turning_points)
+
+    def inside(F) -> float:
+        return evaluate(F, _zeros)
 
     def slope() -> float:
         """d ln K_e / d ln F at the field of the last evaluation."""
@@ -584,6 +625,7 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
         return d_log_K
 
     log_rate.slope = slope
+    log_rate.inside = inside
     return log_rate
 
 

@@ -2,10 +2,15 @@
 
 Rates span tens of orders of magnitude over the valid field range, so the
 solve runs on ln K_e as a function of ln F, where the problem is smooth
-and well conditioned: bisection narrows the bracket, Newton polishes.
+and well conditioned.  The JWKB methods start Newton at the closed
+form's root, which the W_-1 branch gives to within about 2e-2 in ln F;
 Newton's slope d ln K_e / d ln F comes with each JWKB evaluation, from
-the nodes of its barrier-strength quadrature, so a Newton step costs one
-barrier solve; for the closed form it is a central difference.
+the nodes of its barrier-strength quadrature, so a step costs one barrier
+solve, and an answer about seven.  ln K_e is concave and rising in ln F,
+so the steps approach the root from one side.  For the closed form
+('ll'), and for a JWKB target whose closed-form root lies outside the
+bracket, bisection narrows the bracket first and Newton polishes, for
+'ll' with a central difference.
 
 The root is unique where K_e rises over the bracket.  That holds below
 the deep-tunnelling guard unless the ionization energy is far above
@@ -55,6 +60,23 @@ def _log_rate_fn(atom: HydrogenicAtom, method: str) -> Callable[[float], float]:
     return _jwkb_log_rate(atom, _VARIANTS[method])
 
 
+def _closed_form_root(atom: HydrogenicAtom, log_t: float) -> Optional[float]:
+    """ln F where the closed form C_FI I^(5/2)/F exp(-b I^(3/2)/F) meets
+    the target e^log_t, or None where the target is at or above its
+    maximum.  With X = b I^(3/2)/F the condition reads X - ln X = L,
+    L = ln(C_FI I/b) - log_t, whose root X > 1 is the W_-1 branch
+    (Corless et al., Adv. Comput. Math. 5, 329 (1996)); Newton from
+    X = L + ln L, below the root, steps past it and then falls to it."""
+    log_I = math.log(atom.I)
+    L = math.log(REGISTRY.C_FI.value / REGISTRY.b.value) + log_I - log_t
+    if not L > 1.0:
+        return None
+    X = L + math.log(L)
+    for _ in range(4):
+        X -= (X - math.log(X) - L) / (1.0 - 1.0 / X)
+    return math.log(REGISTRY.b.value) + 1.5 * log_I - math.log(X)
+
+
 def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, budget: int):
     """The maximum of ln K between u_lo and u_hi (ln F), where ln K rises
     at u_lo and the JWKB evaluator's slope at u_hi is not positive, by
@@ -99,12 +121,16 @@ def invert_rate(
         A given bracket over which the rate falls raises
         NonMonotoneBracket.
 
-    Bisection on ln F narrows the bracket to 1e-2, then Newton steps on
-    ln F polish, each falling back to bisection where it would leave the
-    bracket.  JWKB evaluations give the slope analytically (one solve per
-    step); for 'll' it is a central difference (three evaluations per
-    step).  Converges to |K_e(F) - target|/target < 1e-10 (typically much
-    tighter); ``iterations`` counts the rate evaluations.
+    The JWKB methods take Newton steps on ln F from the closed form's
+    root, where that lies inside the bracket, with the slope their
+    evaluations give analytically (one solve per step), and one step more
+    once converged, kept where it lowers the residual.  'll', and a JWKB
+    target whose closed-form root lies outside the bracket, bisect on
+    ln F until the bracket is 1e-2 wide, then take Newton steps, for 'll'
+    with a central difference (three evaluations per step).  A step that
+    would leave the bracket falls back to its midpoint.  Converges to
+    |K_e(F) - target|/target < 1e-10 (typically much tighter);
+    ``iterations`` counts the rate evaluations.
     """
     if not (target > 0.0) or not math.isfinite(target):
         raise TargetUnattainable(f"target rate must be positive and finite, got {target}")
@@ -127,6 +153,9 @@ def invert_rate(
     log_rate = _log_rate_fn(atom, method)
     # d ln K/d ln F at the field evaluated last, from the JWKB evaluators
     analytic_slope = None if method == "ll" else log_rate.slope
+    # the fields the solve evaluates lie within the bracket, whose ends
+    # answered, so a JWKB barrier there needs no second check
+    inside = log_rate if method == "ll" else log_rate.inside
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
     g_hi = log_rate(f_hi) - log_t
@@ -153,17 +182,39 @@ def invert_rate(
             f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
         )
 
-    # on u = ln F: bisection until the bracket is 1e-2 wide, then Newton
-    # steps from the field evaluated last, with d(ln K)/d(ln F) the JWKB
-    # evaluator's or, for 'll', a central difference, and the midpoint
-    # wherever a step would leave the bracket
+    # on u = ln F: Newton steps from the field evaluated last, with
+    # d(ln K)/d(ln F) the JWKB evaluator's or, for 'll', a central
+    # difference, and the midpoint wherever a step would leave the bracket.
+    # A JWKB inversion takes them from the closed form's root on, where
+    # that lies inside the bracket; otherwise bisection first narrows the
+    # bracket to newton_width
     u, g = u_lo, g_lo
+    newton_width = 1e-2
+    seed = None if analytic_slope is None else _closed_form_root(atom, log_t)
+    if seed is not None and u_lo < seed < u_hi:
+        u = seed
+        g = inside(math.exp(u)) - log_t
+        evaluations += 1
+        newton_width = math.inf
     du = 1e-6
     tol = _RESIDUAL_TOL
+    slope = None
     while evaluations < _MAX_ITER:
         u_next = 0.5 * (u_lo + u_hi)
-        if u_hi - u_lo <= 1e-2:
+        if u_hi - u_lo <= newton_width:
             if abs(g) <= tol:
+                if analytic_slope is not None:
+                    # one more step, kept where it lowers |g|: the stop
+                    # alone leaves answers up to some 30 ulps off the root.
+                    # The slope of the step that got here serves, as a
+                    # step this small needs no better
+                    slope = analytic_slope() if slope is None else slope
+                    u_next = u - g / slope if slope > 0.0 else u
+                    if u_next != u and u_lo <= u_next <= u_hi:
+                        g_next = inside(math.exp(u_next)) - log_t
+                        evaluations += 1
+                        if abs(g_next) < abs(g):
+                            u, g = u_next, g_next
                 break
             if analytic_slope is not None:
                 slope = analytic_slope()
@@ -176,7 +227,7 @@ def invert_rate(
             if slope > 0.0 and u_lo <= u - g / slope <= u_hi:
                 u_next = u - g / slope
         u = u_next
-        g = log_rate(math.exp(u)) - log_t
+        g = inside(math.exp(u)) - log_t
         evaluations += 1
         if g > 0.0:
             u_hi = u

@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 
-from esfi.barrier import MotiveModel, motive, turning_points
+from esfi.barrier import _SHORT_RANGE, MotiveModel, motive, turning_points
 from esfi.units import REGISTRY
 
 
@@ -53,3 +53,59 @@ def naive_strength_forbes_deane(atom, F: float) -> float:
         m = (1 - r) / (1 + r)
         v = mpmath.sqrt(1 + r) * (mpmath.ellipe(m) - r * mpmath.ellipk(m))
         return float(b * I**1.5 * v / F)
+
+
+def exact_barrier(coeffs):
+    """(c_in, G) for M(c) = A0 - A1 c - A2/c - A3/c^2 with the coefficients
+    (A0, A1, A2, A3) taken as exact, in 30-digit mpmath: the turning points
+    c_in < c_out are the positive roots of -c^2 M, and
+    G = 2 sigma * integral of M^(1/2) between them by tanh-sinh quadrature
+    on log c."""
+    with mpmath.workdps(30):
+        A0, A1, A2, A3 = map(mpmath.mpf, coeffs)
+        roots = mpmath.polyroots([A1, -A0, A2, A3], maxsteps=200, extraprec=100)
+        c_in, c_out = sorted(r.real for r in roots if r.real > 0 and abs(r.imag) < 1e-20 * r.real)
+
+        def integrand(s):
+            c = mpmath.exp(s)
+            return c * mpmath.sqrt(max(A0 - A1 * c - A2 / c - A3 / c**2, 0))
+
+        G = 2 * mpmath.mpf(REGISTRY.sigma.value) * mpmath.quad(
+            integrand, [mpmath.log(c_in), mpmath.log(c_out)]
+        )
+        return c_in, G
+
+
+def exact_jwkb_log_rate(atom, method: str, F) -> mpmath.mpf:
+    """ln K_e of a JWKB method at the field F in 30-digit mpmath, from the
+    program's float inputs each taken as exact: atom.I, atom.B,
+    atom.nu_Z, the registry's e and sigma, and the transformed barriers'
+    short-range coefficient A3 = 1/(4 sigma^2) as the program rounds it.
+    K_e = nu_Z 2 pi x e^-x e^-G, x = (2I/B) eta_in, for the transformed
+    barriers (eta_in = 2 z_in on the axis), nu_Z e^-G for the naive one."""
+    with mpmath.workdps(30):
+        I, B, eF = mpmath.mpf(atom.I), mpmath.mpf(atom.B), mpmath.mpf(REGISTRY.e.value) * F
+        A3 = mpmath.mpf(_SHORT_RANGE)
+        coeffs, eta_per_c = {
+            "jwkb-parabolic": ((I / 4, eF / 8, B / 4, A3), 1),
+            "jwkb-cartesian": ((I, eF, B / 2, A3), 2),
+            "jwkb-naive": ((I, eF, B, 0), 0),
+        }[method]
+        c_in, G = exact_barrier(coeffs)
+        log_K = mpmath.log(atom.nu_Z) - G
+        if eta_per_c:
+            x = 2 * I / B * eta_per_c * c_in
+            log_K += mpmath.log(2 * mpmath.pi * x) - x
+        return log_K
+
+
+def exact_jwkb_root(atom, method: str, target: float, F_near: float) -> mpmath.mpf:
+    """The field at which :func:`exact_jwkb_log_rate` is ln target, by the
+    secant method in 30-digit mpmath from F_near."""
+    with mpmath.workdps(30):
+        log_t = mpmath.log(target)
+        F = mpmath.mpf(F_near)
+        return mpmath.findroot(
+            lambda F: exact_jwkb_log_rate(atom, method, F) - log_t,
+            (F, F * (1 + mpmath.mpf(1e-10))), solver="secant",
+        )

@@ -546,17 +546,17 @@ def test_invert_over_a_falling_bracket_exits_4(capsys):
 
 GOLDEN_BARRIER = {
     "jwkb-parabolic": {
-        "D_eff": 7.256519325534243e-16, "G": 35.11516142848952, "K_e": 4.774560355368747,
+        "D_eff": 7.256519325534604e-16, "G": 35.11516142848947, "K_e": 4.774560355368984,
         "P_eff": 1.29136554784793, "P_jwkb": 0.20552721027857154,
         "coord_in": 0.13215910258311192, "coord_out": 3.291162638697561,
     },
     "jwkb-cartesian": {
-        "D_eff": 7.256519325534243e-16, "G": 35.11516142848952, "K_e": 4.774560355368747,
+        "D_eff": 7.256519325534604e-16, "G": 35.11516142848947, "K_e": 4.774560355368984,
         "P_eff": 1.29136554784793, "P_jwkb": 0.20552721027857154,
         "coord_in": 0.06607955129155596, "coord_out": 1.6455813193487805,
     },
     "jwkb-naive": {
-        "D_eff": 1.3745604765013696e-13, "G": 29.615472182357664, "K_e": 904.4173470422107,
+        "D_eff": 1.374560476501433e-13, "G": 29.615472182357617, "K_e": 904.4173470422525,
         "P_eff": 1.0, "P_jwkb": 1.0,
         "coord_in": 0.11339622024659574, "coord_out": 1.587315346594014,
     },

@@ -10,13 +10,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from helpers import naive_strength_forbes_deane
+from helpers import exact_barrier, naive_strength_forbes_deane
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esfi.barrier import (
     MotiveModel,
     MotiveVariant,
+    _coefficients,
     _jwkb_log_rate,
     barrier_strength,
     motive_peak,
@@ -263,6 +264,19 @@ def _check_round_trip(rate, method, atom, F):
     target_rounding = abs(math.log(result.K_e) - result.log_K_e)
     u = math.log(F)
     assert abs(math.log(answer.F) - u) <= (tol + target_rounding) / slope + 2.0 * math.ulp(u)
+
+
+@settings(CONTRACT, max_examples=20)
+@given(atom_and_deep_fields(1))
+def test_barrier_strength_is_the_exact_integral_of_its_coefficients(case):
+    # the quadrature's rules are within 1.5 ulps of the exact G; rounding
+    # of the float sum over the nodes adds up to about 3 more
+    atom, (F,) = case
+    for variant in MotiveVariant:
+        G = _strength(variant, atom, F)
+        if G is not None:
+            _, exact = exact_barrier(_coefficients(variant, atom, F))
+            assert abs(G - exact) <= 5.0 * math.ulp(G), (variant, float((G - exact) / math.ulp(G)))
 
 
 @CONTRACT

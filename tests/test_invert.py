@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import exact_jwkb_root
 
 from esfi import errors, invert
 from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb
@@ -223,15 +224,34 @@ def test_ll_inversion_results_are_unchanged(target, Z, I, bracket, F, iterations
 
 
 def test_jwkb_inversion_of_hydrogen_takes_one_solve_per_newton_step():
-    # two bracket ends, eleven bisection steps, then Newton steps whose
-    # slope comes with the evaluation
+    # two bracket ends, the closed form's root, Newton steps whose slope
+    # comes with the evaluation, and one step past the stop
     atom = make_atom(1)
     for F in (3.0, 6.0, 12.0):
         target = rate_jwkb(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, atom, F)).K_e
         result = invert_rate(target, atom, method="jwkb-parabolic")
         assert result.F == pytest.approx(F, rel=1e-12)
-        assert result.iterations <= 17
-    assert invert_rate(1e8, atom, method="jwkb-parabolic").iterations <= 17
+        assert result.iterations <= 9
+    assert invert_rate(1e8, atom, method="jwkb-parabolic").iterations <= 9
+
+
+@pytest.mark.parametrize("Z, I, method", [
+    (1, None, "jwkb-parabolic"), (1, None, "jwkb-cartesian"), (1, None, "jwkb-naive"),
+    (2, None, "jwkb-parabolic"), (2.5, None, "jwkb-parabolic"), (1, 20.0, "jwkb-parabolic"),
+])
+def test_jwkb_inversion_lands_within_a_few_ulps_of_the_exact_root(Z, I, method):
+    # targets: the rates at guard/3 to the guard; the root is that of ln K
+    # in mpmath from the same float inputs, so what is left is the
+    # rounding of G's float sum over the nodes and of ln K
+    atom = make_atom(Z, I)
+    for fraction in (1 / 3, 0.45, 0.6, 0.8, 0.99):
+        F = fraction * guard_field(atom)
+        target = rate_jwkb(MotiveModel(MotiveVariant(method), atom, F)).K_e
+        answer = invert_rate(target, atom, method=method).F
+        root = exact_jwkb_root(atom, method, target, answer)
+        assert abs(answer - root) <= 6.0 * math.ulp(answer), (
+            fraction, float((answer - root) / math.ulp(answer))
+        )
 
 
 def _jwkb_log_rate_at(atom, F):
@@ -259,21 +279,22 @@ def test_jwkb_user_bracket_past_the_maximum_is_non_monotone():
 
 
 # (target, Z, I, method, bracket) -> (F, iterations, residual) of JWKB
-# inversions, pinned: every shape, default and given brackets, and the
-# default bracket ending at the rate's maximum (I = 1086 eV)
+# inversions, pinned: every shape, default and given brackets, the default
+# bracket ending at the rate's maximum (I = 1086 eV), and a target above
+# the closed form's rate at the guard (5e9), which bisects first
 _JWKB_GOLDEN = [
-    (1e8, 1, None, "jwkb-parabolic", None, 13.464690817226842, 16, 3.5527136788004946e-15),
-    (1e8, 1, None, "jwkb-cartesian", None, 13.464690817226842, 16, 3.5527136788004946e-15),
-    (1e8, 1, None, "jwkb-naive", None, 11.202502571351644, 16, 3.552713678800507e-15),
-    (1e-30, 1, None, "jwkb-parabolic", None, 2.994585336393802, 16, 0.0),
-    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381657, 16, 3.552713678800507e-15),
-    (1e9, 1, None, "jwkb-parabolic", (1.0, 50.0), 14.870456021456336, 14, 0.0),
-    (1e9, 1, None, "jwkb-naive", (2.0, 20.0), 12.181698367410192, 13, 0.0),
-    (1e6, 2.5, None, "jwkb-parabolic", None, 166.6655349372163, 16, 7.105427357601027e-15),
-    (1e10, 2.5, None, "jwkb-naive", (20.0, 400.0), 193.8088851745512, 14, 0.0),
-    (1e3, 2.5, 30.0, "jwkb-cartesian", None, 26.488248292557927, 16, 7.105427357601027e-15),
-    (1e11, 1, 30.0, "jwkb-parabolic", (1.0, 80.0), 65.95849964740303, 14, 3.5527136788004946e-15),
-    (3.83999e13, 1, 1086.0, "jwkb-parabolic", None, 51190.3093440342, 52, 3.552713678800507e-15),
+    (1e8, 1, None, "jwkb-parabolic", None, 13.464690817226831, 7, 3.552713678800507e-15),
+    (1e8, 1, None, "jwkb-cartesian", None, 13.464690817226831, 7, 3.552713678800507e-15),
+    (1e8, 1, None, "jwkb-naive", None, 11.202502571351634, 8, 0.0),
+    (1e-30, 1, None, "jwkb-parabolic", None, 2.994585336393798, 6, 0.0),
+    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381655, 16, 3.5527136788004946e-15),
+    (1e9, 1, None, "jwkb-parabolic", (1.0, 50.0), 14.870456021456317, 7, 0.0),
+    (1e9, 1, None, "jwkb-naive", (2.0, 20.0), 12.181698367410181, 8, 0.0),
+    (1e6, 2.5, None, "jwkb-parabolic", None, 166.66553493721617, 7, 1.7763568394002662e-14),
+    (1e10, 2.5, None, "jwkb-naive", (20.0, 400.0), 193.80888517455102, 8, 3.552713678800507e-15),
+    (1e3, 2.5, 30.0, "jwkb-cartesian", None, 26.48824829255789, 8, 3.5527136788004946e-15),
+    (1e11, 1, 30.0, "jwkb-parabolic", (1.0, 80.0), 65.95849964740297, 7, 0.0),
+    (3.83999e13, 1, 1086.0, "jwkb-parabolic", None, 51190.3093440342, 45, 7.105427357601027e-15),
 ]
 
 
