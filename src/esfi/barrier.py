@@ -33,9 +33,12 @@ half an ulp of exact, give G and its error estimate.
 Where they disagree (log c spanning some 45 units or more, fields below
 about 1e-19 of suppression) a composite rule takes over: 64 nodes on each
 of P equal panels of the sine-mapped coordinate, P growing with the
-log-span, checked against 2P panels.  G is bounded by the triangular
-barrier's 4 sigma A0^(3/2)/(3 A1); fields where that bound leaves the
-float range raise BracketingFailure before any arithmetic overflows.
+log-span, checked against 2P panels.  Where that disagrees too (just
+below suppression, for I far below Z^2 I_H, M's terms cancel near the
+close turning points), the 32/64-node pair integrates M's factored form,
+its zeros, instead.  G is bounded by the triangular barrier's
+4 sigma A0^(3/2)/(3 A1); fields where that bound leaves the float range
+raise BracketingFailure before any arithmetic overflows.
 
 One solver core serves one field and an array of fields: each step is
 written once over the arithmetic of its input, :mod:`math` for a float
@@ -423,20 +426,27 @@ def _strength_fits(k):
     return _STRENGTH_BOUND * k[0] ** 1.5 < sys.float_info.max * k[1]
 
 
-def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES):
+def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES, factored=False):
     """G between the turning points by the coarser and the finer of two
     sine-mapped rules, stacked along the first axis, and the nodes: half
     the log-span of c, c and the integrand c M^(1/2) at every node, and
     the rules' weights.  Over an array of fields, A1, c_in and c_out are
-    columns: a row of nodes per field."""
+    columns: a row of nodes per field.  `factored` takes c M^(1/2) from
+    the zeros of c^2 M = A1 (c_out - c)(c - c_in)(c - r3), with
+    r3 = -A3/(A1 c_in c_out), instead of from M's terms."""
     # log c = log c_in + half (1 + sin t), so dc = c half cos t dt
     half = 0.5 * _arithmetic(c_in).log1p((c_out - c_in) / c_in)
     rise, weights = _sine_mapped_rules(rules)
     c = np.exp(half * rise)
     c *= c_in
-    # c M^(1/2), in place; rounding can push M a hair below zero at the ends
-    M = _motive(k, c)
-    integrand = np.multiply(np.sqrt(np.maximum(M, 0.0, out=M), out=M), c, out=M)
+    # rounding can push M a hair below zero at the ends
+    if factored:
+        A1 = k[1]
+        r3 = -k[3] / (A1 * c_in * c_out)
+        integrand = np.sqrt(np.maximum(A1 * (c_out - c) * (c - c_in) * (c - r3), 0.0))
+    else:  # in place
+        M = _motive(k, c)
+        integrand = np.multiply(np.sqrt(np.maximum(M, 0.0, out=M), out=M), c, out=M)
     G = (2.0 * REGISTRY.sigma.value * half * (integrand @ weights.T)).T
     return G, (half, c, integrand, weights)
 
@@ -468,6 +478,13 @@ def _strength_between(k, F: float, c_in: float, c_out: float):
         pair, nodes = _strength_pair(k, c_in, c_out, rules)
         G_coarse, G = pair.tolist()
     if not _converged(G_coarse, G):
+        # just below suppression, where I is far below Z^2 I_H, M's terms
+        # cancel to a few digits near the close turning points, which its
+        # factored form does not
+        pair, factored_nodes = _strength_pair(k, c_in, c_out, factored=True)
+        G_factored = pair.tolist()
+        if _converged(*G_factored):
+            return G_factored[1], factored_nodes
         raise QuadratureNonConvergence(
             f"barrier-strength quadrature error {abs(G - G_coarse):.3e} "
             f"exceeds tolerance (G={G:.6g})"
@@ -526,12 +543,11 @@ _ETA_SCALE = {
 }
 
 
-def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
-    """The numeric fields of :class:`BarrierSolution`, in their order.
+def _prefactor(atom: HydrogenicAtom, c_in, eta_scale, ns):
+    """P_jwkb, P_eff and ln(nu_Z P_eff), in the arithmetic ns of c_in:
     P_jwkb = x e^-x with x = (2I/B) eta_in, eta_in = eta_scale c_in at the
     inner zero c_in, or 1 where eta_scale is 0 (one per field over an
     array of fields)."""
-    ns = _arithmetic(c_in)
     unit = eta_scale == 0.0
     P_jwkb = P_eff = 1.0
     if not ns.all(unit):  # some field carries x e^-x
@@ -543,6 +559,14 @@ def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
     log_P = ns.log(atom.nu_Z * P_eff)
     if ns.any(P_eff == 0.0):  # ln(nu_Z P_eff) from x where x e^-x underflows (x past ~745)
         log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * atom.nu_Z) + ns.log(x) - x)
+    return P_jwkb, P_eff, log_P
+
+
+def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
+    """The numeric fields of :class:`BarrierSolution`, in their order, with
+    the pre-factor of :func:`_prefactor`."""
+    ns = _arithmetic(c_in)
+    P_jwkb, P_eff, log_P = _prefactor(atom, c_in, eta_scale, ns)
     D_eff = P_eff * ns.exp(-G)
     return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_P - G
 
@@ -575,8 +599,9 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
 def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
     """F [V/nm] -> ln K_e of the atom's barrier of the given shape, bit for
     bit ``rate_jwkb(MotiveModel(variant, atom, F)).log_K_e`` (and the same
-    refusals), by the same steps and :func:`_assemble` but without the
-    MotiveModel and BarrierSolution: the evaluation inside an inversion.
+    refusals), by the same steps and :func:`_prefactor` but without the
+    MotiveModel and BarrierSolution, and without the fields of the
+    solution that ln K_e does not need: the evaluation inside an inversion.
     Its ``slope()`` gives d ln K_e / d ln F at the field of the last
     evaluation, from the nodes of the rule that settled G there:
 
@@ -601,7 +626,7 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
         c_in, c_out = zeros(k, variant, atom, F)
         G, nodes = _strength_between(k, F, c_in, c_out)
         last = k, c_in, nodes
-        return _assemble(atom, c_in, c_out, G, eta_scale)[-1]
+        return _prefactor(atom, c_in, eta_scale, _SCALAR)[2] - G
 
     def log_rate(F) -> float:
         return evaluate(F, _turning_points)
@@ -620,7 +645,7 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
         inv_root = np.divide(c, integrand, out=np.zeros(c.shape), where=integrand > 0.0)
         d_log_K = REGISTRY.sigma.value * half * float((A1 * c) @ (c * (inv_root * weights[-1])))
         if eta_scale:
-            x = 2.0 * atom.I / atom.B * (eta_scale * c_in)  # as _assemble has it
+            x = 2.0 * atom.I / atom.B * (eta_scale * c_in)  # as _prefactor has it
             d_log_K += (1.0 - x) * A1 / _motive_and_slope(k, c_in)[1]
         return d_log_K
 

@@ -285,7 +285,9 @@ def _significands(x: np.ndarray, powers: np.ndarray):
         off = off[~((y64[off] >= 1e9) & (y64[off] < 1e10))]
         y[off] = y64[off] = 1e9 + 0.5  # a tie, so in doubt below
     m = np.rint(y64)
-    margin = 64 * np.finfo(_WIDE).eps * 1e10
+    # a float, and exactly the long-double figure (5^10 2^-47): a long
+    # double here would carry the comparisons below into long double
+    margin = 64 * float(np.finfo(_WIDE).eps) * 1e10
     # y64 is y to within 2^-20, so only cells that close to doubt need y
     near = np.flatnonzero(np.abs(y64 - m) > 0.5 - margin - 2.0**-20)
     doubtful = near[~(np.abs((y[near] - m[near]).astype(np.float64)) < 0.5 - margin)]

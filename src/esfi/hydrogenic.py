@@ -23,6 +23,9 @@ from .errors import (
 from .units import REGISTRY
 
 _I_MAX = math.sqrt(sys.float_info.max)  # eV
+# the registry's floats that make_atom reads, taken once
+_B_H, _I_H = REGISTRY.B_H.value, REGISTRY.I_H.value
+_SIGMA2, _PI_HBAR = REGISTRY.sigma.value**2, math.pi * REGISTRY.hbar.value
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,8 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
         raise NonPositiveIonizationEnergy(
             f"ionization energy must be positive, got {I_override}"
         )
-    r = REGISTRY
-    B = Z * r.B_H.value
-    I = Z * Z * r.I_H.value if I_override is None else float(I_override)
+    B = Z * _B_H
+    I = Z * Z * _I_H if I_override is None else float(I_override)
     # Z^2 I_H can underflow or overflow, and the suppression field
     # I^2/(4 e B) squares I
     if not 0.0 < I < _I_MAX:
@@ -76,16 +78,10 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
             f"ionization energy {I:.6g} eV (Z={Z:.6g}) must be positive "
             f"and below {_I_MAX:.4g} eV, where its square is finite"
         )
-    a_Z = 2.0 / (r.sigma.value**2 * B)   # equals a_0/Z
-    nu_Z = I / (math.pi * r.hbar.value)
+    nu_Z = I / _PI_HBAR
+    # Z, I, B, a_Z (equals a_0/Z), nu_Z, omega_Z, default_ionization
     return HydrogenicAtom(
-        Z=float(Z),
-        I=I,
-        B=B,
-        a_Z=a_Z,
-        nu_Z=nu_Z,
-        omega_Z=2.0 * math.pi * nu_Z,
-        default_ionization=I_override is None,
+        float(Z), I, B, 2.0 / (_SIGMA2 * B), nu_Z, 2.0 * math.pi * nu_Z, I_override is None
     )
 
 

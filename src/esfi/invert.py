@@ -3,14 +3,15 @@
 Rates span tens of orders of magnitude over the valid field range, so the
 solve runs on ln K_e as a function of ln F, where the problem is smooth
 and well conditioned.  The JWKB methods start Newton at the closed
-form's root, which the W_-1 branch gives to within about 2e-2 in ln F;
+form's root, which the W_-1 branch gives to within about 2e-2 in ln F,
+or at the top of the bracket where that root lies at or above it;
 Newton's slope d ln K_e / d ln F comes with each JWKB evaluation, from
 the nodes of its barrier-strength quadrature, so a step costs one barrier
 solve, and an answer about seven.  ln K_e is concave and rising in ln F,
 so the steps approach the root from one side.  For the closed form
-('ll'), and for a JWKB target whose closed-form root lies outside the
-bracket, bisection narrows the bracket first and Newton polishes, for
-'ll' with a central difference.
+('ll'), and for a JWKB target whose closed-form root lies below the
+bracket or does not exist, bisection narrows the bracket first and
+Newton polishes, for 'll' with a central difference.
 
 The root is unique where K_e rises over the bracket.  That holds below
 the deep-tunnelling guard unless the ionization energy is far above
@@ -79,16 +80,16 @@ def _closed_form_root(atom: HydrogenicAtom, log_t: float) -> Optional[float]:
 
 def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, budget: int):
     """The maximum of ln K between u_lo and u_hi (ln F), where ln K rises
-    at u_lo and the JWKB evaluator's slope at u_hi is not positive, by
-    bisection on the slope's sign until the bracket is _PEAK_WIDTH wide
-    or `budget` evaluations are spent.  Returns the end of the bracket
-    with the larger ln K, its ln K - ln target (g_hi at u_hi), and the
-    evaluations spent."""
+    at u_lo and the JWKB evaluator's slope at u_hi, which answered, is not
+    positive, by bisection on the slope's sign until the bracket is
+    _PEAK_WIDTH wide or `budget` evaluations are spent.  Returns the end of
+    the bracket with the larger ln K, its ln K - ln target (g_hi at u_hi),
+    and the evaluations spent."""
     g_lo = None
     evaluations = 0
     while u_hi - u_lo > _PEAK_WIDTH and evaluations < budget:
         u = 0.5 * (u_lo + u_hi)
-        g = log_rate(math.exp(u)) - log_t
+        g = log_rate.inside(math.exp(u)) - log_t
         evaluations += 1
         if log_rate.slope() > 0.0:
             u_lo, g_lo = u, g
@@ -122,13 +123,15 @@ def invert_rate(
         NonMonotoneBracket.
 
     The JWKB methods take Newton steps on ln F from the closed form's
-    root, where that lies inside the bracket, with the slope their
-    evaluations give analytically (one solve per step), and one step more
-    once converged, kept where it lowers the residual.  'll', and a JWKB
-    target whose closed-form root lies outside the bracket, bisect on
-    ln F until the bracket is 1e-2 wide, then take Newton steps, for 'll'
-    with a central difference (three evaluations per step).  A step that
-    would leave the bracket falls back to its midpoint.  Converges to
+    root, where that lies inside the bracket, or from the top of the
+    bracket, where it lies at or above the top (one solve more, for the
+    slope there), with the slope their evaluations give analytically (one
+    solve per step), and one step more once converged, kept where it
+    lowers the residual.  'll', and a JWKB target whose closed-form root
+    lies below the bracket or does not exist, bisect on ln F until the
+    bracket is 1e-2 wide, then take Newton steps, for 'll' with a central
+    difference (three evaluations per step).  A step that would leave the
+    bracket falls back to its midpoint.  Converges to
     |K_e(F) - target|/target < 1e-10 (typically much tighter);
     ``iterations`` counts the rate evaluations.
     """
@@ -154,8 +157,8 @@ def invert_rate(
     # d ln K/d ln F at the field evaluated last, from the JWKB evaluators
     analytic_slope = None if method == "ll" else log_rate.slope
     # the fields the solve evaluates lie within the bracket, whose ends
-    # answered, so a JWKB barrier there needs no second check
-    inside = log_rate if method == "ll" else log_rate.inside
+    # answered, so they need no second check
+    inside = log_rate.inside
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
     g_hi = log_rate(f_hi) - log_t
@@ -186,13 +189,16 @@ def invert_rate(
     # d(ln K)/d(ln F) the JWKB evaluator's or, for 'll', a central
     # difference, and the midpoint wherever a step would leave the bracket.
     # A JWKB inversion takes them from the closed form's root on, where
-    # that lies inside the bracket; otherwise bisection first narrows the
+    # that lies inside the bracket, or from the top of the bracket, where
+    # the root lies at or above it; otherwise bisection first narrows the
     # bracket to newton_width
     u, g = u_lo, g_lo
     newton_width = 1e-2
     seed = None if analytic_slope is None else _closed_form_root(atom, log_t)
-    if seed is not None and u_lo < seed < u_hi:
-        u = seed
+    if seed is not None and u_lo < seed:
+        # a root at or above the top seeds at the top: one solve more there,
+        # for its slope
+        u = min(seed, u_hi)
         g = inside(math.exp(u)) - log_t
         evaluations += 1
         newton_width = math.inf
@@ -219,7 +225,7 @@ def invert_rate(
             if analytic_slope is not None:
                 slope = analytic_slope()
             else:
-                slope = (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
+                slope = (inside(math.exp(u + du)) - inside(math.exp(u - du))) / (2.0 * du)
                 evaluations += 2
             # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
             # of u and F, so deep in the barrier it cannot resolve 1e-13

@@ -18,18 +18,19 @@ pre-exponential, K_e, D_eff, T and ln K_e); :func:`rate_ll` and
 :func:`rate_z_form` feed it one field, :func:`rate_ll_array` a whole array
 of fields at once, together with the mask of fields below the guard.
 The kernel's field-dependent part is one piece of its own, which field
-inversion evaluates alone, with the atom's factors computed once, for
-ln K_e, dividing each float field straight into those long-double
-factors; its first step, K_e and the exponent, is another, which a field
-sweep evaluates alone over an array of fields, zeroing each K_e that
-underflows a double before it is stored as one, which gives the same
-bits as the cast and skips its slow path.
+inversion evaluates alone, with the factors of each ionization energy
+computed once, for ln K_e, dividing each float field straight into
+those long-double factors; its first step, K_e and the exponent, is
+another, which a field sweep evaluates alone over an array of fields,
+zeroing each K_e that underflows a double before it is stored as one,
+which gives the same bits as the cast and skips its slow path.
 
 Unless stated otherwise, fields are in V/nm and rates in s^-1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -170,20 +171,33 @@ def _closed_form(x, I, B, F):
     return K_e, pre, exponent, D_eff, T, np.log(pre) - exponent
 
 
+@functools.lru_cache(maxsize=64)
+def _ll_factors(I: float):
+    """The first two :func:`_coefficients` in V/nm and eV, per ionization
+    energy, kept for the atoms a calibration meets again."""
+    return _coefficients(EXTENDED[UnitSystem.EVNM], I)[:2]
+
+
 def _ll_log_rate(atom: HydrogenicAtom) -> Callable[[float], float]:
     """F [V/nm] -> ln K_e of the atom, bit for bit
     ``rate_ll(atom, F, allow_shallow=True).log_K_e``, with the per-atom
-    factors computed once: the evaluation inside an inversion.  I and F
-    go into the long-double arithmetic as they are, without a conversion
-    of their own (see :func:`_coefficients`): building a long double
-    costs about as much as the rest of an evaluation."""
-    exponent_coeff, pre_coeff, _ = _coefficients(EXTENDED[UnitSystem.EVNM], atom.I)
+    factors computed once for each I: the evaluation inside an inversion.
+    I and F go into the long-double arithmetic as they are, without a
+    conversion of their own (see :func:`_coefficients`): building a long
+    double costs about as much as the rest of an evaluation.  Its
+    ``inside(F)`` is the same ln K_e without the check that F is positive
+    and finite, for fields between two where it answered."""
+    exponent_coeff, pre_coeff = _ll_factors(atom.I)
 
-    def log_rate(F: float) -> float:
-        _check_positive(F)
+    def inside(F: float) -> float:
         pre, exponent = _field_terms(exponent_coeff, pre_coeff, F)
         return float(np.log(pre) - exponent)
 
+    def log_rate(F: float) -> float:
+        _check_positive(F)
+        return inside(F)
+
+    log_rate.inside = inside
     return log_rate
 
 

@@ -1,17 +1,19 @@
 """Motive models, turning points, barrier-strength quadrature, JWKB rates."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from helpers import (
     composite_barrier_strength,
+    exact_barrier,
     naive_roots_closed_form,
     naive_strength_forbes_deane,
 )
 
-from esfi import errors
+from esfi import barrier, errors
 from esfi.barrier import (
     MotiveModel,
     MotiveVariant,
@@ -341,6 +343,56 @@ def test_naive_strength_matches_forbes_deane(atom, fields):
     for F in [*(float(f * f_bs) for f in np.geomspace(1e-3, 0.95, 12)), *fields]:
         G = barrier_strength(MotiveModel(NAIVE, atom, F))
         assert G == pytest.approx(naive_strength_forbes_deane(atom, F), rel=1e-12)
+
+
+def test_naive_strength_just_below_suppression_of_a_low_ionization_energy():
+    # M's terms cancel near the close turning points: the rules on them
+    # disagree by 2.06e-10, so G comes from M's factored form
+    atom = make_atom(1.0, 1.3605692534724878e-11)
+    F = (1 - 1e-9) * suppression_field_naive(atom)
+    G = rate_jwkb(MotiveModel(NAIVE, atom, F)).G
+    tolerance = 4.0 * sys.float_info.epsilon / 1e-9  # as below
+    assert G == pytest.approx(naive_strength_forbes_deane(atom, F), rel=tolerance)
+
+
+def test_barrier_strength_where_the_motive_cancels_comes_from_its_zeros(monkeypatch):
+    # the escape-probability bound's grid for I at 1e-12 and 1e-11 Z^2 I_H:
+    # every field below suppression answers, and where the rules on M's
+    # terms disagree, G from M's factored form matches an oracle to the
+    # rounding of the coefficients, which costs about eps/(1 - F/F_bs)
+    factored = []
+    strength_pair = barrier._strength_pair
+
+    def spy(*args, **kwargs):
+        factored.append(kwargs.get("factored", False))
+        return strength_pair(*args, **kwargs)
+
+    monkeypatch.setattr(barrier, "_strength_pair", spy)
+    ratios = np.concatenate([np.geomspace(1e-6, 0.95, 100), np.linspace(0.95, 1.0, 200),
+                             1.0 - np.geomspace(1e-3, 1e-12, 100)])
+    checked = 0
+    for Z in (0.01, 1.0, 30.0):
+        for I in Z * Z * REGISTRY.I_H.value * np.geomspace(1e-12, 1e12, 25)[:2]:
+            atom = make_atom(Z, float(I))
+            for variant in MotiveVariant:
+                f_bs = suppression_field(atom, variant)
+                for ratio in ratios[ratios < 1.0]:
+                    F = float(ratio * f_bs)
+                    factored.clear()
+                    try:
+                        G = barrier_strength(MotiveModel(variant, atom, F))
+                    except errors.BarrierSuppressed:
+                        continue
+                    if not factored[-1]:
+                        continue
+                    if variant is NAIVE:
+                        exact = naive_strength_forbes_deane(atom, F)
+                    else:
+                        exact = float(exact_barrier(barrier._coefficients(variant, atom, F))[1])
+                    tolerance = 4.0 * sys.float_info.epsilon / (1.0 - F / f_bs)
+                    assert G == pytest.approx(exact, rel=tolerance), (Z, I, variant, ratio)
+                    checked += 1
+    assert checked == 81
 
 
 @pytest.mark.parametrize("atom", [make_atom(1), make_atom(0.357), make_atom(2.5, 40.0)],

@@ -167,6 +167,14 @@ def test_ll_evaluator_takes_numpy_and_int_fields_bit_for_bit(Z, I):
         assert log_rate(F) == expected, (F, type(F))
 
 
+@pytest.mark.parametrize("Z", [1e-4, 0.5, 1.0, 7.0, 30.0])
+@pytest.mark.parametrize("I", [None, 0.1, 3000.0])
+def test_ll_inside_is_the_evaluator_bit_for_bit(Z, I):
+    log_rate = _log_rate_fn(make_atom(Z, I), "ll")
+    for F in _PARITY_FIELDS:
+        assert log_rate.inside(F) == log_rate(F), F
+
+
 def _outcome(target, atom, bracket):
     try:
         return invert_rate(target, atom, bracket=bracket)
@@ -188,10 +196,14 @@ def test_ll_inversion_matches_the_rate_ll_evaluations(monkeypatch):
         cases.append((target, atom, bracket))
     now = [_outcome(*case) for case in cases]
 
-    monkeypatch.setattr(
-        invert, "_log_rate_fn",
-        lambda atom, method: lambda F: rate_ll(atom, F, allow_shallow=True).log_K_e,
-    )
+    def rate_ll_log_rate(atom, method):
+        def log_rate(F):
+            return rate_ll(atom, F, allow_shallow=True).log_K_e
+
+        log_rate.inside = log_rate
+        return log_rate
+
+    monkeypatch.setattr(invert, "_log_rate_fn", rate_ll_log_rate)
     assert [_outcome(*case) for case in cases] == now
     solved = sum(isinstance(result, invert.InversionResult) for result in now)
     assert 100 < solved < 200  # both results and refusals are compared
@@ -233,6 +245,22 @@ def test_jwkb_inversion_of_hydrogen_takes_one_solve_per_newton_step():
         assert result.F == pytest.approx(F, rel=1e-12)
         assert result.iterations <= 9
     assert invert_rate(1e8, atom, method="jwkb-parabolic").iterations <= 9
+
+
+@pytest.mark.parametrize("method", ["jwkb-parabolic", "jwkb-cartesian", "jwkb-naive"])
+def test_jwkb_target_above_the_closed_form_at_the_guard_takes_a_handful_of_solves(method):
+    # between hydrogen's closed-form rate at the guard (2.88e9 s^-1) and
+    # the JWKB rate there: the closed form's root lies above the bracket,
+    # so Newton starts at its top, one solve more for the slope there
+    atom = make_atom(1)
+    guard = guard_field(atom)
+    lo = rate_ll(atom, guard, allow_shallow=True).log_K_e
+    hi = rate_jwkb(MotiveModel(MotiveVariant(method), atom, guard)).log_K_e
+    for fraction in (0.01, 0.3, 0.7, 0.999):
+        target = math.exp(lo + fraction * (hi - lo))
+        result = invert_rate(target, atom, method=method)
+        assert result.iterations <= 9, fraction
+        assert result.residual < 1e-13, fraction
 
 
 @pytest.mark.parametrize("Z, I, method", [
@@ -281,13 +309,13 @@ def test_jwkb_user_bracket_past_the_maximum_is_non_monotone():
 # (target, Z, I, method, bracket) -> (F, iterations, residual) of JWKB
 # inversions, pinned: every shape, default and given brackets, the default
 # bracket ending at the rate's maximum (I = 1086 eV), and a target above
-# the closed form's rate at the guard (5e9), which bisects first
+# the closed form's rate at the guard (5e9), which starts at the guard
 _JWKB_GOLDEN = [
     (1e8, 1, None, "jwkb-parabolic", None, 13.464690817226831, 7, 3.552713678800507e-15),
     (1e8, 1, None, "jwkb-cartesian", None, 13.464690817226831, 7, 3.552713678800507e-15),
     (1e8, 1, None, "jwkb-naive", None, 11.202502571351634, 8, 0.0),
     (1e-30, 1, None, "jwkb-parabolic", None, 2.994585336393798, 6, 0.0),
-    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381655, 16, 3.5527136788004946e-15),
+    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381655, 7, 3.5527136788004946e-15),
     (1e9, 1, None, "jwkb-parabolic", (1.0, 50.0), 14.870456021456317, 7, 0.0),
     (1e9, 1, None, "jwkb-naive", (2.0, 20.0), 12.181698367410181, 8, 0.0),
     (1e6, 2.5, None, "jwkb-parabolic", None, 166.66553493721617, 7, 1.7763568394002662e-14),

@@ -73,6 +73,21 @@ def test_floats_meet_long_doubles_exactly(I):
             assert I_any**power == ld(I_any) ** power, (I_any, type(I_any))
 
 
+def test_cached_ll_factors_equal_fresh_ones():
+    # the ll evaluator keeps an atom's factors by its I; a cached pair,
+    # also one stored for an equal I of another type, is the pair
+    # computed afresh from I as a long double
+    ld = np.longdouble
+    for Z, I in [(1.0, None), (2.0, None), (np.float64(2.5), None), (1.0, 20.0), (0.3, 3000.0)]:
+        atom = make_atom(Z, I)
+        rates._ll_log_rate(atom)  # stores the pair
+        fresh = rates._coefficients(EXTENDED[UnitSystem.EVNM], ld(atom.I))[:2]
+        for I_any in (atom.I, float(atom.I), np.float64(atom.I)):
+            cached = rates._ll_factors(I_any)
+            assert [type(c) for c in cached] == [ld, ld]
+            assert cached == fresh, (Z, I, type(I_any))
+
+
 def test_canonical_hydrogen_value_at_25_v_per_nm():
     # frozen from an arbitrary-precision evaluation of the closed form
     r = rate_ll(make_atom(1), 25.0, allow_shallow=True)
