@@ -217,7 +217,8 @@ def motive(model: MotiveModel, coord):
     c = np.asarray(coord)
     if not np.all((c > 0.0) & (c < math.inf)):
         raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {coord}")
-    return _motive(model._coeffs, coord)
+    # a list or tuple goes in as its array; a number stays a number
+    return _motive(model._coeffs, c if c.ndim else coord)
 
 
 def _peak(k):

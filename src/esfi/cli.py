@@ -130,47 +130,28 @@ def _canonical(value: float, dim, system: UnitSystem, flag: str) -> float:
         ) from None
 
 
-def _rate_record(atom, method: str, F_canonical: float, allow_shallow: bool) -> dict:
-    """Evaluate one method at one canonical field; values still canonical."""
-    if method == "ll":
-        r = rate_ll(atom, F_canonical, allow_shallow=allow_shallow)
-        return {
-            "K_e": r.K_e,
-            "pre_exponential": r.pre_exponential,
-            "exponent": r.exponent,
-            "D_eff": r.D_eff,
-            "T": r.T,
-            "regime": r.regime,
-        }
-    sol = rate_jwkb(MotiveModel(MotiveVariant(method), atom, F_canonical))
-    pre = atom.nu_Z * sol.P_eff
-    return {
-        "K_e": sol.K_e,
-        "pre_exponential": pre,
-        "exponent": sol.G,
-        "D_eff": sol.D_eff,
-        "T": sol.P_jwkb * math.exp(-sol.G),
-        "regime": sol.regime,
-    }
-
-
 def cmd_rate(args: argparse.Namespace) -> int:
     system = UnitSystem(args.units)
     F_canonical = _canonical(args.field, FIELD, system, "--field")
     atom = make_atom(args.Z, args.ionization_energy)
-    rec = _rate_record(atom, args.method, F_canonical, _guard_override())
+    if args.method == "ll":
+        r = rate_ll(atom, F_canonical, allow_shallow=_guard_override())
+        pre, exponent, T = r.pre_exponential, r.exponent, r.T
+    else:
+        r = rate_jwkb(MotiveModel(MotiveVariant(args.method), atom, F_canonical))
+        pre, exponent, T = atom.nu_Z * r.P_eff, r.G, r.P_jwkb * math.exp(-r.G)
     record = {
         "method": args.method,
         "unit_system": system.value,
         "Z": args.Z,
         "ionization_energy_eV": atom.I,
         "field": args.field,
-        "K_e": from_canonical(rec["K_e"], FREQUENCY, system),
-        "pre_exponential": from_canonical(rec["pre_exponential"], FREQUENCY, system),
-        "exponent": rec["exponent"],
-        "D_eff": rec["D_eff"],
-        "T": rec["T"],
-        "regime": rec["regime"],
+        "K_e": from_canonical(r.K_e, FREQUENCY, system),
+        "pre_exponential": from_canonical(pre, FREQUENCY, system),
+        "exponent": exponent,
+        "D_eff": r.D_eff,
+        "T": T,
+        "regime": r.regime,
     }
     _emit_json(record, args.out)
     return 0

@@ -65,6 +65,8 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
     """
     if not (Z > 0) or not math.isfinite(Z):
         raise NonPositiveZ(f"charge number Z must be positive, got {Z}")
+    # a numpy scalar would carry numpy scalar arithmetic into every field
+    Z = float(Z)
     if I_override is not None and (not math.isfinite(I_override) or I_override <= 0):
         raise NonPositiveIonizationEnergy(
             f"ionization energy must be positive, got {I_override}"
@@ -81,7 +83,7 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
     nu_Z = I / _PI_HBAR
     # Z, I, B, a_Z (equals a_0/Z), nu_Z, omega_Z, default_ionization
     return HydrogenicAtom(
-        float(Z), I, B, 2.0 / (_SIGMA2 * B), nu_Z, 2.0 * math.pi * nu_Z, I_override is None
+        Z, I, B, 2.0 / (_SIGMA2 * B), nu_Z, 2.0 * math.pi * nu_Z, I_override is None
     )
 
 

@@ -38,7 +38,12 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import Eta0OutsideWindow, NonPositiveField, ShallowTunnellingRegime
+from .errors import (
+    Eta0OutsideWindow,
+    NonPositiveCoordinate,
+    NonPositiveField,
+    ShallowTunnellingRegime,
+)
 from .hydrogenic import HydrogenicAtom, make_atom
 from .units import (
     EXTENDED,
@@ -231,26 +236,11 @@ def _flush_underflow(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _over_blocks(F, kernel, rows: int) -> list[np.ndarray]:
-    """kernel(fields as long doubles) -> its `rows` rows of values, run
-    over blocks of the fields (to bound the memory of its long-double
-    temporaries) and stored as doubles of the fields' shape."""
-    F = np.asarray(F, dtype=float)
-    flat = F.ravel()
-    out = np.empty((rows, flat.size))
-    # the casts to double overflow to inf, or divide by a zero field, as
-    # the scalar conversions do, without a warning
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, flat.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            out[:, block] = kernel(flat[block].astype(np.longdouble))
-    return [row.reshape(F.shape) for row in out]
-
-
 def rate_ll_array(atom: HydrogenicAtom, F) -> RateArrays:
     """:func:`rate_ll` over an array of fields [V/nm], in extended-precision
-    array arithmetic, a block of fields at a time, bit for bit the values
-    :func:`rate_ll` gives field by field.
+    array arithmetic, bit for bit the values :func:`rate_ll` gives field
+    by field.  The fields go through the kernel 65 536 at a time, which
+    bounds the memory of its long-double temporaries.
 
     Nothing is refused: fields at or above the guard are evaluated and
     marked by ``deep``; fields that are not positive give meaningless
@@ -258,24 +248,32 @@ def rate_ll_array(atom: HydrogenicAtom, F) -> RateArrays:
     """
     ld = np.longdouble
     I, B, x = ld(atom.I), ld(atom.B), EXTENDED[UnitSystem.EVNM]
-    rows = _over_blocks(F, lambda F: _closed_form(x, I, B, F), 6)
-    return RateArrays(*rows, np.asarray(F, dtype=float) < guard_field(atom))
+    F = np.asarray(F, dtype=float)
+    flat = F.ravel()
+    out = np.empty((6, flat.size))
+    # the casts to double overflow to inf, or divide by a zero field, as
+    # the scalar conversions do, without a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[:, block] = _closed_form(x, I, B, flat[block].astype(ld))
+    return RateArrays(*(row.reshape(F.shape) for row in out), F < guard_field(atom))
 
 
 def _ll_rate_and_exponent(atom: HydrogenicAtom, F) -> tuple[np.ndarray, np.ndarray]:
     """K_e and the exponent of :func:`rate_ll_array`, bit for bit, and
     nothing else: the closed form's first step over an array of fields
-    [V/nm], a block of fields at a time."""
+    [V/nm], in one pass.  A sweep hands it at most one block of its rows,
+    so its long-double temporaries stay as small as those of
+    :func:`rate_ll_array`."""
     exponent_coeff, pre_coeff, _ = _coefficients(
         EXTENDED[UnitSystem.EVNM], np.longdouble(atom.I)
     )
-
-    def kernel(F):
+    F = np.asarray(F, dtype=float).astype(np.longdouble)
+    # no warnings for overflow or a zero field, as in rate_ll_array
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         K_e, _, exponent, _ = _rate_terms(exponent_coeff, pre_coeff, F)
-        return _flush_underflow(K_e), exponent
-
-    K_e, exponent = _over_blocks(F, kernel, 2)
-    return K_e, exponent
+        return _flush_underflow(K_e).astype(float), exponent.astype(float)
 
 
 def rate_ll(atom: HydrogenicAtom, F: float, *, allow_shallow: bool = False) -> RateResult:
@@ -371,6 +369,10 @@ def geometric_prefactor() -> float:
 
 
 def _check_eta0_window(atom: HydrogenicAtom, F: float, eta0: float) -> None:
+    if not 0.0 < eta0 < math.inf:
+        raise NonPositiveCoordinate(
+            f"matching coordinate eta0 must be positive and finite, got {eta0}"
+        )
     # soft heuristic window: well clear of the orbit radius, well inside
     # the outer turning point 2I/(eF)
     outer = 2.0 * atom.I / (REGISTRY.e.value * F)

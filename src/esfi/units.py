@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -231,12 +231,6 @@ class ConstantsRegistry:
     au_voltage: float       # V
     au_field: float         # V/nm (derived, not a tabulated value)
 
-    _TABLE_ORDER = (
-        "eV", "e", "m_e", "hbar", "eps0", "four_pi_eps0",
-        "B_H", "a_0", "nu_0", "omega_0", "I_H",
-        "sigma", "b", "C_FI", "pi_hbar_C_FI",
-    )
-
     # constants that are not used expressed in SI units in practice
     SI_NOT_USED = frozenset({"I_H", "sigma", "b", "C_FI", "pi_hbar_C_FI"})
     # fundamentals and closely related quantities carry 8 significant
@@ -244,7 +238,12 @@ class ConstantsRegistry:
     EIGHT_FIGURES = frozenset({"eV", "e", "m_e", "hbar", "eps0", "four_pi_eps0"})
 
     def constants(self) -> dict[str, Quantity]:
-        return {name: getattr(self, name) for name in self._TABLE_ORDER}
+        """The Quantity fields, in their order of declaration."""
+        return {
+            f.name: value
+            for f in fields(self)
+            if isinstance(value := getattr(self, f.name), Quantity)
+        }
 
     def sig_figs(self, name: str) -> int:
         return 8 if name in self.EIGHT_FIGURES else 7

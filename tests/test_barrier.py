@@ -92,6 +92,25 @@ def test_motive_rejects_non_positive_coordinate():
         MotiveModel(PARABOLIC, make_atom(1), -2.0)
 
 
+@pytest.mark.parametrize("variant", list(MotiveVariant))
+def test_motive_takes_coordinates_as_a_list_or_tuple(variant):
+    model = au_model(variant, 0.01)
+    coords = [0.1, 1.0, 7.5]
+    expected = motive(model, np.array(coords))
+    for given in (coords, tuple(coords)):
+        assert motive(model, given).tolist() == expected.tolist()
+    assert type(motive(model, 1.0)) is float
+    assert motive(model, 1.0) == expected[1]
+
+
+@pytest.mark.parametrize("variant", list(MotiveVariant))
+def test_outer_zero_beyond_the_float_range_is_a_bracketing_failure(variant):
+    # e F is normal, but the outer zero, about I/(e F), overflows a double
+    model = MotiveModel(variant, make_atom(1.0), 1e-308)
+    with pytest.raises(errors.BracketingFailure, match="lies beyond the float range"):
+        rate_jwkb(model)
+
+
 def test_naive_turning_points_match_quadratic_oracle():
     model = au_model(NAIVE, 0.03)
     z_in, z_out = turning_points(model)

@@ -45,6 +45,32 @@ def test_constants_csv_evnm(capsys):
     assert "%.6e" % float(rows["C_FI"][1]) == "%.6e" % 1.245354e17
 
 
+GOLDEN_CONSTANTS_CSV = """\
+symbol,value,units
+eV,1.000000000e+00,eV
+e,1.000000000e+00,eV V^-1
+m_e,5.685629854e-30,eV nm^-2 s^2
+hbar,6.582119281e-16,eV s
+eps0,5.526349599e-02,eV V^-2 nm^-1
+four_pi_eps0,6.944615720e-01,eV V^-2 nm^-1
+B_H,1.439964485e+00,eV nm
+a_0,5.291772107e-02,nm
+nu_0,6.579683924e+15,s^-1
+omega_0,4.134137336e+16,s^-1
+I_H,1.360569253e+01,eV
+sigma,5.123167332e+00,eV^-1/2 nm^-1
+b,6.830889776e+00,eV^-3/2 V nm^-1
+C_FI,1.245353872e+17,eV^-5/2 V nm^-1 s^-1
+pi_hbar_C_FI,2.575184777e+02,eV^-3/2 V nm^-1
+"""
+
+
+def test_constants_csv_golden_output(capsys):
+    # the rows are the registry's Quantity fields, in declaration order
+    code, out, err = run_cli(["constants", "--format", "csv"], capsys)
+    assert (code, out, err) == (0, GOLDEN_CONSTANTS_CSV, "")
+
+
 def test_constants_json_au(capsys):
     code, out, _ = run_cli(["constants", "--units", "au", "--format", "json"], capsys)
     assert code == 0
@@ -476,6 +502,22 @@ def test_sweep_solves_each_refused_jwkb_cell_once(capsys, monkeypatch):
     assert out == expected
     assert err.splitlines() == notes
     assert len(notes) == grid.size * len(methods)
+
+
+def test_sweep_past_the_float_range_of_the_outer_zero_notes_each_cell(capsys):
+    # e F is normal, but the outer turning point overflows a double
+    methods = ["jwkb-naive", "jwkb-parabolic"]
+    code, out, err = run_cli(
+        ["sweep", "--f-min", "1e-308", "--f-max", "2e-308", "--points", "2",
+         "--methods", ",".join(methods)],
+        capsys,
+    )
+    assert code == 0
+    rows = ["1.000000000e-308,nan,nan,nan,nan", "2.000000000e-308,nan,nan,nan,nan"]
+    assert out.splitlines()[1:] == rows
+    notes = err.splitlines()
+    assert len(notes) == 4
+    assert all("lies beyond the float range" in note for note in notes)
 
 
 def test_sweep_blocks_are_a_whole_number_of_solver_blocks():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from esfi import errors
@@ -11,6 +12,7 @@ from esfi.hydrogenic import (
     make_atom,
     parabolic_to_cartesian,
 )
+from esfi.invert import invert_rate
 from esfi.units import REGISTRY
 
 
@@ -65,6 +67,19 @@ def test_invalid_atom_inputs():
         make_atom(1.0, I_override=-5.0)
     with pytest.raises(errors.NonPositiveIonizationEnergy):
         make_atom(1.0, I_override=0.0)
+
+
+@pytest.mark.parametrize("I", [None, 30.0])
+def test_charge_number_type_does_not_reach_the_atom(I):
+    # a numpy scalar charge would otherwise run the JWKB solver in numpy
+    # scalar arithmetic
+    atoms = [make_atom(Z, I) for Z in (1.0, 1, np.float64(1.0))]
+    assert atoms[0] == atoms[1] == atoms[2]
+    for atom in atoms:
+        numbers = [v for k, v in vars(atom).items() if k != "default_ionization"]
+        assert [type(v) for v in numbers] == [float] * 6
+    results = [invert_rate(1e8, atom, method="jwkb-parabolic") for atom in atoms]
+    assert results[0] == results[1] == results[2]
 
 
 def test_on_axis_coordinate_cases():

@@ -11,6 +11,7 @@ from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb
 from esfi.hydrogenic import make_atom
 from esfi.invert import _log_rate_fn, invert_rate
 from esfi.rates import guard_field, rate_ll
+from esfi.units import REGISTRY
 
 
 def test_round_trip_hydrogen():
@@ -67,6 +68,21 @@ def test_unattainable_target():
         invert_rate(-1.0, atom)
     with pytest.raises(errors.TargetUnattainable):
         invert_rate(0.0, atom)
+
+
+@pytest.mark.parametrize("Z, I", [(0.3, None), (1.0, None), (17.0, None), (1.0, 30.0)])
+def test_closed_form_has_no_root_at_or_above_its_maximum(Z, I):
+    # C_FI I^(5/2)/F exp(-b I^(3/2)/F) peaks at F = b I^(3/2), at C_FI I/(b e)
+    atom = make_atom(Z, I)
+    peak = math.log(REGISTRY.C_FI.value * atom.I / REGISTRY.b.value) - 1.0
+    for log_t in (peak, peak + 1e-12, peak + math.log(2.0), math.log(1e300)):
+        assert invert._closed_form_root(atom, log_t) is None
+    # a factor e below the maximum, the W_-1 root is back
+    log_t = peak - 1.0
+    root = invert._closed_form_root(atom, log_t)
+    assert rate_ll(atom, math.exp(root), allow_shallow=True).log_K_e == pytest.approx(
+        log_t, abs=1e-12
+    )
 
 
 def test_invalid_bracket():

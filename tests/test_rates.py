@@ -278,6 +278,18 @@ def test_eta0_window_warning_boundaries():
         barrier_integral_log_part(atom, F, 0.5 * outer)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("part", [
+    barrier_integral_main_part, barrier_integral_log_part, barrier_term_from_parts
+])
+@pytest.mark.parametrize("eta0", [0.0, -1.0, math.nan, math.inf])
+def test_matching_coordinate_must_be_positive_and_finite(part, eta0):
+    # refused before the soft window would warn
+    atom = make_atom(1)
+    with pytest.raises(errors.NonPositiveCoordinate, match="eta0"):
+        part(atom, 5.0, eta0)
+
+
 def test_rate_result_serialization_round_trip():
     import json
 

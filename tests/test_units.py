@@ -153,6 +153,16 @@ def test_quantity_addition_requires_matching_dimension():
     assert total.value == 3.0
 
 
+def test_quantity_subtraction_negation_and_reciprocal():
+    diff = Quantity(3.0, ENERGY) - Quantity(1.0, ENERGY)
+    assert diff == Quantity(2.0, ENERGY)
+    with pytest.raises(ValueError):
+        Quantity(1.0, ENERGY) - Quantity(1.0, LENGTH)
+    assert -Quantity(2.5, LENGTH) == Quantity(-2.5, LENGTH)
+    assert 1.0 / Quantity(4.0, TIME) == Quantity(0.25, TIME**-1)
+    assert 2 / Quantity(4.0, LENGTH) == Quantity(0.5, LENGTH**-1)
+
+
 def test_quantity_rejects_non_finite():
     with pytest.raises(ValueError):
         Quantity(float("nan"), ENERGY)
