@@ -48,6 +48,17 @@ class HydrogenicAtom:
     default_ionization: bool = True
 
 
+def _shown(x):
+    """x for an error message; an int beyond the float range, which
+    math.isfinite and float() refuse with OverflowError, as the infinity
+    of its sign."""
+    try:
+        math.isfinite(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    return x
+
+
 def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
     """Build a hydrogenic atom from its charge number.
 
@@ -63,14 +74,23 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
     accepted but keeps only a few significant bits, as do the rates
     derived from it.
     """
-    if not (Z > 0) or not math.isfinite(Z):
-        raise NonPositiveZ(f"charge number Z must be positive, got {Z}")
+    try:
+        valid = Z > 0 and math.isfinite(Z)
+    except OverflowError:  # an int beyond the float range
+        valid = False
+    if not valid:
+        raise NonPositiveZ(f"charge number Z must be positive, got {_shown(Z)}")
     # a numpy scalar would carry numpy scalar arithmetic into every field
     Z = float(Z)
-    if I_override is not None and (not math.isfinite(I_override) or I_override <= 0):
-        raise NonPositiveIonizationEnergy(
-            f"ionization energy must be positive, got {I_override}"
-        )
+    if I_override is not None:
+        try:
+            valid = math.isfinite(I_override) and I_override > 0
+        except OverflowError:
+            valid = False
+        if not valid:
+            raise NonPositiveIonizationEnergy(
+                f"ionization energy must be positive, got {_shown(I_override)}"
+            )
     B = Z * _B_H
     I = Z * Z * _I_H if I_override is None else float(I_override)
     # Z^2 I_H can underflow or overflow, and the suppression field

@@ -7,11 +7,13 @@ form's root, which the W_-1 branch gives to within about 2e-2 in ln F,
 or at the top of the bracket where that root lies at or above it;
 Newton's slope d ln K_e / d ln F comes with each JWKB evaluation, from
 the nodes of its barrier-strength quadrature, so a step costs one barrier
-solve, and an answer about seven.  ln K_e is concave and rising in ln F,
-so the steps approach the root from one side.  For the closed form
-('ll'), and for a JWKB target whose closed-form root lies below the
-bracket or does not exist, bisection narrows the bracket first and
-Newton polishes, for 'll' with a central difference.
+solve.  ln K_e is concave and rising in ln F, so the steps approach the
+root from one side, and over the default bracket they find it without
+its ends: those are solved only where a step meets what they settle,
+and an answer takes about five solves.  For the closed form ('ll'), and
+for a JWKB target whose closed-form root lies below the bracket or does
+not exist, bisection narrows the bracket first and Newton polishes, for
+'ll' with a central difference.
 
 The root is unique where K_e rises over the bracket.  That holds below
 the deep-tunnelling guard unless the ionization energy is far above
@@ -100,6 +102,28 @@ def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, bu
     return u_hi, g_hi, evaluations
 
 
+def _checked_first(log_rate, checked: float) -> Callable[[float], float]:
+    """ln K at a field F: by the checked log_rate where F lies above
+    `checked` and every field it answered since, and by its inside
+    elsewhere, as the barrier's peak only falls as F rises."""
+    inside = log_rate.inside
+
+    def evaluate(F: float) -> float:
+        nonlocal checked
+        if F <= checked:
+            return inside(F)
+        value = log_rate(F)
+        checked = F
+        return value
+
+    return evaluate
+
+
+class _Restart(Exception):
+    """A solve that skipped the bracket's ends met what only they settle;
+    its one argument is the number of solves it made."""
+
+
 def invert_rate(
     target: float,
     atom: HydrogenicAtom,
@@ -127,7 +151,14 @@ def invert_rate(
     bracket, where it lies at or above the top (one solve more, for the
     slope there), with the slope their evaluations give analytically (one
     solve per step), and one step more once converged, kept where it
-    lowers the residual.  'll', and a JWKB target whose closed-form root
+    lowers the residual.  With the default bracket they solve its ends
+    only where an answer needs them: neither for a root inside the
+    bracket, and not the bottom for one at or above its top where the
+    rate there reaches the target.  A slope <= 0, a step that would leave
+    the bracket or no convergence starts the solve over with both ends
+    solved first, for the same answer or refusal; ``iterations`` then
+    counts the solves of both tries.  An answer takes about five solves.
+    'll', and a JWKB target whose closed-form root
     lies below the bracket or does not exist, bisect on ln F until the
     bracket is 1e-2 wide, then take Newton steps, for 'll' with a central
     difference (three evaluations per step).  A step that would leave the
@@ -154,52 +185,90 @@ def invert_rate(
         raise TargetUnattainable(f"invalid bracket ({f_lo}, {f_hi})")
 
     log_rate = _log_rate_fn(atom, method)
+    seed = None if method == "ll" else _closed_form_root(atom, math.log(target))
+    spent = 0
+    if bracket is None and seed is not None and math.log(f_lo) < seed:
+        # over the default bracket ln K rises and is concave in ln F, so
+        # Newton from the seed finds the root that the ends would bracket
+        try:
+            return _solve(log_rate, target, f_lo, f_hi, seed, default=True, lazy=True)
+        except _Restart as restart:
+            spent = restart.args[0]
+    return _solve(log_rate, target, f_lo, f_hi, seed, default=bracket is None, spent=spent)
+
+
+def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
+    """The answer of :func:`invert_rate` on the bracket (f_lo, f_hi), from
+    the closed-form root `seed` (ln F) of a JWKB method where that lies
+    above f_lo.  `default` marks the default bracket, which may end at the
+    rate's maximum; `spent` solves are added to the answer's count.
+
+    Lazily (`lazy`), the ends are left unsolved where the seed lies inside
+    the bracket, and the bottom where the seed lies at or above its top
+    and the rate there reaches the target.  Where that solve meets a slope
+    <= 0, a step that would leave the bracket or no convergence, which the
+    ends would have settled, it raises _Restart.  (A refusal it meets
+    stands: the default bracket's ends answered for every atom tried, Z
+    from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H, and the fields
+    solved after them are the same.)
+    """
     # d ln K/d ln F at the field evaluated last, from the JWKB evaluators
-    analytic_slope = None if method == "ll" else log_rate.slope
-    # the fields the solve evaluates lie within the bracket, whose ends
-    # answered, so they need no second check
+    analytic_slope = getattr(log_rate, "slope", None)
     inside = log_rate.inside
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
-    g_hi = log_rate(f_hi) - log_t
-    evaluations = 2
-    # a target above the rate at the end of the default bracket may still
-    # lie below the JWKB rate's maximum inside it: end the bracket there.
-    # (Below the rate at f_hi, the root below the maximum is the only one:
-    # past the maximum the rate falls to no less than at f_hi.)
-    if g_hi < 0.0 and bracket is None and analytic_slope is not None and analytic_slope() <= 0.0:
-        u_hi, g_hi, spent = _rate_peak(log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations)
-        evaluations += spent
-        f_hi = math.exp(u_hi)
-    # last, so that Newton's first slope is at f_lo if no bisection step runs
-    g_lo = log_rate(f_lo) - log_t
+    evaluations = 0
+    checked = -math.inf  # lazily, the highest field that log_rate answered
 
-    if g_lo > g_hi:
-        raise NonMonotoneBracket(
-            f"rate not increasing over bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
-        )
-    if g_lo > 0.0 or g_hi < 0.0:
-        raise TargetUnattainable(
-            f"target {target:.6g} s^-1 outside attainable range "
-            f"[{math.exp(g_lo + log_t):.6g}, {math.exp(g_hi + log_t):.6g}] s^-1 "
-            f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
-        )
+    if not lazy or seed >= u_hi:
+        g_hi = log_rate(f_hi) - log_t
+        evaluations += 1
+        checked = f_hi
+        lazy = lazy and g_hi >= 0.0
+    if not lazy:
+        # a target above the rate at the end of the default bracket may
+        # still lie below the JWKB rate's maximum inside it: end the bracket
+        # there.  (Below the rate at f_hi, the root below the maximum is the
+        # only one: past the maximum the rate falls to no less than at f_hi.)
+        if g_hi < 0.0 and default and analytic_slope is not None and analytic_slope() <= 0.0:
+            # the solves left, the bottom's aside
+            u_hi, g_hi, peak_solves = _rate_peak(
+                log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations - 1
+            )
+            evaluations += peak_solves
+            f_hi = math.exp(u_hi)
+        # last, so that Newton's first slope is at f_lo if no bisection step runs
+        g_lo = log_rate(f_lo) - log_t
+        evaluations += 1
 
+        if g_lo > g_hi:
+            raise NonMonotoneBracket(
+                f"rate not increasing over bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
+            )
+        if g_lo > 0.0 or g_hi < 0.0:
+            raise TargetUnattainable(
+                f"target {target:.6g} s^-1 outside attainable range "
+                f"[{math.exp(g_lo + log_t):.6g}, {math.exp(g_hi + log_t):.6g}] s^-1 "
+                f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
+            )
+        u, g = u_lo, g_lo
+
+    # once both ends answered, the fields the solve evaluates lie between them
+    evaluate = _checked_first(log_rate, checked) if lazy else inside
     # on u = ln F: Newton steps from the field evaluated last, with
     # d(ln K)/d(ln F) the JWKB evaluator's or, for 'll', a central
     # difference, and the midpoint wherever a step would leave the bracket.
     # A JWKB inversion takes them from the closed form's root on, where
     # that lies inside the bracket, or from the top of the bracket, where
     # the root lies at or above it; otherwise bisection first narrows the
-    # bracket to newton_width
-    u, g = u_lo, g_lo
+    # bracket to newton_width.  Lazily, what would take the midpoint
+    # restarts the solve
     newton_width = 1e-2
-    seed = None if analytic_slope is None else _closed_form_root(atom, log_t)
     if seed is not None and u_lo < seed:
         # a root at or above the top seeds at the top: one solve more there,
         # for its slope
         u = min(seed, u_hi)
-        g = inside(math.exp(u)) - log_t
+        g = evaluate(math.exp(u)) - log_t
         evaluations += 1
         newton_width = math.inf
     du = 1e-6
@@ -213,11 +282,13 @@ def invert_rate(
                     # one more step, kept where it lowers |g|: the stop
                     # alone leaves answers up to some 30 ulps off the root.
                     # The slope of the step that got here serves, as a
-                    # step this small needs no better
+                    # step this small needs no better.  (Lazily too: a
+                    # seed that converged lies below the rate's maximum,
+                    # as past it the JWKB rate lies below the closed form's)
                     slope = analytic_slope() if slope is None else slope
                     u_next = u - g / slope if slope > 0.0 else u
                     if u_next != u and u_lo <= u_next <= u_hi:
-                        g_next = inside(math.exp(u_next)) - log_t
+                        g_next = evaluate(math.exp(u_next)) - log_t
                         evaluations += 1
                         if abs(g_next) < abs(g):
                             u, g = u_next, g_next
@@ -232,8 +303,10 @@ def invert_rate(
             tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))
             if slope > 0.0 and u_lo <= u - g / slope <= u_hi:
                 u_next = u - g / slope
+            elif lazy:
+                raise _Restart(evaluations)
         u = u_next
-        g = inside(math.exp(u)) - log_t
+        g = evaluate(math.exp(u)) - log_t
         evaluations += 1
         if g > 0.0:
             u_hi = u
@@ -241,10 +314,12 @@ def invert_rate(
             u_lo = u
 
     if abs(g) > tol:
+        if lazy:
+            raise _Restart(evaluations)
         raise NumericError(
             f"inversion did not converge in {evaluations} evaluations "
             f"(|ln K - ln target| = {abs(g):.3e})"
         )
     return InversionResult(
-        F=math.exp(u), iterations=evaluations, residual=abs(math.expm1(g))
+        F=math.exp(u), iterations=spent + evaluations, residual=abs(math.expm1(g))
     )

@@ -31,6 +31,7 @@ from esfi.barrier import (
     turning_points,
 )
 from esfi.hydrogenic import make_atom
+from esfi.invert import invert_rate
 from esfi.rates import guard_field, rate_ll, suppression_field_naive
 from esfi.units import REGISTRY
 
@@ -278,6 +279,47 @@ def test_parabolic_and_cartesian_agree_bit_for_bit_just_below_suppression(atom):
         sc = rate_jwkb(MotiveModel(CARTESIAN, atom, f))
         assert (sp.G, sp.K_e, sp.log_K_e) == (sc.G, sc.K_e, sc.log_K_e), f
         assert sp.coord_in == 2.0 * sc.coord_in, f
+
+
+def _identity_corpus():
+    """14 atoms: Z log-uniform from 0.01 to 90, half of them with I
+    overridden to between 1e-2 and 1e2 times Z^2 I_H."""
+    rng = np.random.default_rng(1837)
+    atoms = []
+    for k in range(14):
+        Z = float(np.exp(rng.uniform(math.log(0.01), math.log(90.0))))
+        I = Z * Z * REGISTRY.I_H.value * 10.0 ** rng.uniform(-2.0, 2.0) if k % 2 else None
+        atoms.append(make_atom(Z, I))
+    return atoms
+
+
+@pytest.mark.parametrize("atom", _identity_corpus())
+def test_cartesian_is_parabolic_with_coordinates_halved(atom):
+    # M_par(2 z) = M_cart(z)/4 and every scaling between the two
+    # parametrizations is a power of two, so they give identical barrier
+    # strengths and rates, on the scalar and the array path, and the same
+    # inversions
+    F = suppression_field(atom, PARABOLIC) * np.geomspace(1e-4, 0.99999, 48)
+    p, c = rate_jwkb_array(PARABOLIC, atom, F), rate_jwkb_array(CARTESIAN, atom, F)
+    assert not np.isnan(p.G).any()
+    for name in ("G", "P_jwkb", "P_eff", "D_eff", "K_e", "log_K_e"):
+        assert np.array_equal(getattr(p, name), getattr(c, name)), name
+    assert np.array_equal(p.coord_in, 2.0 * c.coord_in)
+    assert np.array_equal(p.coord_out, 2.0 * c.coord_out)
+    for f in F[::3].tolist():
+        sp = rate_jwkb(MotiveModel(PARABOLIC, atom, f)).as_dict()
+        sc = rate_jwkb(MotiveModel(CARTESIAN, atom, f)).as_dict()
+        assert sp.pop("method") != sc.pop("method")
+        assert (sp.pop("coord_in"), sp.pop("coord_out")) == (
+            2.0 * sc.pop("coord_in"), 2.0 * sc.pop("coord_out")), f
+        assert sp == sc, f
+    # the rates at fields up to the guard, where the default bracket ends
+    targets = p.K_e[(p.K_e > 0.0) & (F < guard_field(atom))][::4].tolist()
+    assert targets
+    for target in targets:
+        answers = [invert_rate(target, atom, method=method).F
+                   for method in ("jwkb-parabolic", "jwkb-cartesian")]
+        assert answers[0] == answers[1], target
 
 
 def test_jwkb_to_closed_form_ratio_weak_field_dependence():

@@ -69,6 +69,22 @@ def test_invalid_atom_inputs():
         make_atom(1.0, I_override=0.0)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int_beyond_the_float_range_is_refused_as_an_infinity(sign):
+    # math.isfinite and float() raise OverflowError on such an int
+    huge, infinity = sign * 10**400, sign * math.inf
+    for args, as_float, error in (
+        ((huge,), (infinity,), errors.NonPositiveZ),
+        ((1.0, huge), (1.0, infinity), errors.NonPositiveIonizationEnergy),
+    ):
+        with pytest.raises(error) as raised:
+            make_atom(*args)
+        with pytest.raises(error) as expected:
+            make_atom(*as_float)
+        assert str(raised.value) == str(expected.value)
+        assert isinstance(raised.value, errors.ValidationError)
+
+
 @pytest.mark.parametrize("I", [None, 30.0])
 def test_charge_number_type_does_not_reach_the_atom(I):
     # a numpy scalar charge would otherwise run the JWKB solver in numpy

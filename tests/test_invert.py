@@ -7,7 +7,7 @@ import pytest
 from helpers import exact_jwkb_root
 
 from esfi import errors, invert
-from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb
+from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb, suppression_field
 from esfi.hydrogenic import make_atom
 from esfi.invert import _log_rate_fn, invert_rate
 from esfi.rates import guard_field, rate_ll
@@ -252,15 +252,16 @@ def test_ll_inversion_results_are_unchanged(target, Z, I, bracket, F, iterations
 
 
 def test_jwkb_inversion_of_hydrogen_takes_one_solve_per_newton_step():
-    # two bracket ends, the closed form's root, Newton steps whose slope
-    # comes with the evaluation, and one step past the stop
+    # the closed form's root, Newton steps whose slope comes with the
+    # evaluation, and one step past the stop; the bracket's ends are not
+    # solved, as Newton converges inside the bracket
     atom = make_atom(1)
     for F in (3.0, 6.0, 12.0):
         target = rate_jwkb(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, atom, F)).K_e
         result = invert_rate(target, atom, method="jwkb-parabolic")
         assert result.F == pytest.approx(F, rel=1e-12)
-        assert result.iterations <= 9
-    assert invert_rate(1e8, atom, method="jwkb-parabolic").iterations <= 9
+        assert result.iterations <= 7
+    assert invert_rate(1e8, atom, method="jwkb-parabolic").iterations <= 7
 
 
 @pytest.mark.parametrize("method", ["jwkb-parabolic", "jwkb-cartesian", "jwkb-naive"])
@@ -318,27 +319,30 @@ def test_jwkb_default_bracket_answers_below_the_rate_maximum(I, target):
 def test_jwkb_user_bracket_past_the_maximum_is_non_monotone():
     # the default bracket would end at the maximum, near 7.7e4 V/nm
     atom = make_atom(1, 1086.0)
-    with pytest.raises(errors.NonMonotoneBracket):
+    with pytest.raises(errors.NonMonotoneBracket) as raised:
         invert_rate(1e13, atom, method="jwkb-parabolic", bracket=(8e4, guard_field(atom)))
+    assert str(raised.value) == "rate not increasing over bracket (80000, 102381) V/nm"
 
 
 # (target, Z, I, method, bracket) -> (F, iterations, residual) of JWKB
 # inversions, pinned: every shape, default and given brackets, the default
 # bracket ending at the rate's maximum (I = 1086 eV), and a target above
-# the closed form's rate at the guard (5e9), which starts at the guard
+# the closed form's rate at the guard (5e9), which starts at the guard.
+# With the default bracket, the ends go unsolved (the top solved once
+# where Newton starts there)
 _JWKB_GOLDEN = [
-    (1e8, 1, None, "jwkb-parabolic", None, 13.464690817226831, 7, 3.552713678800507e-15),
-    (1e8, 1, None, "jwkb-cartesian", None, 13.464690817226831, 7, 3.552713678800507e-15),
-    (1e8, 1, None, "jwkb-naive", None, 11.202502571351634, 8, 0.0),
-    (1e-30, 1, None, "jwkb-parabolic", None, 2.994585336393798, 6, 0.0),
-    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381655, 7, 3.5527136788004946e-15),
+    (1e8, 1, None, "jwkb-parabolic", None, 13.464690817226831, 5, 3.552713678800507e-15),
+    (1e8, 1, None, "jwkb-cartesian", None, 13.464690817226831, 5, 3.552713678800507e-15),
+    (1e8, 1, None, "jwkb-naive", None, 11.202502571351634, 6, 0.0),
+    (1e-30, 1, None, "jwkb-parabolic", None, 2.994585336393798, 4, 0.0),
+    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381655, 6, 3.5527136788004946e-15),
     (1e9, 1, None, "jwkb-parabolic", (1.0, 50.0), 14.870456021456317, 7, 0.0),
     (1e9, 1, None, "jwkb-naive", (2.0, 20.0), 12.181698367410181, 8, 0.0),
-    (1e6, 2.5, None, "jwkb-parabolic", None, 166.66553493721617, 7, 1.7763568394002662e-14),
+    (1e6, 2.5, None, "jwkb-parabolic", None, 166.66553493721617, 5, 1.7763568394002662e-14),
     (1e10, 2.5, None, "jwkb-naive", (20.0, 400.0), 193.80888517455102, 8, 3.552713678800507e-15),
-    (1e3, 2.5, 30.0, "jwkb-cartesian", None, 26.48824829255789, 8, 3.5527136788004946e-15),
+    (1e3, 2.5, 30.0, "jwkb-cartesian", None, 26.48824829255789, 6, 3.5527136788004946e-15),
     (1e11, 1, 30.0, "jwkb-parabolic", (1.0, 80.0), 65.95849964740297, 7, 0.0),
-    (3.83999e13, 1, 1086.0, "jwkb-parabolic", None, 51190.3093440342, 45, 7.105427357601027e-15),
+    (3.83999e13, 1, 1086.0, "jwkb-parabolic", None, 51190.3093440342, 8, 7.105427357601027e-15),
 ]
 
 
@@ -357,3 +361,161 @@ def test_jwkb_refused_target_names_the_attainable_range():
         "target 1e+99 s^-1 outside attainable range [0, 5.14366e+09] s^-1 "
         "on bracket (1e-06, 16.0694) V/nm"
     )
+
+
+def _recording(monkeypatch):
+    """The fields the inversion's evaluator solves, in order, each with the
+    entry that solved it: 'log_rate' (checked) or 'inside'."""
+    solves = []
+    make = invert._log_rate_fn
+
+    def recording(atom, method):
+        log_rate = make(atom, method)
+
+        def checked(F):
+            solves.append(("log_rate", F))
+            return log_rate(F)
+
+        def inside(F):
+            solves.append(("inside", F))
+            return log_rate.inside(F)
+
+        checked.inside = inside
+        checked.slope = log_rate.slope
+        return checked
+
+    monkeypatch.setattr(invert, "_log_rate_fn", recording)
+    return solves
+
+
+def _ends_first(monkeypatch):
+    """Make invert_rate solve the bracket's ends before Newton, always."""
+    solve = invert._solve
+
+    def ends_first(*args, lazy=False, **kwargs):
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(invert, "_solve", ends_first)
+
+
+def _jwkb_outcome(target, atom, method, bracket=None):
+    try:
+        result = invert_rate(target, atom, method=method, bracket=bracket)
+    except errors.EsfiError as exc:
+        return type(exc), str(exc)
+    return result.F, result.residual
+
+
+_CALIBRATIONS = [(1, None), (2, None), (2.5, None), (1, 20.0)]
+
+
+@pytest.mark.parametrize("method", ["jwkb-parabolic", "jwkb-cartesian", "jwkb-naive"])
+def test_jwkb_default_bracket_solves_its_ends_only_when_needed(monkeypatch, method):
+    solves = _recording(monkeypatch)
+    inside_seeds = 0
+    for Z, I in _CALIBRATIONS:
+        atom = make_atom(Z, I)
+        guard = guard_field(atom)
+        for fraction in (1 / 3, 0.5, 0.8, 0.99):
+            target = rate_jwkb(MotiveModel(MotiveVariant(method), atom, fraction * guard)).K_e
+            solves.clear()
+            result = invert_rate(target, atom, method=method)
+            fields = [F for _, F in solves]
+            assert len(solves) == result.iterations
+            assert 1e-6 not in fields
+            if invert._closed_form_root(atom, math.log(target)) < math.log(guard):
+                # the seed lies inside the bracket: the top goes unsolved too
+                assert guard not in fields
+                inside_seeds += 1
+            else:
+                # Newton starts at the top, solved first
+                assert solves[0] == ("log_rate", guard)
+            # inside solves only at or below a field that log_rate answered
+            answered = -math.inf
+            for entry, F in solves:
+                if entry == "log_rate":
+                    answered = max(answered, F)
+                else:
+                    assert F <= answered, (Z, I, fraction)
+    assert inside_seeds >= 8
+    # the closed form's root lies above the top: Newton starts there, and
+    # the bottom stays unsolved
+    solves.clear()
+    result = invert_rate(5e9, make_atom(1), method=method)
+    assert solves[0] == ("log_rate", guard_field(make_atom(1)))
+    assert 1e-6 not in [F for _, F in solves]
+    assert len(solves) == result.iterations
+
+
+def test_jwkb_lazy_ends_give_the_ends_first_answers_and_refusals(monkeypatch):
+    # the calibration mix, the default bracket ending at the rate's maximum
+    # or below the suppression field, targets above the attainable range
+    # (refused after a restart) and at the bottom of the bracket (a
+    # restart that answers)
+    rng = np.random.default_rng(2024)
+    cases = []
+    for Z, I in _CALIBRATIONS + [(1, 1086.0), (1, 1498.0), (0.0105, None)]:
+        atom = make_atom(Z, I)
+        for method in ("jwkb-parabolic", "jwkb-cartesian", "jwkb-naive"):
+            log_rate = _log_rate_fn(atom, method)
+            top = min(guard_field(atom), invert._BELOW_SUPPRESSION
+                      * suppression_field(atom, MotiveVariant(method)))
+            lo, hi = sorted((log_rate(top / 3), log_rate(top)))
+            for log_t in [*rng.uniform(lo, hi, 3), *rng.uniform(hi, hi + 3.0, 2)]:
+                cases.append((math.exp(log_t), atom, method))
+    atom = make_atom(0.0105)
+    bottom = _log_rate_fn(atom, "jwkb-parabolic")(1e-6)
+    cases += [(math.exp(bottom + d), atom, "jwkb-parabolic") for d in (-1e-3, 1e-6, 0.1)]
+    cases += [(target, make_atom(1, 1086.0), "jwkb-parabolic") for target in (3.83999e13, 1e14)]
+    cases.append((1.4e11, make_atom(1, 1498.0), "jwkb-parabolic"))
+    lazy = [_jwkb_outcome(*case) for case in cases]
+    _ends_first(monkeypatch)
+    assert [_jwkb_outcome(*case) for case in cases] == lazy
+    refused = sum(isinstance(outcome[0], type) for outcome in lazy)
+    assert 10 < refused < len(cases) - 10  # both answers and refusals are compared
+
+
+def test_jwkb_restart_counts_the_solves_of_the_first_try(monkeypatch):
+    # the rate at the bottom of the bracket, 1e-6 V/nm, times e^(1e-6):
+    # Newton's first step from the closed form's root would leave the
+    # bracket, so the ends are solved and the solve starts over
+    atom = make_atom(0.0105)
+    target = 8.872453579785156e-157
+    solves = _recording(monkeypatch)
+    result = invert_rate(target, atom, method="jwkb-parabolic")
+    assert result == invert.InversionResult(1.0000000025261931e-06, 22, 1.136868377216225e-13)
+    seed = math.exp(invert._closed_form_root(atom, math.log(target)))
+    assert solves[:3] == [("log_rate", seed), ("log_rate", guard_field(atom)),
+                          ("log_rate", 1e-6)]
+    assert len(solves) == 22
+    _ends_first(monkeypatch)
+    assert invert_rate(target, atom, method="jwkb-parabolic").iterations == 21
+
+
+def test_jwkb_no_convergence_without_the_ends_starts_over_with_them(monkeypatch):
+    # with three solves allowed, hydrogen at 1e8 s^-1 (five solves) converges
+    # in neither try: the refusal is that of the solve with the ends first
+    monkeypatch.setattr(invert, "_MAX_ITER", 3)
+    atom = make_atom(1)
+    with pytest.raises(errors.NumericError) as lazy:
+        invert_rate(1e8, atom, method="jwkb-parabolic")
+    _ends_first(monkeypatch)
+    with pytest.raises(errors.NumericError) as ends_first:
+        invert_rate(1e8, atom, method="jwkb-parabolic")
+    assert str(lazy.value) == str(ends_first.value)
+    assert str(lazy.value).startswith("inversion did not converge in 3 evaluations")
+
+
+@pytest.mark.parametrize("target, I, message", [
+    (1e14, 1086.0, "target 1e+14 s^-1 outside attainable range [0, 8.04054e+13] s^-1 "
+                   "on bracket (1e-06, 76797.3) V/nm"),
+    (8.863576697372891e-157, None,
+     "target 8.86358e-157 s^-1 outside attainable range [8.87244e-157, 567089] s^-1 "
+     "on bracket (1e-06, 1.86023e-05) V/nm"),
+])
+def test_jwkb_refusal_after_a_restart_names_the_attainable_range(target, I, message):
+    # above the rate's maximum, and just below the rate at 1e-6 V/nm
+    atom = make_atom(1 if I else 0.0105, I)
+    with pytest.raises(errors.TargetUnattainable) as raised:
+        invert_rate(target, atom, method="jwkb-parabolic")
+    assert str(raised.value) == message
