@@ -51,9 +51,10 @@ from the quadrature's nodes, for the inverse solver;
 :func:`rate_jwkb_array` runs it on blocks of fields and hands the few it
 cannot settle to :func:`rate_jwkb`.
 A block can hold several barrier shapes at once, as lanes (field x shape)
-whose coefficients are arrays; only the quadrature's matrix product runs
-shape by shape, so that each lane gets the bits a block of its own shape
-would give it.
+whose coefficients are arrays; the turning points are found for all lanes
+in one pass, and the barrier strength (nodes, motive and the quadrature's
+matrix product) runs shape by shape, so that each lane gets the bits a
+block of its own shape would give it.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ root from one side, and over the default bracket they find it without
 its ends: those are solved only where a step meets what they settle,
 and an answer takes about five solves.  For the closed form ('ll'), and
 for a JWKB target whose closed-form root lies below the bracket or does
-not exist, bisection narrows the bracket first and Newton polishes, for
-'ll' with a central difference.
+not exist, bisection narrows the bracket first and Newton polishes; the
+closed form's slope, b I^(3/2)/F - 1, comes exact with each evaluation
+too, so an 'll' answer takes about sixteen.
 
 The root is unique where K_e rises over the bracket.  That holds below
 the deep-tunnelling guard unless the ionization energy is far above
@@ -160,10 +161,11 @@ def invert_rate(
     counts the solves of both tries.  An answer takes about five solves.
     'll', and a JWKB target whose closed-form root
     lies below the bracket or does not exist, bisect on ln F until the
-    bracket is 1e-2 wide, then take Newton steps, for 'll' with a central
-    difference (three evaluations per step).  A step that would leave the
-    bracket falls back to its midpoint.  Converges to
-    |K_e(F) - target|/target < 1e-10 (typically much tighter);
+    bracket is 1e-2 wide, then take the same Newton steps; the closed
+    form's slope, b I^(3/2)/F - 1, is exact and comes with each
+    evaluation, and an 'll' answer takes about sixteen evaluations.  A
+    step that would leave the bracket falls back to its midpoint.
+    Converges to |K_e(F) - target|/target < 1e-10 (typically much tighter);
     ``iterations`` counts the rate evaluations.
     """
     if not (target > 0.0) or not math.isfinite(target):
@@ -194,14 +196,19 @@ def invert_rate(
             return _solve(log_rate, target, f_lo, f_hi, seed, default=True, lazy=True)
         except _Restart as restart:
             spent = restart.args[0]
-    return _solve(log_rate, target, f_lo, f_hi, seed, default=bracket is None, spent=spent)
+    # only a JWKB rate's maximum is searched for: the default 'll' bracket
+    # already ends at the closed form's maximum, where its slope is about 0
+    default = bracket is None and method != "ll"
+    return _solve(log_rate, target, f_lo, f_hi, seed, default=default, spent=spent)
 
 
 def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
     """The answer of :func:`invert_rate` on the bracket (f_lo, f_hi), from
     the closed-form root `seed` (ln F) of a JWKB method where that lies
-    above f_lo.  `default` marks the default bracket, which may end at the
-    rate's maximum; `spent` solves are added to the answer's count.
+    above f_lo.  `default` marks a JWKB method's default bracket, whose top
+    may lie past the rate's maximum; `spent` solves are added to the
+    answer's count.  Every Newton step takes its slope from
+    ``log_rate.slope()``, at the field evaluated last.
 
     Lazily (`lazy`), the ends are left unsolved where the seed lies inside
     the bracket, and the bottom where the seed lies at or above its top
@@ -212,9 +219,6 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
     from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H, and the fields
     solved after them are the same.)
     """
-    # d ln K/d ln F at the field evaluated last, from the JWKB evaluators
-    analytic_slope = getattr(log_rate, "slope", None)
-    inside = log_rate.inside
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
     evaluations = 0
@@ -230,7 +234,7 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
         # still lie below the JWKB rate's maximum inside it: end the bracket
         # there.  (Below the rate at f_hi, the root below the maximum is the
         # only one: past the maximum the rate falls to no less than at f_hi.)
-        if g_hi < 0.0 and default and analytic_slope is not None and analytic_slope() <= 0.0:
+        if g_hi < 0.0 and default and log_rate.slope() <= 0.0:
             # the solves left, the bottom's aside
             u_hi, g_hi, peak_solves = _rate_peak(
                 log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations - 1
@@ -254,10 +258,10 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
         u, g = u_lo, g_lo
 
     # once both ends answered, the fields the solve evaluates lie between them
-    evaluate = _checked_first(log_rate, checked) if lazy else inside
+    evaluate = _checked_first(log_rate, checked) if lazy else log_rate.inside
     # on u = ln F: Newton steps from the field evaluated last, with
-    # d(ln K)/d(ln F) the JWKB evaluator's or, for 'll', a central
-    # difference, and the midpoint wherever a step would leave the bracket.
+    # d(ln K)/d(ln F) the evaluator's slope there, and the midpoint
+    # wherever a step would leave the bracket.
     # A JWKB inversion takes them from the closed form's root on, where
     # that lies inside the bracket, or from the top of the bracket, where
     # the root lies at or above it; otherwise bisection first narrows the
@@ -271,33 +275,27 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
         g = evaluate(math.exp(u)) - log_t
         evaluations += 1
         newton_width = math.inf
-    du = 1e-6
     tol = _RESIDUAL_TOL
     slope = None
     while evaluations < _MAX_ITER:
         u_next = 0.5 * (u_lo + u_hi)
         if u_hi - u_lo <= newton_width:
             if abs(g) <= tol:
-                if analytic_slope is not None:
-                    # one more step, kept where it lowers |g|: the stop
-                    # alone leaves answers up to some 30 ulps off the root.
-                    # The slope of the step that got here serves, as a
-                    # step this small needs no better.  (Lazily too: a
-                    # seed that converged lies below the rate's maximum,
-                    # as past it the JWKB rate lies below the closed form's)
-                    slope = analytic_slope() if slope is None else slope
-                    u_next = u - g / slope if slope > 0.0 else u
-                    if u_next != u and u_lo <= u_next <= u_hi:
-                        g_next = evaluate(math.exp(u_next)) - log_t
-                        evaluations += 1
-                        if abs(g_next) < abs(g):
-                            u, g = u_next, g_next
+                # one more step, kept where it lowers |g|: the stop alone
+                # leaves answers up to some 30 ulps off the root.  The
+                # slope of the step that got here serves, as a step this
+                # small needs no better.  (Lazily too: a seed that
+                # converged lies below the rate's maximum, as past it the
+                # JWKB rate lies below the closed form's)
+                slope = log_rate.slope() if slope is None else slope
+                u_next = u - g / slope if slope > 0.0 else u
+                if u_next != u and u_lo <= u_next <= u_hi:
+                    g_next = evaluate(math.exp(u_next)) - log_t
+                    evaluations += 1
+                    if abs(g_next) < abs(g):
+                        u, g = u_next, g_next
                 break
-            if analytic_slope is not None:
-                slope = analytic_slope()
-            else:
-                slope = (inside(math.exp(u + du)) - inside(math.exp(u - du))) / (2.0 * du)
-                evaluations += 2
+            slope = log_rate.slope()
             # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
             # of u and F, so deep in the barrier it cannot resolve 1e-13
             tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))

@@ -191,10 +191,15 @@ def _ll_log_rate(atom: HydrogenicAtom) -> Callable[[float], float]:
     conversion of their own (see :func:`_coefficients`): building a long
     double costs about as much as the rest of an evaluation.  Its
     ``inside(F)`` is the same ln K_e without the check that F is positive
-    and finite, for fields between two where it answered."""
+    and finite, for fields between two where it answered.  Its ``slope()``
+    gives d ln K_e / d ln F = b I^(3/2)/F - 1 at the field of the last
+    evaluation, from the long-double exponent that evaluation kept: bit
+    for bit ``rate_ll(atom, F, allow_shallow=True).exponent - 1.0``."""
     exponent_coeff, pre_coeff = _ll_factors(atom.I)
+    exponent = None  # of the last evaluation, for slope()
 
     def inside(F: float) -> float:
+        nonlocal exponent
         pre, exponent = _field_terms(exponent_coeff, pre_coeff, F)
         return float(np.log(pre) - exponent)
 
@@ -202,7 +207,12 @@ def _ll_log_rate(atom: HydrogenicAtom) -> Callable[[float], float]:
         _check_positive(F)
         return inside(F)
 
+    def slope() -> float:
+        """d ln K_e / d ln F at the field of the last evaluation."""
+        return float(exponent) - 1.0
+
     log_rate.inside = inside
+    log_rate.slope = slope
     return log_rate
 
 

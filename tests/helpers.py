@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 
 from esfi.barrier import _SHORT_RANGE, MotiveModel, motive, turning_points
+from esfi.rates import _ll_factors
 from esfi.units import REGISTRY
 
 
@@ -109,3 +110,17 @@ def exact_jwkb_root(atom, method: str, target: float, F_near: float) -> mpmath.m
             lambda F: exact_jwkb_log_rate(atom, method, F) - log_t,
             (F, F * (1 + mpmath.mpf(1e-10))), solver="secant",
         )
+
+
+def exact_ll_root(atom, target: float) -> mpmath.mpf:
+    """The field below the closed form's maximum at which
+    ln(C/F) - B/F = ln target, in 40-digit mpmath, with B = b I^(3/2) and
+    C = C_FI I^(5/2) the program's own long-double factors
+    (``rates._ll_factors(atom.I)``), each taken exactly.  With X = B/F the
+    condition reads X - ln X = L, L = ln(C/B) - ln target, whose root
+    X > 1 is -W_-1(-e^-L)."""
+    with mpmath.workdps(40):
+        B, C = (mpmath.mpf(p) / q for p, q in (f.as_integer_ratio() for f in _ll_factors(atom.I)))
+        L = mpmath.log(C / B) - mpmath.log(target)
+        X = -mpmath.lambertw(-mpmath.exp(-L), -1).real
+        return B / X

@@ -240,8 +240,8 @@ def _jwkb_slope(atom, F):
 
 
 def _stopping_tolerance(rate, atom, F):
-    """The slope d ln K / d ln F at F by the inverter's central difference,
-    and the inverter's float-resolution stopping rule on |ln K - ln target|
+    """The slope d ln K / d ln F at F by a central difference, and the
+    inverter's float-resolution stopping rule on |ln K - ln target|
     there, max(1e-13, 4 slope (ulp(ln F) + eps)), widened by the rounding
     of ln K itself."""
     u, du = math.log(F), 1e-6

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import exact_jwkb_root
+from helpers import exact_jwkb_root, exact_ll_root
 
 from esfi import errors, invert
 from esfi.barrier import MotiveModel, MotiveVariant, rate_jwkb, suppression_field
@@ -191,6 +191,42 @@ def test_ll_inside_is_the_evaluator_bit_for_bit(Z, I):
         assert log_rate.inside(F) == log_rate(F), F
 
 
+@pytest.mark.parametrize("Z", [1e-4, 0.5, 1.0, 7.0, 30.0])
+@pytest.mark.parametrize("I", [None, 0.1, 3000.0])
+def test_ll_slope_is_the_rate_ll_exponent_less_one(Z, I):
+    # d ln K/d ln F = b I^(3/2)/F - 1, the exponent of the field evaluated
+    # last, by either entry; and it is the slope of ln K on ln F
+    atom = make_atom(Z, I)
+    log_rate = _log_rate_fn(atom, "ll")
+    du = 1e-6
+    for F in _PARITY_FIELDS:
+        exponent = rate_ll(atom, F, allow_shallow=True).exponent
+        for evaluate in (log_rate, log_rate.inside):
+            evaluate(F)
+            assert log_rate.slope() == exponent - 1.0, F  # inf == inf
+        if math.isfinite(exponent):
+            u = math.log(F)
+            central = (log_rate(math.exp(u + du)) - log_rate(math.exp(u - du))) / (2.0 * du)
+            assert central == pytest.approx(exponent - 1.0, rel=1e-6, abs=1e-6), F
+
+
+def test_ll_refusal_above_the_maximum_solves_the_ends_only(monkeypatch):
+    # at I > 455 Z^2 I_H the default bracket ends at the closed form's
+    # maximum, where its slope vanishes: a target above the rate there is
+    # refused from the two ends, without a search for the maximum
+    solves = _recording(monkeypatch)
+    atom = make_atom(1, 8000.0)
+    peak = REGISTRY.b.value * atom.I**1.5
+    target = 1.5 * rate_ll(atom, peak, allow_shallow=True).K_e
+    with pytest.raises(errors.TargetUnattainable) as raised:
+        invert_rate(target, atom)
+    assert str(raised.value) == (
+        "target 8.04826e+19 s^-1 outside attainable range [0, 5.36551e+19] s^-1 "
+        "on bracket (1e-06, 4.88779e+06) V/nm"
+    )
+    assert [entry for entry, _ in solves] == ["log_rate", "log_rate"]
+
+
 def _outcome(target, atom, bracket):
     try:
         return invert_rate(target, atom, bracket=bracket)
@@ -213,10 +249,16 @@ def test_ll_inversion_matches_the_rate_ll_evaluations(monkeypatch):
     now = [_outcome(*case) for case in cases]
 
     def rate_ll_log_rate(atom, method):
+        exponent = None
+
         def log_rate(F):
-            return rate_ll(atom, F, allow_shallow=True).log_K_e
+            nonlocal exponent
+            result = rate_ll(atom, F, allow_shallow=True)
+            exponent = result.exponent
+            return result.log_K_e
 
         log_rate.inside = log_rate
+        log_rate.slope = lambda: exponent - 1.0
         return log_rate
 
     monkeypatch.setattr(invert, "_log_rate_fn", rate_ll_log_rate)
@@ -225,23 +267,52 @@ def test_ll_inversion_matches_the_rate_ll_evaluations(monkeypatch):
     assert 100 < solved < 200  # both results and refusals are compared
 
 
+def test_ll_inversion_lands_within_a_few_ulps_of_the_exact_root():
+    # 320 round trips from fields F0 uniform between guard/30 and 0.99 of
+    # the guard: Z log-uniform in 0.3-30, 40 % of the atoms with I within
+    # a factor e of Z^2 I_H (the closed form's maximum then lies far above
+    # the guard).  The root is that of esfi's own long-double factors in
+    # mpmath, so what is left is the solver's.  (The solve runs on ln F:
+    # exp of neighbouring floats of ln F lies up to 16 ulps of F apart
+    # here, so the answer can be some 8 ulps from the root; an F0 drawn
+    # as exp of a float would hide that, as exp reaches it exactly)
+    rng = np.random.default_rng(2021)
+    worst = 0.0
+    trips = 0
+    while trips < 320:
+        Z = math.exp(rng.uniform(math.log(0.3), math.log(30.0)))
+        I = Z * Z * REGISTRY.I_H.value * math.exp(rng.uniform(-1.0, 1.0))
+        atom = make_atom(Z, I if rng.random() < 0.4 else None)
+        guard = guard_field(atom)
+        F0 = guard * rng.uniform(1.0 / 30.0, 0.99)
+        target = rate_ll(atom, F0).K_e
+        if target == 0.0:  # below the double range: no target to give
+            continue
+        trips += 1
+        answer = invert_rate(target, atom).F
+        ulps = float((answer - exact_ll_root(atom, target)) / math.ulp(answer))
+        worst = max(worst, abs(ulps))
+    assert worst <= 10.0, worst
+
+
 # (target, Z, I, bracket) -> (F, iterations, residual) of 'll' inversions,
-# pinned: its Newton keeps the central difference at the same points
+# pinned: bisection to 1e-2 on ln F, then Newton with the closed form's
+# exact slope and one step more once converged
 _LL_GOLDEN = [
-    (1e-300, 1, None, None, 0.46487565871077213, 22, 0.0),
-    (1e-50, 1, None, None, 2.1391307942580546, 22, 1.4210854715202105e-14),
-    (1.0, 1, None, None, 7.820944868810926, 22, 1.7451318168326664e-15),
-    (1e9, 1, None, None, 15.276920949794167, 22, 7.105427357601027e-15),
-    (1e9, 2, None, None, 114.80298748287717, 22, 7.105427357601027e-15),
-    (1e6, 0.5, None, None, 1.5201281064830117, 22, 0.0),
-    (1e3, 2.5, 30.0, None, 29.88258856994929, 22, 0.0),
-    (1e3, 10, None, None, 8265.571304453095, 23, 2.57571741713033e-14),
-    (1e8, 30.0, None, None, 290186.6603360526, 23, 3.552713678800507e-15),
-    (1e-10, 0.3, None, None, 0.14274597128857403, 22, 7.105427357600977e-15),
-    (1e13, 1, 1000.0, None, 12511.736517833397, 20, 1.065814103640156e-14),
-    (1e15, 1, 5000.0, None, 171721.71010873024, 23, 7.105427357601027e-15),
-    (1e9, 1, None, (1.0, 50.0), 15.276920949794167, 20, 7.105427357601027e-15),
-    (1e6, 3, None, (5.0, 300.0), 290.1866603360527, 20, 1.065814103640156e-14),
+    (1e-300, 1, None, None, 0.4648756587107721, 16, 0.0),
+    (1e-50, 1, None, None, 2.1391307942580546, 17, 1.4210854715202105e-14),
+    (1.0, 1, None, None, 7.820944868810926, 16, 1.7451318168326664e-15),
+    (1e9, 1, None, None, 15.27692094979416, 16, 3.5527136788004946e-15),
+    (1e9, 2, None, None, 114.80298748287717, 16, 7.105427357601027e-15),
+    (1e6, 0.5, None, None, 1.5201281064830117, 16, 0.0),
+    (1e3, 2.5, 30.0, None, 29.88258856994929, 16, 0.0),
+    (1e3, 10, None, None, 8265.571304453095, 17, 2.57571741713033e-14),
+    (1e8, 30.0, None, None, 290186.6603360526, 17, 3.552713678800507e-15),
+    (1e-10, 0.3, None, None, 0.14274597128857405, 17, 7.105427357601027e-15),
+    (1e13, 1, 1000.0, None, 12511.736517833397, 16, 1.065814103640156e-14),
+    (1e15, 1, 5000.0, None, 171721.71010873024, 17, 7.105427357601027e-15),
+    (1e9, 1, None, (1.0, 50.0), 15.27692094979416, 14, 3.5527136788004946e-15),
+    (1e6, 3, None, (5.0, 300.0), 290.1866603360527, 14, 1.065814103640156e-14),
 ]
 
 
