@@ -9,10 +9,12 @@ Newton's slope d ln K_e / d ln F comes with each JWKB evaluation, from
 the nodes of its barrier-strength quadrature, so a step costs one barrier
 solve.  ln K_e is concave and rising in ln F, so the steps approach the
 root from one side, and over the default bracket they find it without
-its ends: those are solved only where a step meets what they settle,
-and an answer takes about five solves.  For the closed form ('ll'), and
-for a JWKB target whose closed-form root lies below the bracket or does
-not exist, bisection narrows the bracket first and Newton polishes; the
+its ends: those are solved, in the same loop, only where a step meets
+what they settle, and the search goes on from the midpoint of the
+bracket they give.  An answer takes about five solves.  A given bracket
+has its ends solved first.  For the closed form ('ll'), and for a JWKB
+target whose closed-form root lies below the bracket or does not exist,
+bisection narrows the bracket first and Newton polishes; the
 closed form's slope, b I^(3/2)/F - 1, comes exact with each evaluation
 too, so an 'll' answer takes about sixteen.
 
@@ -103,11 +105,12 @@ def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, bu
     return u_hi, g_hi, evaluations
 
 
-def _checked_first(log_rate, checked: float) -> Callable[[float], float]:
-    """ln K at a field F: by the checked log_rate where F lies above
-    `checked` and every field it answered since, and by its inside
-    elsewhere, as the barrier's peak only falls as F rises."""
+def _checked_first(log_rate) -> Callable[[float], float]:
+    """ln K at a field F: by the checked log_rate where F lies above every
+    field it answered, and by its inside elsewhere, as the barrier's peak
+    only falls as F rises."""
     inside = log_rate.inside
+    checked = -math.inf
 
     def evaluate(F: float) -> float:
         nonlocal checked
@@ -118,11 +121,6 @@ def _checked_first(log_rate, checked: float) -> Callable[[float], float]:
         return value
 
     return evaluate
-
-
-class _Restart(Exception):
-    """A solve that skipped the bracket's ends met what only they settle;
-    its one argument is the number of solves it made."""
 
 
 def invert_rate(
@@ -149,22 +147,21 @@ def invert_rate(
 
     The JWKB methods take Newton steps on ln F from the closed form's
     root, where that lies inside the bracket, or from the top of the
-    bracket, where it lies at or above the top (one solve more, for the
-    slope there), with the slope their evaluations give analytically (one
-    solve per step), and one step more once converged, kept where it
-    lowers the residual.  With the default bracket they solve its ends
-    only where an answer needs them: neither for a root inside the
-    bracket, and not the bottom for one at or above its top where the
-    rate there reaches the target.  A slope <= 0, a step that would leave
-    the bracket or no convergence starts the solve over with both ends
-    solved first, for the same answer or refusal; ``iterations`` then
-    counts the solves of both tries.  An answer takes about five solves.
-    'll', and a JWKB target whose closed-form root
-    lies below the bracket or does not exist, bisect on ln F until the
-    bracket is 1e-2 wide, then take the same Newton steps; the closed
-    form's slope, b I^(3/2)/F - 1, is exact and comes with each
-    evaluation, and an 'll' answer takes about sixteen evaluations.  A
-    step that would leave the bracket falls back to its midpoint.
+    bracket, where it lies at or above the top, with the slope their
+    evaluations give analytically (one solve per step), and one step more
+    once converged, kept where it lowers the residual.  With the default
+    bracket they solve its ends only where an answer needs them: neither
+    for a root inside the bracket, and only the top, once, for one at or
+    above it where the rate there reaches the target.  A slope <= 0 or a
+    step that would leave the bracket has the ends solved and checked,
+    for the same answer or refusal, and the steps go on from the midpoint
+    of the bracket they give.  An answer takes about five solves.  'll', a
+    given bracket and a JWKB target whose closed-form root lies below the
+    bracket or does not exist solve the ends first; 'll' and such a target
+    then bisect on ln F until the bracket is 1e-2 wide, and take the same
+    Newton steps, with the closed form's exact slope b I^(3/2)/F - 1: an
+    'll' answer takes about sixteen evaluations.  Once the ends are
+    solved, a step that would leave the bracket falls back to its midpoint.
     Converges to |K_e(F) - target|/target < 1e-10 (typically much tighter);
     ``iterations`` counts the rate evaluations.
     """
@@ -188,98 +185,60 @@ def invert_rate(
 
     log_rate = _log_rate_fn(atom, method)
     seed = None if method == "ll" else _closed_form_root(atom, math.log(target))
-    spent = 0
-    if bracket is None and seed is not None and math.log(f_lo) < seed:
-        # over the default bracket ln K rises and is concave in ln F, so
-        # Newton from the seed finds the root that the ends would bracket
-        try:
-            return _solve(log_rate, target, f_lo, f_hi, seed, default=True, lazy=True)
-        except _Restart as restart:
-            spent = restart.args[0]
     # only a JWKB rate's maximum is searched for: the default 'll' bracket
     # already ends at the closed form's maximum, where its slope is about 0
-    default = bracket is None and method != "ll"
-    return _solve(log_rate, target, f_lo, f_hi, seed, default=default, spent=spent)
+    return _solve(log_rate, target, f_lo, f_hi, seed, default=bracket is None and method != "ll")
 
 
-def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
+def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
     """The answer of :func:`invert_rate` on the bracket (f_lo, f_hi), from
     the closed-form root `seed` (ln F) of a JWKB method where that lies
     above f_lo.  `default` marks a JWKB method's default bracket, whose top
-    may lie past the rate's maximum; `spent` solves are added to the
-    answer's count.  Every Newton step takes its slope from
-    ``log_rate.slope()``, at the field evaluated last.
+    may lie past the rate's maximum.  Every Newton step takes its slope
+    from ``log_rate.slope()``, at the field evaluated last.
 
-    Lazily (`lazy`), the ends are left unsolved where the seed lies inside
-    the bracket, and the bottom where the seed lies at or above its top
-    and the rate there reaches the target.  Where that solve meets a slope
-    <= 0, a step that would leave the bracket or no convergence, which the
-    ends would have settled, it raises _Restart.  (A refusal it meets
-    stands: the default bracket's ends answered for every atom tried, Z
-    from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H, and the fields
-    solved after them are the same.)
+    The ends are solved and checked before the first step, except over a
+    seeded default bracket, where Newton starts at once (at the top,
+    solved first, where the seed lies at or above it) and the ends wait
+    for a step that needs them: a slope <= 0, a step that would leave the
+    bracket, or a target above the rate at the top.  The search then goes
+    on from the midpoint of the bracket they give, without the fields
+    evaluated before, which may lie past the rate's maximum.  (A refusal
+    met before the ends stands: the default bracket's ends answered for
+    every atom tried, Z from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H,
+    and the fields solved after them are the same.)
     """
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
+    seeded = seed is not None and u_lo < seed
+    # over the default bracket ln K rises and is concave in ln F, so Newton
+    # from the seed finds the root that the ends would bracket.  `lazy`
+    # holds while the ends are unsolved, `ends` where the next step needs
+    # them
+    lazy = default and seeded
+    ends = not lazy
+    evaluate = _checked_first(log_rate) if lazy else log_rate.inside
     evaluations = 0
-    checked = -math.inf  # lazily, the highest field that log_rate answered
+    g_hi = None  # ln K - ln target at f_hi, once solved
+    if lazy and seed >= u_hi:
+        # Newton starts at the top, solved at f_hi itself; a target above
+        # the rate there needs the ends at once
+        u, g = u_hi, evaluate(f_hi) - log_t
+        g_hi, ends, evaluations = g, g < 0.0, 1
+    elif lazy:
+        u, g = seed, evaluate(math.exp(seed)) - log_t
+        evaluations = 1
 
-    if not lazy or seed >= u_hi:
-        g_hi = log_rate(f_hi) - log_t
-        evaluations += 1
-        checked = f_hi
-        lazy = lazy and g_hi >= 0.0
-    if not lazy:
-        # a target above the rate at the end of the default bracket may
-        # still lie below the JWKB rate's maximum inside it: end the bracket
-        # there.  (Below the rate at f_hi, the root below the maximum is the
-        # only one: past the maximum the rate falls to no less than at f_hi.)
-        if g_hi < 0.0 and default and log_rate.slope() <= 0.0:
-            # the solves left, the bottom's aside
-            u_hi, g_hi, peak_solves = _rate_peak(
-                log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations - 1
-            )
-            evaluations += peak_solves
-            f_hi = math.exp(u_hi)
-        # last, so that Newton's first slope is at f_lo if no bisection step runs
-        g_lo = log_rate(f_lo) - log_t
-        evaluations += 1
-
-        if g_lo > g_hi:
-            raise NonMonotoneBracket(
-                f"rate not increasing over bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
-            )
-        if g_lo > 0.0 or g_hi < 0.0:
-            raise TargetUnattainable(
-                f"target {target:.6g} s^-1 outside attainable range "
-                f"[{math.exp(g_lo + log_t):.6g}, {math.exp(g_hi + log_t):.6g}] s^-1 "
-                f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
-            )
-        u, g = u_lo, g_lo
-
-    # once both ends answered, the fields the solve evaluates lie between them
-    evaluate = _checked_first(log_rate, checked) if lazy else log_rate.inside
     # on u = ln F: Newton steps from the field evaluated last, with
-    # d(ln K)/d(ln F) the evaluator's slope there, and the midpoint
-    # wherever a step would leave the bracket.
-    # A JWKB inversion takes them from the closed form's root on, where
-    # that lies inside the bracket, or from the top of the bracket, where
-    # the root lies at or above it; otherwise bisection first narrows the
-    # bracket to newton_width.  Lazily, what would take the midpoint
-    # restarts the solve
-    newton_width = 1e-2
-    if seed is not None and u_lo < seed:
-        # a root at or above the top seeds at the top: one solve more there,
-        # for its slope
-        u = min(seed, u_hi)
-        g = evaluate(math.exp(u)) - log_t
-        evaluations += 1
-        newton_width = math.inf
+    # d(ln K)/d(ln F) the evaluator's slope there, and the midpoint wherever
+    # a step would leave the bracket; unseeded, bisection first narrows the
+    # bracket to newton_width
+    newton_width = math.inf if seeded else 1e-2
     tol = _RESIDUAL_TOL
     slope = None
     while evaluations < _MAX_ITER:
         u_next = 0.5 * (u_lo + u_hi)
-        if u_hi - u_lo <= newton_width:
+        if not ends and u_hi - u_lo <= newton_width:
             if abs(g) <= tol:
                 # one more step, kept where it lowers |g|: the stop alone
                 # leaves answers up to some 30 ulps off the root.  The
@@ -301,8 +260,50 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
             tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))
             if slope > 0.0 and u_lo <= u - g / slope <= u_hi:
                 u_next = u - g / slope
-            elif lazy:
-                raise _Restart(evaluations)
+            else:
+                ends = lazy  # the ends, where unsolved; else the midpoint
+        if ends:
+            # the bracket the ends give, without the fields evaluated before
+            u_lo, u_hi = math.log(f_lo), math.log(f_hi)
+            if g_hi is None:
+                g_hi = log_rate(f_hi) - log_t
+                evaluations += 1
+            # a target above the rate at the end of the default bracket may
+            # still lie below the JWKB rate's maximum inside it: end the
+            # bracket there.  (Below the rate at f_hi, the root below the
+            # maximum is the only one: past the maximum the rate falls to
+            # no less than at f_hi.)  The slope is at f_hi, solved last
+            if g_hi < 0.0 and default and log_rate.slope() <= 0.0:
+                # the solves left, the bottom's aside
+                u_hi, g_hi, peak_solves = _rate_peak(
+                    log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations - 1
+                )
+                evaluations += peak_solves
+                f_hi = math.exp(u_hi)
+            # last, so that Newton's first slope is at f_lo if no bisection step runs
+            g_lo = log_rate(f_lo) - log_t
+            evaluations += 1
+
+            if g_lo > g_hi:
+                raise NonMonotoneBracket(
+                    f"rate not increasing over bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
+                )
+            if g_lo > 0.0 or g_hi < 0.0:
+                raise TargetUnattainable(
+                    f"target {target:.6g} s^-1 outside attainable range "
+                    f"[{math.exp(g_lo + log_t):.6g}, {math.exp(g_hi + log_t):.6g}] s^-1 "
+                    f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
+                )
+            # once both ends answered, the fields the solve evaluates lie
+            # between them
+            u, g, evaluate, ends = u_lo, g_lo, log_rate.inside, False
+            tol, slope = _RESIDUAL_TOL, None
+            if not seeded:
+                continue
+            # Newton starts at the seed, or at the midpoint where the ends
+            # waited for a step
+            u_next = 0.5 * (u_lo + u_hi) if lazy else min(seed, u_hi)
+            lazy = False
         u = u_next
         g = evaluate(math.exp(u)) - log_t
         evaluations += 1
@@ -312,12 +313,8 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default, lazy=False, spent=0):
             u_lo = u
 
     if abs(g) > tol:
-        if lazy:
-            raise _Restart(evaluations)
         raise NumericError(
             f"inversion did not converge in {evaluations} evaluations "
             f"(|ln K - ln target| = {abs(g):.3e})"
         )
-    return InversionResult(
-        F=math.exp(u), iterations=spent + evaluations, residual=abs(math.expm1(g))
-    )
+    return InversionResult(F=math.exp(u), iterations=evaluations, residual=abs(math.expm1(g)))

@@ -387,12 +387,21 @@ def test_jwkb_default_bracket_answers_below_the_rate_maximum(I, target):
     assert up > _jwkb_log_rate_at(atom, result.F)
 
 
-def test_jwkb_user_bracket_past_the_maximum_is_non_monotone():
-    # the default bracket would end at the maximum, near 7.7e4 V/nm
+@pytest.mark.parametrize("target, bracket, message", [
+    (1e13, (8e4, guard_field(make_atom(1, 1086.0))),
+     "rate not increasing over bracket (80000, 102381) V/nm"),
+    # across the maximum, with the root inside, below it (e^0.01 times
+    # the rate at 6e4 V/nm): a given bracket's ends are solved first
+    (60556562064170.516, (6e4, 1.02e5), "rate not increasing over bracket (60000, 102000) V/nm"),
+])
+def test_jwkb_user_bracket_past_the_maximum_is_non_monotone(target, bracket, message):
+    # the default bracket would end at the maximum, near 7.7e4 V/nm, and
+    # answers below it
     atom = make_atom(1, 1086.0)
     with pytest.raises(errors.NonMonotoneBracket) as raised:
-        invert_rate(1e13, atom, method="jwkb-parabolic", bracket=(8e4, guard_field(atom)))
-    assert str(raised.value) == "rate not increasing over bracket (80000, 102381) V/nm"
+        invert_rate(target, atom, method="jwkb-parabolic", bracket=bracket)
+    assert str(raised.value) == message
+    assert invert_rate(target, atom, method="jwkb-parabolic").F < 7.7e4
 
 
 # (target, Z, I, method, bracket) -> (F, iterations, residual) of JWKB
@@ -406,7 +415,7 @@ _JWKB_GOLDEN = [
     (1e8, 1, None, "jwkb-cartesian", None, 13.464690817226831, 5, 3.552713678800507e-15),
     (1e8, 1, None, "jwkb-naive", None, 11.202502571351634, 6, 0.0),
     (1e-30, 1, None, "jwkb-parabolic", None, 2.994585336393798, 4, 0.0),
-    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381655, 6, 3.5527136788004946e-15),
+    (5e9, 1, None, "jwkb-cartesian", None, 16.04696784381655, 5, 3.5527136788004946e-15),
     (1e9, 1, None, "jwkb-parabolic", (1.0, 50.0), 14.870456021456317, 7, 0.0),
     (1e9, 1, None, "jwkb-naive", (2.0, 20.0), 12.181698367410181, 8, 0.0),
     (1e6, 2.5, None, "jwkb-parabolic", None, 166.66553493721617, 5, 1.7763568394002662e-14),
@@ -459,16 +468,6 @@ def _recording(monkeypatch):
     return solves
 
 
-def _ends_first(monkeypatch):
-    """Make invert_rate solve the bracket's ends before Newton, always."""
-    solve = invert._solve
-
-    def ends_first(*args, lazy=False, **kwargs):
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(invert, "_solve", ends_first)
-
-
 def _jwkb_outcome(target, atom, method, bracket=None):
     try:
         result = invert_rate(target, atom, method=method, bracket=bracket)
@@ -499,8 +498,9 @@ def test_jwkb_default_bracket_solves_its_ends_only_when_needed(monkeypatch, meth
                 assert guard not in fields
                 inside_seeds += 1
             else:
-                # Newton starts at the top, solved first
+                # Newton starts at the top, solved first and once
                 assert solves[0] == ("log_rate", guard)
+                assert fields.count(guard) == 1
             # inside solves only at or below a field that log_rate answered
             answered = -math.inf
             for entry, F in solves:
@@ -509,28 +509,59 @@ def test_jwkb_default_bracket_solves_its_ends_only_when_needed(monkeypatch, meth
                 else:
                     assert F <= answered, (Z, I, fraction)
     assert inside_seeds >= 8
-    # the closed form's root lies above the top: Newton starts there, and
-    # the bottom stays unsolved
+    # the closed form's root lies above the top: Newton starts there, the
+    # top is solved once, and the bottom stays unsolved
     solves.clear()
     result = invert_rate(5e9, make_atom(1), method=method)
+    fields = [F for _, F in solves]
     assert solves[0] == ("log_rate", guard_field(make_atom(1)))
-    assert 1e-6 not in [F for _, F in solves]
+    assert fields.count(guard_field(make_atom(1))) == 1
+    assert 1e-6 not in fields
     assert len(solves) == result.iterations
 
 
-def test_jwkb_lazy_ends_give_the_ends_first_answers_and_refusals(monkeypatch):
+def _default_top(atom, method):
+    """The top of a JWKB method's default bracket, before any search for
+    the rate's maximum."""
+    return min(guard_field(atom), invert._BELOW_SUPPRESSION
+               * suppression_field(atom, MotiveVariant(method)))
+
+
+def _ends_first_bracket(atom, method, target):
+    """The bracket that the default stands for, to be given to invert_rate,
+    which then solves its ends first: (1e-6, top), or, for a target above
+    the rate at the top where the rate falls there, (1e-6, the field of
+    the rate's maximum), located by bisection on the sign of the
+    evaluator's slope."""
+    log_rate = _log_rate_fn(atom, method)
+    top = _default_top(atom, method)
+    at_top = log_rate(top)
+    if math.log(target) <= at_top or log_rate.slope() > 0.0:
+        return 1e-6, top
+    u_lo, u_hi = math.log(top / 3), math.log(top)
+    while u_hi - u_lo > 1e-10:
+        u = 0.5 * (u_lo + u_hi)
+        log_rate(math.exp(u))
+        if log_rate.slope() > 0.0:
+            u_lo = u
+        else:
+            u_hi = u
+    return 1e-6, math.exp(u_lo)
+
+
+def test_jwkb_lazy_ends_give_the_ends_first_answers_and_refusals():
     # the calibration mix, the default bracket ending at the rate's maximum
     # or below the suppression field, targets above the attainable range
-    # (refused after a restart) and at the bottom of the bracket (a
-    # restart that answers)
+    # and at the bottom of the bracket (the ends solved mid-search, then an
+    # answer), against the same targets over the bracket the default
+    # stands for, given, whose ends are solved first
     rng = np.random.default_rng(2024)
     cases = []
     for Z, I in _CALIBRATIONS + [(1, 1086.0), (1, 1498.0), (0.0105, None)]:
         atom = make_atom(Z, I)
         for method in ("jwkb-parabolic", "jwkb-cartesian", "jwkb-naive"):
             log_rate = _log_rate_fn(atom, method)
-            top = min(guard_field(atom), invert._BELOW_SUPPRESSION
-                      * suppression_field(atom, MotiveVariant(method)))
+            top = _default_top(atom, method)
             lo, hi = sorted((log_rate(top / 3), log_rate(top)))
             for log_t in [*rng.uniform(lo, hi, 3), *rng.uniform(hi, hi + 3.0, 2)]:
                 cases.append((math.exp(log_t), atom, method))
@@ -540,41 +571,44 @@ def test_jwkb_lazy_ends_give_the_ends_first_answers_and_refusals(monkeypatch):
     cases += [(target, make_atom(1, 1086.0), "jwkb-parabolic") for target in (3.83999e13, 1e14)]
     cases.append((1.4e11, make_atom(1, 1498.0), "jwkb-parabolic"))
     lazy = [_jwkb_outcome(*case) for case in cases]
-    _ends_first(monkeypatch)
-    assert [_jwkb_outcome(*case) for case in cases] == lazy
+    brackets = [_ends_first_bracket(atom, method, target) for target, atom, method in cases]
+    assert [_jwkb_outcome(*case, bracket) for case, bracket in zip(cases, brackets)] == lazy
     refused = sum(isinstance(outcome[0], type) for outcome in lazy)
     assert 10 < refused < len(cases) - 10  # both answers and refusals are compared
+    # and so are both over a bracket that ends at the rate's maximum
+    peaked = [outcome for outcome, (_, F_hi), (_, atom, method) in zip(lazy, brackets, cases)
+              if F_hi < _default_top(atom, method)]
+    assert 1 < sum(isinstance(outcome[0], type) for outcome in peaked) < len(peaked) - 1
 
 
-def test_jwkb_restart_counts_the_solves_of_the_first_try(monkeypatch):
+def test_jwkb_ends_solved_mid_search_go_on_from_their_midpoint(monkeypatch):
     # the rate at the bottom of the bracket, 1e-6 V/nm, times e^(1e-6):
     # Newton's first step from the closed form's root would leave the
-    # bracket, so the ends are solved and the solve starts over
+    # bracket, so the ends are solved there, and the search goes on from
+    # the midpoint (on ln F) of the bracket they give
     atom = make_atom(0.0105)
     target = 8.872453579785156e-157
     solves = _recording(monkeypatch)
     result = invert_rate(target, atom, method="jwkb-parabolic")
-    assert result == invert.InversionResult(1.0000000025261931e-06, 22, 1.136868377216225e-13)
+    assert result == invert.InversionResult(1.0000000025261931e-06, 21, 1.136868377216225e-13)
     seed = math.exp(invert._closed_form_root(atom, math.log(target)))
-    assert solves[:3] == [("log_rate", seed), ("log_rate", guard_field(atom)),
-                          ("log_rate", 1e-6)]
-    assert len(solves) == 22
-    _ends_first(monkeypatch)
-    assert invert_rate(target, atom, method="jwkb-parabolic").iterations == 21
+    top = guard_field(atom)
+    assert top == 1.8602333845844685e-05
+    midpoint = math.exp(0.5 * (math.log(1e-6) + math.log(top)))
+    assert solves[:4] == [("log_rate", seed), ("log_rate", top), ("log_rate", 1e-6),
+                          ("inside", midpoint)]
+    assert len(solves) == 21
 
 
-def test_jwkb_no_convergence_without_the_ends_starts_over_with_them(monkeypatch):
-    # with three solves allowed, hydrogen at 1e8 s^-1 (five solves) converges
-    # in neither try: the refusal is that of the solve with the ends first
+def test_jwkb_no_convergence_is_refused_without_a_second_try(monkeypatch):
+    # with three solves allowed, hydrogen at 1e8 s^-1 (five solves) does not
+    # converge: nothing starts over, and the refusal counts the three
     monkeypatch.setattr(invert, "_MAX_ITER", 3)
-    atom = make_atom(1)
-    with pytest.raises(errors.NumericError) as lazy:
-        invert_rate(1e8, atom, method="jwkb-parabolic")
-    _ends_first(monkeypatch)
-    with pytest.raises(errors.NumericError) as ends_first:
-        invert_rate(1e8, atom, method="jwkb-parabolic")
-    assert str(lazy.value) == str(ends_first.value)
-    assert str(lazy.value).startswith("inversion did not converge in 3 evaluations")
+    solves = _recording(monkeypatch)
+    with pytest.raises(errors.NumericError) as raised:
+        invert_rate(1e8, make_atom(1), method="jwkb-parabolic")
+    assert str(raised.value).startswith("inversion did not converge in 3 evaluations")
+    assert len(solves) == 3
 
 
 @pytest.mark.parametrize("target, I, message", [
@@ -584,9 +618,23 @@ def test_jwkb_no_convergence_without_the_ends_starts_over_with_them(monkeypatch)
      "target 8.86358e-157 s^-1 outside attainable range [8.87244e-157, 567089] s^-1 "
      "on bracket (1e-06, 1.86023e-05) V/nm"),
 ])
-def test_jwkb_refusal_after_a_restart_names_the_attainable_range(target, I, message):
+def test_jwkb_refusal_met_mid_search_names_the_attainable_range(target, I, message):
     # above the rate's maximum, and just below the rate at 1e-6 V/nm
     atom = make_atom(1 if I else 0.0105, I)
     with pytest.raises(errors.TargetUnattainable) as raised:
         invert_rate(target, atom, method="jwkb-parabolic")
     assert str(raised.value) == message
+
+
+def test_jwkb_given_bracket_past_the_suppression_field_is_refused():
+    # a given bracket's ends are solved first, so the barrier gone at its
+    # top refuses, though hydrogen's root for 1e9 s^-1 (14.87 V/nm) lies
+    # inside; below the suppression field the same target answers
+    atom = make_atom(1)
+    with pytest.raises(errors.BarrierSuppressed) as raised:
+        invert_rate(1e9, atom, method="jwkb-parabolic", bracket=(1.0, 70.0))
+    assert str(raised.value) == (
+        "barrier vanished at F=70 V/nm (suppression field 57.9073 V/nm for jwkb-parabolic)"
+    )
+    result = invert_rate(1e9, atom, method="jwkb-parabolic", bracket=(1.0, 57.9))
+    assert result.F == 14.870456021456317
