@@ -50,11 +50,12 @@ skips the model objects, keeps only ln K_e and gives its slope on ln F
 from the quadrature's nodes, for the inverse solver;
 :func:`rate_jwkb_array` runs it on blocks of fields and hands the few it
 cannot settle to :func:`rate_jwkb`.
-A block can hold several barrier shapes at once, as lanes (field x shape)
-whose coefficients are arrays; the turning points are found for all lanes
-in one pass, and the barrier strength (nodes, motive and the quadrature's
-matrix product) runs shape by shape, so that each lane gets the bits a
-block of its own shape would give it.
+A block holds one barrier shape, whose coefficients are the numbers of
+:func:`_coefficients` with A1 a column of fields.  The Cartesian barrier
+is not solved over arrays: it is the parabolic one at z = eta/2, every
+scale between the two a power of two, so its rows are the parabolic rows
+with both coordinates halved, bit for bit.  The scalar path keeps the
+Cartesian coefficients, the reference for that identity.
 """
 
 from __future__ import annotations
@@ -110,15 +111,14 @@ _ROOT3_3_2, _ROOT3_2_3 = 1.5 * math.sqrt(3.0), 2.0 / math.sqrt(3.0)  # 3^(3/2)/2
 # a zero divisor and math.log on zero.
 _SCALAR = SimpleNamespace(
     sqrt=math.sqrt, cos=math.cos, acos=math.acos, exp=math.exp, log1p=math.log1p,
-    log=lambda x: math.log(x) if x else -math.inf, any=bool, all=bool,
+    log=lambda x: math.log(x) if x else -math.inf, any=bool,
     clip=lambda x, lo, hi: (x if x < hi else hi) if x > lo else lo,  # min(hi, max(lo, x))
     where=lambda cond, a, b: a if cond else b,
     divide=lambda v, d: v / d if d else math.inf,
 )
 _ARRAY = SimpleNamespace(
     sqrt=np.sqrt, cos=np.cos, acos=np.arccos, exp=np.exp, log=np.log, log1p=np.log1p,
-    # the quickest forms for a few hundred entries
-    any=np.count_nonzero, all=lambda a: np.count_nonzero(a) == a.size,
+    any=np.count_nonzero,  # the quickest form for a few hundred entries
     clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
     where=np.where, divide=np.divide,
 )
@@ -183,12 +183,13 @@ def _slope_and_curvature(k, c):
     return -A1 + ic * ic * (A2 + 2.0 * A3 * ic), -(ic**3) * (2.0 * A2 + 6.0 * A3 * ic)
 
 
-def _polish(fn, k, c, live=True):
+def _polish(fn, k, c):
     """Newton steps on fn(k, c) -> (value, derivative) from close estimates;
     a step is kept only while it shrinks |value|, and each entry of an
-    array stops as it would alone (an entry not `live` stays at c)."""
+    array stops as it would alone."""
     ns = _arithmetic(c)
     v, d = fn(k, c)
+    live = True
     for _ in range(_NEWTON_MAX):
         step = ns.divide(v, d)
         size = abs(step)
@@ -227,8 +228,7 @@ def _peak(k):
     ns = _arithmetic(k[1])
     _, A1, A2, A3 = k
     s = ns.sqrt(A2) / ns.sqrt(A1)  # the naive barrier's peak
-    transformed = A3 != 0.0
-    if not ns.any(transformed):
+    if A3 == 0.0:
         return s
     # c = s x turns A1 c^3 - A2 c - 2 A3 = 0 into x^3 - x - kappa = 0,
     # whose single positive root is trigonometric (three real roots) or
@@ -238,7 +238,7 @@ def _peak(k):
     cos3 = ns.clip(_ROOT3_3_2 * kappa, -1.0, 1.0)
     w = (0.5 * kappa + ns.sqrt(abs(d))) ** (1.0 / 3.0)  # d < 0 takes cos3
     x = ns.where(d < 0.0, _ROOT3_2_3 * ns.cos(ns.acos(cos3) / 3.0), w + 1.0 / (3.0 * w))
-    return _polish(_slope_and_curvature, k, ns.where(transformed, s * x, s), transformed)
+    return _polish(_slope_and_curvature, k, s * x)
 
 
 def _motive_peak(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
@@ -313,8 +313,7 @@ def _zero_estimates(k):
     A0, A1, A2, A3 = k
     ratio = A1 / A0
     alpha = ratio * (A2 / A0)
-    naive = A3 == 0.0
-    if ns.all(naive):
+    if A3 == 0.0:
         y_out = 0.5 + ns.sqrt(0.25 - alpha)
     else:
         beta = (A3 / A0) * ratio * ratio
@@ -323,8 +322,6 @@ def _zero_estimates(k):
         r = ns.sqrt(-p / 3.0)
         cos3 = ns.clip(1.5 * q / (p * r), -1.0, 1.0)
         y_out = 1.0 / 3.0 + 2.0 * r * ns.cos(ns.acos(cos3) / 3.0)
-        if ns.any(naive):  # lanes of both kinds
-            y_out = ns.where(naive, 0.5 + ns.sqrt(0.25 - alpha), y_out)
     c_out = y_out * (A0 / A1)
     # A1 (c - c_out)(c^2 + u c + w) = -c^2 M with w = -A3/D, u = -g,
     # D = A1 c_out; the positive root of the quadratic is the inner zero
@@ -548,16 +545,12 @@ _ETA_SCALE = {
 def _prefactor(atom: HydrogenicAtom, c_in, eta_scale, ns):
     """P_jwkb, P_eff and ln(nu_Z P_eff), in the arithmetic ns of c_in:
     P_jwkb = x e^-x with x = (2I/B) eta_in, eta_in = eta_scale c_in at the
-    inner zero c_in, or 1 where eta_scale is 0 (one per field over an
-    array of fields)."""
-    unit = eta_scale == 0.0
+    inner zero c_in, or 1 where eta_scale is 0."""
     P_jwkb = P_eff = 1.0
-    if not ns.all(unit):  # some field carries x e^-x
+    if eta_scale:
         x = 2.0 * atom.I / atom.B * (eta_scale * c_in)
         P_jwkb = x * ns.exp(-x)
         P_eff = 2.0 * math.pi * P_jwkb
-        if ns.any(unit):
-            P_jwkb, P_eff = ns.where(unit, 1.0, P_jwkb), ns.where(unit, 1.0, P_eff)
     log_P = ns.log(atom.nu_Z * P_eff)
     if ns.any(P_eff == 0.0):  # ln(nu_Z P_eff) from x where x e^-x underflows (x past ~745)
         log_P = ns.where(P_eff > 0.0, log_P, math.log(2.0 * math.pi * atom.nu_Z) + ns.log(x) - x)
@@ -656,47 +649,33 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
     return log_rate
 
 
-def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
-    """Solve a block of fields for every shape of `variants` at once, as
-    lanes: shape after shape, each shape's fields in order.  Return, lane
-    by lane, the rows of BarrierArrays (nan where unsolved), the lanes left
-    to rate_jwkb and the lanes whose barrier was found suppressed."""
-    coeffs = [_coefficients(variant, atom, F) for variant in variants]
-    # rate_jwkb refuses the others: F not finite, e F underflowing (A1 = 0
-    # does not fit) and G past the float range
-    finite = F < math.inf
-    resolvable = np.concatenate([_strength_fits(k) & finite for k in coeffs])
-    # rows A0, A1 (filled in below), A2, A3 and eta_in's scale: a shape's
-    # numbers repeated for each of its fields
-    shapes = [(k[0], 0.0, k[2], k[3], _ETA_SCALE[v]) for v, k in zip(variants, coeffs)]
-    lanes = np.array(shapes).T.repeat(F.size, axis=1)
-    np.concatenate([k[1] for k in coeffs], out=lanes[1])
-
-    k = lanes[0], lanes[1], lanes[2], lanes[3]
+def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray):
+    """Solve a block of fields for the barrier of the shape `variant`: the
+    rows of BarrierArrays (nan where unsolved), the fields left to
+    rate_jwkb and the fields whose barrier was found suppressed."""
+    k = A0, A1, A2, A3 = _coefficients(variant, atom, F)
+    # rate_jwkb settles the others: F not finite, G past the float range and
+    # A1 below the normal floats, where e F/8 has lost bits that the
+    # Cartesian barrier's e F keeps
+    resolvable = _strength_fits(k) & (A1 >= sys.float_info.min) & (F < math.inf)
     peak = _peak(k)
-    barrier = ~(_motive(k, peak) <= _SUPPRESSED * k[0])  # nan counts as a barrier
+    barrier = ~(_motive(k, peak) <= _SUPPRESSED * A0)  # nan counts as a barrier
     (index,) = (resolvable & barrier).nonzero()
-    lanes, peak = lanes[:, index], peak[index]
-    k, eta_scale = (lanes[0], lanes[1], lanes[2], lanes[3]), lanes[4]
+    A1, peak = A1[index], peak[index]
+    k = A0, A1, A2, A3
 
     c_in, c_out = _zero_estimates(k)
-    # both zeros of every lane in one pass, each polished as it would be alone
-    k2 = np.concatenate((lanes[:4], lanes[:4]), axis=1)
-    zeros = _polish(_motive_and_slope, (k2[0], k2[1], k2[2], k2[3]), np.concatenate((c_in, c_out)))
+    # both zeros of every field in one pass, each polished as it would be alone
+    zeros = _polish(_motive_and_slope, (A0, np.concatenate((A1, A1)), A2, A3),
+                    np.concatenate((c_in, c_out)))
     c_in, c_out = zeros[: index.size], zeros[index.size :]
-    # G shape by shape, over the rows a block of that shape alone would
-    # pass: BLAS orders a row's sum by the number of rows beside it
-    bounds = index.searchsorted([j * F.size for j in range(len(variants) + 1)]).tolist()
-    G_coarse, G = np.concatenate([
-        _strength_pair((A0, k[1][lo:hi, None], A2, A3), c_in[lo:hi, None], c_out[lo:hi, None])[0]
-        for (A0, _, A2, A3), lo, hi in zip(coeffs, bounds, bounds[1:])
-    ], axis=1)
+    G_coarse, G = _strength_pair((A0, A1[:, None], A2, A3), c_in[:, None], c_out[:, None])[0]
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)
     solved = _converged(G_coarse, G) & bracketed
 
-    values = np.full((len(BarrierArrays._fields), resolvable.size), np.nan)
+    values = np.full((len(BarrierArrays._fields), F.size), np.nan)
     done = index[solved]
-    solution = _assemble(atom, c_in[solved], c_out[solved], G[solved], eta_scale[solved])
+    solution = _assemble(atom, c_in[solved], c_out[solved], G[solved], _ETA_SCALE[variant])
     for row, value in zip(values, solution):
         row[done] = value
     left = ~resolvable
@@ -705,27 +684,34 @@ def _solve_block(variants, atom: HydrogenicAtom, F: np.ndarray):
 
 
 def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F):
-    """:func:`rate_jwkb_array` for every shape of `variants`, each block of
-    fields solved for all of them in one pass: per shape, its BarrierArrays
-    and a dict from the flat index of each field that :func:`rate_jwkb`
-    refused to the text of its error.  Every other nan field lies past the
-    shape's suppression field by more than the margin."""
+    """:func:`rate_jwkb_array` for every shape of `variants`, each distinct
+    barrier solved once per block of fields (the Cartesian one as the
+    parabolic, its coordinates halved): per shape, its BarrierArrays and a
+    dict from the flat index of each field that :func:`rate_jwkb` refused
+    to the text of its error.  Every other nan field lies past the shape's
+    suppression field by more than the margin."""
     F = np.asarray(F, dtype=float)
     flat = F.ravel()
+    solve = [MotiveVariant.TRANSFORMED_PARABOLIC if v is MotiveVariant.TRANSFORMED_CARTESIAN
+             else v for v in variants]
     out = np.empty((len(BarrierArrays._fields), len(variants), flat.size))
     left = np.empty((len(variants), flat.size), dtype=bool)
-    # each shape's suppression field and margin, as a column against the fields
-    near = np.array([[suppression_field(atom, v) * (1.0 + _SUPPRESSION_MARGIN)] for v in variants])
-    # masked-out lanes compute garbage; nothing of it reaches the results
+    # each distinct barrier, the columns it fills, and its suppression
+    # field and margin
+    shapes = {shape: [j for j, s in enumerate(solve) if s is shape] for shape in solve}
+    near = {shape: suppression_field(atom, shape) * (1.0 + _SUPPRESSION_MARGIN) for shape in shapes}
+    # masked-out fields compute garbage; nothing of it reaches the results
     with np.errstate(all="ignore"):
         for start in range(0, flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            values, scalar, gone = _solve_block(variants, atom, flat[block])
-            out[:, :, block] = values.reshape(len(values), len(variants), -1)
-            gone = gone.reshape(len(variants), -1) & (flat[block] < near)
-            left[:, block] = scalar.reshape(len(variants), -1) | gone
+            for shape, columns in shapes.items():
+                values, scalar, gone = _solve_block(shape, atom, flat[block])
+                out[:, columns, block] = values[:, None]
+                left[columns, block] = scalar | (gone & (flat[block] < near[shape]))
     refusals = []
     for j, variant in enumerate(variants):
+        if variant is MotiveVariant.TRANSFORMED_CARTESIAN:
+            out[:2, j] *= 0.5  # z = eta/2 at both zeros
         refused = {}
         for i in left[j].nonzero()[0].tolist():
             try:
@@ -741,15 +727,16 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F):
 
 def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierArrays:
     """:func:`rate_jwkb` (its default pre-factor) for one barrier shape
-    over an array of fields [V/nm], solved a block of fields at a time.
+    over an array of fields [V/nm], solved a block of fields at a time;
+    the Cartesian shape takes the parabolic solve, its coordinates halved.
 
     A field that the 32/64-node pair leaves unconverged, that the scalar
     path refuses (field not positive, e F underflowing, G past the float
-    range), or whose barrier the block finds suppressed within 1e-6 past
-    the suppression field, is handed to :func:`rate_jwkb`.  Results agree
-    with :func:`rate_jwkb` to rounding and are nan exactly where it
-    raises; :func:`rate_jwkb` on that field gives the reason.  A field's G
-    can differ in its last ulp with
+    range), whose A1 (e F/8, e F) is not a normal float, or whose barrier
+    the block finds suppressed within 1e-6 past the suppression field, is
+    handed to :func:`rate_jwkb`.  Results agree with :func:`rate_jwkb` to
+    rounding and are nan exactly where it raises; :func:`rate_jwkb` on that
+    field gives the reason.  A field's G can differ in its last ulp with
     the number of fields solved beside it: BLAS orders the quadrature's
     sums by the size of the block.
     """

@@ -73,8 +73,9 @@ def _edge_grid(atom, n):
 
 @pytest.mark.parametrize("n", [1, 2, 31, 1023, 1024, 1025, 2049])
 def test_stacked_solve_matches_one_shape_at_a_time(n):
-    # each shape's quadrature sums run over the rows its own block would
-    # give them, so a column's bits do not depend on the shapes beside it
+    # each barrier is solved in blocks of its own shape (the Cartesian
+    # columns are the parabolic solve's rows, coordinates halved), so a
+    # column's bits do not depend on the shapes asked for beside it
     atom = make_atom(1.0)
     F = _edge_grid(atom, n)
     with warnings.catch_warnings():
@@ -89,6 +90,47 @@ def test_stacked_solve_matches_one_shape_at_a_time(n):
                         assert np.array_equal(a, b, equal_nan=True), (variants, variant, name)
                     _, refusals = one_shape[variant]
                     assert refused == refusals, (variants, variant)
+
+
+def test_cartesian_columns_take_the_parabolic_solve(monkeypatch):
+    # the Cartesian barrier is the parabolic one at z = eta/2, so asking
+    # for every shape integrates the transformed rows once, as many as the
+    # parabolic shape alone, and never with the Cartesian A0 = I
+    atom = make_atom(1.0)
+    f_bs = suppression_field(atom, MotiveVariant.TRANSFORMED_PARABOLIC)
+    F = np.geomspace(2.0, 1.2 * f_bs, 1500)
+    rows = []
+    strength_pair = barrier._strength_pair
+
+    def spy(k, c_in, *args, **kwargs):
+        if k[3] != 0.0:
+            rows.append((k[0], np.size(c_in)))
+        return strength_pair(k, c_in, *args, **kwargs)
+
+    def fallback(model, **kwargs):
+        raise AssertionError(f"{model.variant.value} at {model.F!r} left to rate_jwkb")
+
+    monkeypatch.setattr(barrier, "_strength_pair", spy)
+    monkeypatch.setattr(barrier, "rate_jwkb", fallback)
+    rate_jwkb_array(MotiveVariant.TRANSFORMED_PARABOLIC, atom, F)
+    alone = sum(n for _, n in rows)
+    rows.clear()
+    _rate_jwkb_arrays(list(MotiveVariant), atom, F)
+    assert sum(n for _, n in rows) == alone > 0
+    assert all(A0 != atom.I for A0, _ in rows)
+
+
+def test_cartesian_columns_below_the_normal_floats_come_from_rate_jwkb():
+    # where e F/8 is not a normal float it has lost bits that e F keeps,
+    # so the parabolic solve is no longer the Cartesian barrier halved:
+    # rate_jwkb settles those fields (I tiny enough that barriers stand)
+    atom = make_atom(0.1, 1e-152)
+    F = np.geomspace(1e-322, 1e-305, 24)
+    b = rate_jwkb_array(MotiveVariant.TRANSFORMED_CARTESIAN, atom, F)
+    for i, f in enumerate(F.tolist()):
+        s = rate_jwkb(MotiveModel(MotiveVariant.TRANSFORMED_CARTESIAN, atom, f))
+        assert abs(b.G[i] - s.G) <= 1e-13 * s.G, f
+        assert abs(b.coord_in[i] / s.coord_in - 1.0) <= 1e-13, f
 
 
 @pytest.mark.parametrize("variant", list(MotiveVariant))
