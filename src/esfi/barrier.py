@@ -22,7 +22,9 @@ single peak, the positive root of the cubic A1 c^3 - A2 c - 2 A3 = 0.  The
 turning points are the two positive roots of -c^2 M, a cubic (for the
 naive barrier c M, a quadratic).  The transformed barriers vanish where
 M = M' = 0 share a root, which gives their suppression field directly.
-Each root finishes with a Newton step.
+Newton steps on M polish the two zeros; the peak, which only decides
+suppression and must lie between the zeros, is the closed form alone,
+within a few ulps of the cubic's root.
 
 The barrier-strength integrand M^(1/2) has square-root zeros at both
 turning points.  The quadrature maps [c_in, c_out] to log c, which spreads
@@ -176,19 +178,12 @@ def _motive_and_slope(k, c):
     return A0 - A1 * c - ic * (A2 + A3 * ic), -A1 + ic * ic * (A2 + 2.0 * A3 * ic)
 
 
-def _slope_and_curvature(k, c):
-    """(M', M'') at c; M'' < 0 everywhere: M is concave with a single peak."""
-    _, A1, A2, A3 = k
-    ic = 1.0 / c
-    return -A1 + ic * ic * (A2 + 2.0 * A3 * ic), -(ic**3) * (2.0 * A2 + 6.0 * A3 * ic)
-
-
-def _polish(fn, k, c):
-    """Newton steps on fn(k, c) -> (value, derivative) from close estimates;
-    a step is kept only while it shrinks |value|, and each entry of an
-    array stops as it would alone."""
+def _polish(k, c):
+    """Newton steps on M from close estimates c of its zeros; a step is
+    kept only while it shrinks |M|, and each entry of an array stops as it
+    would alone."""
     ns = _arithmetic(c)
-    v, d = fn(k, c)
+    v, d = _motive_and_slope(k, c)
     live = True
     for _ in range(_NEWTON_MAX):
         step = ns.divide(v, d)
@@ -201,7 +196,7 @@ def _polish(fn, k, c):
         if not ns.any(live):
             return ns.where(last, nxt, c)
         # a stopped entry never moves again, so its v and d no longer matter
-        v_next, d = fn(k, nxt)
+        v_next, d = _motive_and_slope(k, nxt)
         live = live & (abs(v_next) < abs(v))
         c = ns.where(last | live, nxt, c)
         v = v_next
@@ -224,7 +219,8 @@ def motive(model: MotiveModel, coord):
 
 
 def _peak(k):
-    """Location of the single maximum of M, for A1 > 0."""
+    """Location of the single maximum of M, for A1 > 0: the closed form,
+    without Newton steps, within a few ulps of the cubic's root."""
     ns = _arithmetic(k[1])
     _, A1, A2, A3 = k
     s = ns.sqrt(A2) / ns.sqrt(A1)  # the naive barrier's peak
@@ -238,7 +234,7 @@ def _peak(k):
     cos3 = ns.clip(_ROOT3_3_2 * kappa, -1.0, 1.0)
     w = (0.5 * kappa + ns.sqrt(abs(d))) ** (1.0 / 3.0)  # d < 0 takes cos3
     x = ns.where(d < 0.0, _ROOT3_2_3 * ns.cos(ns.acos(cos3) / 3.0), w + 1.0 / (3.0 * w))
-    return _polish(_slope_and_curvature, k, s * x)
+    return s * x
 
 
 def _motive_peak(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
@@ -254,7 +250,8 @@ def _motive_peak(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
 
 
 def motive_peak(model: MotiveModel) -> tuple[float, float]:
-    """Location and value of the single barrier maximum."""
+    """Location and value of the single barrier maximum; the location is
+    the cubic's closed-form root, within a few ulps (see :func:`_peak`)."""
     return _motive_peak(model._coeffs, model.variant, model.atom, model.F)
 
 
@@ -336,7 +333,7 @@ def _zeros(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
     (the shape `variant` of `atom` at the field F): closed form, polished."""
     try:
         c_in, c_out = _zero_estimates(k)
-        return _polish(_motive_and_slope, k, c_in), _polish(_motive_and_slope, k, c_out)
+        return _polish(k, c_in), _polish(k, c_out)
     except (ArithmeticError, ValueError) as exc:
         raise _no_barrier(variant, atom, F, exc) from exc
 
@@ -666,8 +663,7 @@ def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray):
 
     c_in, c_out = _zero_estimates(k)
     # both zeros of every field in one pass, each polished as it would be alone
-    zeros = _polish(_motive_and_slope, (A0, np.concatenate((A1, A1)), A2, A3),
-                    np.concatenate((c_in, c_out)))
+    zeros = _polish((A0, np.concatenate((A1, A1)), A2, A3), np.concatenate((c_in, c_out)))
     c_in, c_out = zeros[: index.size], zeros[index.size :]
     G_coarse, G = _strength_pair((A0, A1[:, None], A2, A3), c_in[:, None], c_out[:, None])[0]
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)

@@ -456,6 +456,43 @@ def test_barrier_strength_where_the_motive_cancels_comes_from_its_zeros(monkeypa
     assert checked == 81
 
 
+def _cubic_root(k, start):
+    """The positive root of A1 c^3 - A2 c - 2 A3 = 0 in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        _, A1, A2, A3 = (mpmath.mpf(a) for a in k)
+        return float(mpmath.findroot(lambda c: A1 * c**3 - A2 * c - 2 * A3, mpmath.mpf(start)))
+
+
+def test_closed_form_peak_is_the_cubic_root_to_a_few_ulps():
+    # the peak takes no Newton step: on both branches of the cubic, the
+    # trigonometric one (kappa < 2/3^(3/2)) and Cardano's, and for the
+    # naive barrier's square root, the scalar and the array peak lie within
+    # 5 ulps of the root; high-I atoms take Cardano's branch
+    rng = np.random.default_rng(2024)
+    atoms = [(make_atom(1.3, 5300.0), [0.14])]
+    for _ in range(50):
+        Z = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
+        I = Z * Z * REGISTRY.I_H.value * 10 ** rng.uniform(-4, 4) if rng.random() < 0.7 else None
+        atoms.append((make_atom(Z, I), 10 ** rng.uniform(-15, -1e-9, 4)))
+    branches = {"trigonometric": 0, "cardano": 0, "naive": 0}
+    for atom, ratios in atoms:
+        for variant in (PARABOLIC, CARTESIAN, NAIVE):
+            F = np.asarray(ratios) * suppression_field(atom, variant)
+            peaks = barrier._peak(barrier._coefficients(variant, atom, F))
+            for f, array_peak in zip(F, peaks):
+                k = _, A1, A2, A3 = barrier._coefficients(variant, atom, float(f))
+                peak = barrier._peak(k)
+                root = _cubic_root(k, peak)
+                for value in (peak, array_peak):
+                    assert abs(value - root) <= 5 * math.ulp(root), (atom, variant, f)
+                kappa = 2 * A3 / (A2 * math.sqrt(A2 / A1))
+                if variant is NAIVE:
+                    branches["naive"] += 1
+                else:
+                    branches["cardano" if kappa >= 2 / 3**1.5 else "trigonometric"] += 1
+    assert min(branches.values()) >= 20, branches
+
+
 @pytest.mark.parametrize("atom", [make_atom(1), make_atom(0.357), make_atom(2.5, 40.0)],
                          ids=["H", "Z0.357", "Z2.5-I40"])
 @pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN])
@@ -476,6 +513,12 @@ def test_transformed_suppression_field_is_double_root(atom, variant):
         turning_points(MotiveModel(variant, atom, F))
     assert excinfo.value.suppression_field == F
     turning_points(MotiveModel(variant, atom, F * (1 - 1e-6)))
+    # the verdict's edge, the same for one field and an array of them
+    turning_points(MotiveModel(variant, atom, F * (1 - 1e-12)))
+    with pytest.raises(errors.BarrierSuppressed):
+        turning_points(MotiveModel(variant, atom, F * (1 - 1e-13)))
+    K_e = rate_jwkb_array(variant, atom, [F * (1 - 1e-12), F * (1 - 1e-13), F]).K_e
+    assert math.isfinite(K_e[0]) and np.isnan(K_e[1:]).all()
 
 
 @pytest.mark.parametrize("F", [1e-30, 1e-100, 1e-180, 1e-250, 1e-300, 3e-306])
