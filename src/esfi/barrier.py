@@ -147,9 +147,11 @@ class MotiveModel:
     F: float  # V/nm
 
     def __post_init__(self):
-        # a numpy scalar would carry numpy's overflow warnings into the solve
-        object.__setattr__(self, "F", float(self.F))
+        # checked before the cast, which an int beyond the float range
+        # overflows; a numpy scalar would carry numpy's overflow warnings
+        # into the solve
         _check_positive(self.F)
+        object.__setattr__(self, "F", float(self.F))
         # not a field: built once for every step of a solve
         object.__setattr__(self, "_coeffs", _coefficients(self.variant, self.atom, self.F))
 
@@ -328,23 +330,17 @@ def _zero_estimates(k):
     return c_in, c_out
 
 
-def _zeros(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
-    """Both motive zeros of a barrier known to stand, with coefficients k
-    (the shape `variant` of `atom` at the field F): closed form, polished."""
-    try:
-        c_in, c_out = _zero_estimates(k)
-        return _polish(k, c_in), _polish(k, c_out)
-    except (ArithmeticError, ValueError) as exc:
-        raise _no_barrier(variant, atom, F, exc) from exc
-
-
 def _turning_points(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
     """:func:`turning_points` of the barrier with coefficients k, the
     shape `variant` of `atom` at the field F."""
     peak, peak_value = _motive_peak(k, variant, atom, F)
     if peak_value <= _SUPPRESSED * k[0]:
         raise _no_barrier(variant, atom, F)
-    c_in, c_out = _zeros(k, variant, atom, F)
+    try:
+        c_in, c_out = _zero_estimates(k)
+        c_in, c_out = _polish(k, c_in), _polish(k, c_out)
+    except (ArithmeticError, ValueError) as exc:
+        raise _no_barrier(variant, atom, F, exc) from exc
     if not c_out < math.inf:
         raise BracketingFailure(
             f"the outer motive zero at F={F:.6g} V/nm lies beyond the float range"
@@ -601,30 +597,21 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
 
     the first the fall of G (dA1/d ln F = A1; the ends, where M = 0, add
     nothing), the second the change of ln(x e^-x) (dc_in/dA1 =
-    c_in/M'(c_in)).  Its ``inside(F)`` is the same ln K_e, and leaves the
-    same slope, at a field between two where it answered, without locating
-    the barrier's peak to check that it stands: it does, as the peak only
-    falls as F rises.
+    c_in/M'(c_in)).
     """
     eta_scale = _ETA_SCALE[variant]
     last = None  # what slope() needs of the last evaluation
 
-    def evaluate(F, zeros) -> float:
+    def log_rate(F) -> float:
         nonlocal last
         last = None  # a refused field leaves no slope behind
+        _check_positive(F)  # before the cast, as MotiveModel has it
         F = float(F)
-        _check_positive(F)
         k = _coefficients(variant, atom, F)
-        c_in, c_out = zeros(k, variant, atom, F)
+        c_in, c_out = _turning_points(k, variant, atom, F)
         G, nodes = _strength_between(k, F, c_in, c_out)
         last = k, c_in, nodes
         return _prefactor(atom, c_in, eta_scale, _SCALAR)[2] - G
-
-    def log_rate(F) -> float:
-        return evaluate(F, _turning_points)
-
-    def inside(F) -> float:
-        return evaluate(F, _zeros)
 
     def slope() -> float:
         """d ln K_e / d ln F at the field of the last evaluation."""
@@ -642,7 +629,6 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
         return d_log_K
 
     log_rate.slope = slope
-    log_rate.inside = inside
     return log_rate
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 from .barrier import MotiveVariant, _jwkb_log_rate, suppression_field
 from .errors import NonMonotoneBracket, NumericError, TargetUnattainable, ValidationError
-from .hydrogenic import HydrogenicAtom
+from .hydrogenic import HydrogenicAtom, _shown
 from .rates import _ll_log_rate, guard_field
 from .units import REGISTRY
 
@@ -94,7 +94,7 @@ def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, bu
     evaluations = 0
     while u_hi - u_lo > _PEAK_WIDTH and evaluations < budget:
         u = 0.5 * (u_lo + u_hi)
-        g = log_rate.inside(math.exp(u)) - log_t
+        g = log_rate(math.exp(u)) - log_t
         evaluations += 1
         if log_rate.slope() > 0.0:
             u_lo, g_lo = u, g
@@ -103,24 +103,6 @@ def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, bu
     if g_lo is not None and g_lo > g_hi:
         return u_lo, g_lo, evaluations
     return u_hi, g_hi, evaluations
-
-
-def _checked_first(log_rate) -> Callable[[float], float]:
-    """ln K at a field F: by the checked log_rate where F lies above every
-    field it answered, and by its inside elsewhere, as the barrier's peak
-    only falls as F rises."""
-    inside = log_rate.inside
-    checked = -math.inf
-
-    def evaluate(F: float) -> float:
-        nonlocal checked
-        if F <= checked:
-            return inside(F)
-        value = log_rate(F)
-        checked = F
-        return value
-
-    return evaluate
 
 
 def invert_rate(
@@ -165,10 +147,11 @@ def invert_rate(
     Converges to |K_e(F) - target|/target < 1e-10 (typically much tighter);
     ``iterations`` counts the rate evaluations.
     """
+    target = _shown(target)
     if not (target > 0.0) or not math.isfinite(target):
         raise TargetUnattainable(f"target rate must be positive and finite, got {target}")
     if bracket is not None:
-        f_lo, f_hi = map(float, bracket)
+        f_lo, f_hi = (float(_shown(f)) for f in bracket)
     else:
         f_lo, f_hi = 1e-6, guard_field(atom)
         if method == "ll":
@@ -217,16 +200,15 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
     # them
     lazy = default and seeded
     ends = not lazy
-    evaluate = _checked_first(log_rate) if lazy else log_rate.inside
     evaluations = 0
     g_hi = None  # ln K - ln target at f_hi, once solved
     if lazy and seed >= u_hi:
         # Newton starts at the top, solved at f_hi itself; a target above
         # the rate there needs the ends at once
-        u, g = u_hi, evaluate(f_hi) - log_t
+        u, g = u_hi, log_rate(f_hi) - log_t
         g_hi, ends, evaluations = g, g < 0.0, 1
     elif lazy:
-        u, g = seed, evaluate(math.exp(seed)) - log_t
+        u, g = seed, log_rate(math.exp(seed)) - log_t
         evaluations = 1
 
     # on u = ln F: Newton steps from the field evaluated last, with
@@ -249,7 +231,7 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
                 slope = log_rate.slope() if slope is None else slope
                 u_next = u - g / slope if slope > 0.0 else u
                 if u_next != u and u_lo <= u_next <= u_hi:
-                    g_next = evaluate(math.exp(u_next)) - log_t
+                    g_next = log_rate(math.exp(u_next)) - log_t
                     evaluations += 1
                     if abs(g_next) < abs(g):
                         u, g = u_next, g_next
@@ -294,9 +276,7 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
                     f"[{math.exp(g_lo + log_t):.6g}, {math.exp(g_hi + log_t):.6g}] s^-1 "
                     f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
                 )
-            # once both ends answered, the fields the solve evaluates lie
-            # between them
-            u, g, evaluate, ends = u_lo, g_lo, log_rate.inside, False
+            u, g, ends = u_lo, g_lo, False
             tol, slope = _RESIDUAL_TOL, None
             if not seeded:
                 continue
@@ -305,7 +285,7 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
             u_next = 0.5 * (u_lo + u_hi) if lazy else min(seed, u_hi)
             lazy = False
         u = u_next
-        g = evaluate(math.exp(u)) - log_t
+        g = log_rate(math.exp(u)) - log_t
         evaluations += 1
         if g > 0.0:
             u_hi = u

@@ -17,13 +17,13 @@ extended-precision kernel carries the whole closed form (exponent,
 pre-exponential, K_e, D_eff, T and ln K_e); :func:`rate_ll` and
 :func:`rate_z_form` feed it one field, :func:`rate_ll_array` a whole array
 of fields at once, together with the mask of fields below the guard.
-The kernel's field-dependent part is one piece of its own, which field
-inversion evaluates alone, with the factors of each ionization energy
-computed once, for ln K_e, dividing each float field straight into
-those long-double factors; its first step, K_e and the exponent, is
-another, which a field sweep evaluates alone over an array of fields,
-zeroing each K_e that underflows a double before it is stored as one,
-which gives the same bits as the cast and skips its slow path.
+Field inversion evaluates ln K_e alone, with the factors of each
+ionization energy computed once, dividing each float field straight into
+those long-double factors.  The kernel's first step, K_e and the
+exponent, is a piece of its own, which a field sweep evaluates alone
+over an array of fields, zeroing each K_e that underflows a double before
+it is stored as one, which gives the same bits as the cast and skips its
+slow path.
 
 Unless stated otherwise, fields are in V/nm and rates in s^-1.
 """
@@ -44,7 +44,7 @@ from .errors import (
     NonPositiveField,
     ShallowTunnellingRegime,
 )
-from .hydrogenic import HydrogenicAtom, make_atom
+from .hydrogenic import HydrogenicAtom, _shown, make_atom
 from .units import (
     EXTENDED,
     FIELD,
@@ -98,8 +98,12 @@ def guard_field(atom: HydrogenicAtom) -> float:
 
 
 def _check_positive(F: float) -> None:
-    if not math.isfinite(F) or F <= 0:
-        raise NonPositiveField(f"field must be positive, got {F}")
+    try:
+        valid = math.isfinite(F) and F > 0
+    except OverflowError:  # an int beyond the float range
+        valid = False
+    if not valid:
+        raise NonPositiveField(f"field must be positive, got {_shown(F)}")
 
 
 def _check_field(atom: HydrogenicAtom, F: float, allow_shallow: bool) -> str:
@@ -141,26 +145,20 @@ def _coefficients(x, I):
     pi hbar C_FI I^(3/2).
 
     I may be a float: an operation between a float and a long double
-    converts the float exactly, so the factors, and the quotients of
-    :func:`_field_terms` by a float field, are those of the field and I
-    as long doubles, bit for bit.  That holds only where every operation
-    a float enters has a long-double operand; :func:`_closed_form`'s
-    ``2 * I / B`` has none, so its callers convert I, B and F first."""
+    converts the float exactly, so the factors, and their quotients by a
+    float field, are those of the field and I as long doubles, bit for
+    bit.  That holds only where every operation a float enters has a
+    long-double operand; :func:`_closed_form`'s ``2 * I / B`` has none,
+    so its callers convert I, B and F first."""
     I_3_2 = I**_THREE_HALVES
     return x.b * I_3_2, x.C_FI * I**_FIVE_HALVES, x.pi_hbar_C_FI * I_3_2
-
-
-def _field_terms(exponent_coeff, pre_coeff, F):
-    """The field-dependent part of the closed form, from the first two
-    :func:`_coefficients`: pre-exponential and exponent."""
-    return pre_coeff / F, exponent_coeff / F
 
 
 def _rate_terms(exponent_coeff, pre_coeff, F):
     """The closed form's first step, from the first two
     :func:`_coefficients`: K_e, pre-exponential, exponent and the decay
     factor exp(-exponent)."""
-    pre, exponent = _field_terms(exponent_coeff, pre_coeff, F)
+    pre, exponent = pre_coeff / F, exponent_coeff / F
     decay = np.exp(-exponent)
     return pre * decay, pre, exponent, decay
 
@@ -190,28 +188,23 @@ def _ll_log_rate(atom: HydrogenicAtom) -> Callable[[float], float]:
     I and F go into the long-double arithmetic as they are, without a
     conversion of their own (see :func:`_coefficients`): building a long
     double costs about as much as the rest of an evaluation.  Its
-    ``inside(F)`` is the same ln K_e without the check that F is positive
-    and finite, for fields between two where it answered.  Its ``slope()``
-    gives d ln K_e / d ln F = b I^(3/2)/F - 1 at the field of the last
-    evaluation, from the long-double exponent that evaluation kept: bit
-    for bit ``rate_ll(atom, F, allow_shallow=True).exponent - 1.0``."""
+    ``slope()`` gives d ln K_e / d ln F = b I^(3/2)/F - 1 at the field of
+    the last evaluation, from the long-double exponent that evaluation
+    kept: bit for bit
+    ``rate_ll(atom, F, allow_shallow=True).exponent - 1.0``."""
     exponent_coeff, pre_coeff = _ll_factors(atom.I)
     exponent = None  # of the last evaluation, for slope()
 
-    def inside(F: float) -> float:
-        nonlocal exponent
-        pre, exponent = _field_terms(exponent_coeff, pre_coeff, F)
-        return float(np.log(pre) - exponent)
-
     def log_rate(F: float) -> float:
+        nonlocal exponent
         _check_positive(F)
-        return inside(F)
+        exponent = exponent_coeff / F
+        return float(np.log(pre_coeff / F) - exponent)
 
     def slope() -> float:
         """d ln K_e / d ln F at the field of the last evaluation."""
         return float(exponent) - 1.0
 
-    log_rate.inside = inside
     log_rate.slope = slope
     return log_rate
 
@@ -318,7 +311,7 @@ def rate_z_form(
     (4/F) exp(-2/(3F)).
     """
     atom = make_atom(Z)
-    F_canonical = to_canonical(float(F), FIELD, unit_system).value
+    F_canonical = to_canonical(float(_shown(F)), FIELD, unit_system).value
     regime = _check_field(atom, F_canonical, allow_shallow)
     if unit_system not in EXTENDED:  # Gaussian: a rate has no Gaussian view
         raise _unsupported_gaussian(FREQUENCY)

@@ -571,13 +571,12 @@ def test_jwkb_evaluator_is_rate_jwkb_bit_for_bit(Z, I):
         fields = [5e-324, 1e-310, 1e-300, 1e-200, 1e-50, 1e-6, 1.0, 1e3, 1e6,
                   *(f_bs * np.geomspace(1e-25, 1.0, 30)),
                   f_bs * (1 - 1e-9), f_bs * (1 + 1e-9), 2.0 * f_bs, guard_field(atom),
-                  np.float64(0.5 * f_bs), 0.0, -1.0, math.nan, math.inf]
+                  np.float64(0.5 * f_bs), 0.0, -1.0, math.nan, math.inf,
+                  10**400, -10**400]
         for F in fields:
             expected = _log_rate_or_refusal(lambda: rate_jwkb(MotiveModel(variant, atom, F)).log_K_e)
             got = _log_rate_or_refusal(lambda: log_rate(F))
             assert got == expected, (variant, F)
-            if isinstance(got, float):  # an answered field is between two that answered
-                assert log_rate.inside(F) == got, (variant, F)
 
 
 def _central_slope(log_rate, F, du=1e-5):

@@ -33,7 +33,17 @@ from esfi.errors import (
 )
 from esfi.hydrogenic import make_atom
 from esfi.invert import invert_rate
-from esfi.rates import guard_field, rate_ll, suppression_field_naive
+from esfi.rates import (
+    barrier_integral_log_part,
+    barrier_integral_main_part,
+    barrier_term,
+    effective_escape_probability,
+    guard_field,
+    rate_gaussian_check,
+    rate_ll,
+    rate_z_form,
+    suppression_field_naive,
+)
 from esfi.units import REGISTRY
 
 CONTRACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -332,3 +342,39 @@ def test_log_rate_does_not_fall_with_field_below_the_guard(case):
         # the known falls: past the closed form's maximum, and the JWKB
         # rates of an atom whose I is far above Z^2 I_H
         assert f_hi > _ll_peak(atom) if name == "ll" else _jwkb_peaks_below_guard(atom)
+
+
+_HYDROGEN = make_atom(1)
+# each scalar entry point as a function of one field, target or bracket end
+_NUMBER_CALLS = {
+    "rate_ll": lambda x: rate_ll(_HYDROGEN, x),
+    "rate_gaussian_check": rate_gaussian_check,
+    "effective_escape_probability": lambda x: effective_escape_probability(_HYDROGEN, x),
+    "barrier_term": lambda x: barrier_term(_HYDROGEN, x),
+    "barrier_integral_main_part": lambda x: barrier_integral_main_part(_HYDROGEN, x, 1.0),
+    "barrier_integral_log_part": lambda x: barrier_integral_log_part(_HYDROGEN, x, 1.0),
+    "rate_z_form": lambda x: rate_z_form(1.0, x),
+    **{f"MotiveModel-{v.value}": lambda x, v=v: MotiveModel(v, _HYDROGEN, x)
+       for v in MotiveVariant},
+    "invert_rate-target": lambda x: invert_rate(x, _HYDROGEN),
+    **{f"invert_rate-{m}-top":
+       lambda x, m=m: invert_rate(1e9, _HYDROGEN, method=m, bracket=(1.0, x))
+       for m in ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")},
+    "invert_rate-bottom": lambda x: invert_rate(1e9, _HYDROGEN, bracket=(x, 50.0)),
+}
+
+
+def _refusal(call, x):
+    with pytest.raises(EsfiError) as raised:
+        call(x)
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", list(_NUMBER_CALLS))
+def test_int_beyond_the_float_range_is_refused_as_an_infinity(name, sign):
+    # math.isfinite and float() raise OverflowError on such an int
+    call = _NUMBER_CALLS[name]
+    refusal = _refusal(call, sign * 10**400)
+    assert refusal == _refusal(call, sign * math.inf)
+    assert ("-inf" if sign < 0 else "inf") in refusal[1]
