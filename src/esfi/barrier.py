@@ -81,9 +81,10 @@ from .errors import (
     QuadratureNonConvergence,
     ShallowBarrierWarning,
     ValidationError,
+    _shown,
 )
 from .hydrogenic import HydrogenicAtom
-from .rates import _check_field, _check_positive, suppression_field_naive
+from .rates import _check_field, _check_positive, _float_array, suppression_field_naive
 from .units import REGISTRY
 
 _EPS = float(np.finfo(float).eps)
@@ -214,10 +215,14 @@ def motive(model: MotiveModel, coord):
     uses them as-is.
     """
     c = np.asarray(coord)
-    if not np.all((c > 0.0) & (c < math.inf)):
-        raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {coord}")
-    # a list or tuple goes in as its array; a number stays a number
-    return _motive(model._coeffs, c if c.ndim else coord)
+    if np.all((c > 0.0) & (c < math.inf)):
+        try:
+            # a list or tuple goes in as its array; a number stays a number
+            return _motive(model._coeffs, c if c.ndim else coord)
+        except OverflowError:  # an int beyond the float range compares as finite
+            pass
+    shown = _shown(coord) if c.ndim == 0 else coord
+    raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {shown}")
 
 
 def _peak(k):
@@ -672,7 +677,7 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F):
     dict from the flat index of each field that :func:`rate_jwkb` refused
     to the text of its error.  Every other nan field lies past the shape's
     suppression field by more than the margin."""
-    F = np.asarray(F, dtype=float)
+    F = _float_array(F)
     flat = F.ravel()
     solve = [MotiveVariant.TRANSFORMED_PARABOLIC if v is MotiveVariant.TRANSFORMED_CARTESIAN
              else v for v in variants]
@@ -732,8 +737,11 @@ def attempt_frequency_rate(atom: HydrogenicAtom, D: float) -> float:
     D > 1 is formally possible near barrier suppression and only draws a
     warning; D negative, infinite or nan is refused (ValidationError).
     """
-    if not 0.0 <= D < math.inf:
-        raise ValidationError(f"escape probability must be finite and non-negative, got {D}")
+    # an int beyond the float range passes the comparisons with inf
+    if not 0.0 <= D < math.inf or D > 1.0 and _shown(D) == math.inf:
+        raise ValidationError(
+            f"escape probability must be finite and non-negative, got {_shown(D)}"
+        )
     if D > 1.0:
         warnings.warn(
             f"escape probability {D:.4g} exceeds 1",

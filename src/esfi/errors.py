@@ -1,9 +1,23 @@
-"""Exception and warning types shared by the esfi modules.
+"""Exception and warning types shared by the esfi modules, and the way
+their messages show a refused number.
 
 The hierarchy mirrors the CLI exit-code contract: validation failures
 (bad inputs, violated preconditions) exit 2, regime failures (field too
 high for the requested treatment) exit 3, numeric failures exit 4.
 """
+
+import math
+
+
+def _shown(x):
+    """x for an error message; an int beyond the float range, which
+    math.isfinite and float() refuse with OverflowError, as the infinity
+    of its sign."""
+    try:
+        math.isfinite(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    return x
 
 
 class EsfiError(Exception):

@@ -19,6 +19,7 @@ from .errors import (
     NonPositiveIonizationEnergy,
     NonPositiveZ,
     ValidationError,
+    _shown,
 )
 from .units import REGISTRY
 
@@ -46,17 +47,6 @@ class HydrogenicAtom:
     nu_Z: float     # classical orbital frequency I/(pi hbar) [s^-1]
     omega_Z: float  # 2 pi nu_Z [rad/s]
     default_ionization: bool = True
-
-
-def _shown(x):
-    """x for an error message; an int beyond the float range, which
-    math.isfinite and float() refuse with OverflowError, as the infinity
-    of its sign."""
-    try:
-        math.isfinite(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-    return x
 
 
 def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:

@@ -12,11 +12,12 @@ root from one side, and over the default bracket they find it without
 its ends: those are solved, in the same loop, only where a step meets
 what they settle, and the search goes on from the midpoint of the
 bracket they give.  An answer takes about five solves.  A given bracket
-has its ends solved first.  For the closed form ('ll'), and for a JWKB
-target whose closed-form root lies below the bracket or does not exist,
-bisection narrows the bracket first and Newton polishes; the
-closed form's slope, b I^(3/2)/F - 1, comes exact with each evaluation
-too, so an 'll' answer takes about sixteen.
+has its ends solved first.  The closed form ('ll'), and a JWKB target
+whose closed-form root lies below the bracket or does not exist, have
+no seed: once the ends are solved and checked, bisection alone narrows
+the bracket to 1e-2 on ln F, and Newton then polishes from the field it
+evaluated last; the closed form's slope, b I^(3/2)/F - 1, comes exact
+with each evaluation too, so an 'll' answer takes about sixteen.
 
 The root is unique where K_e rises over the bracket.  That holds below
 the deep-tunnelling guard unless the ionization energy is far above
@@ -35,8 +36,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .barrier import MotiveVariant, _jwkb_log_rate, suppression_field
-from .errors import NonMonotoneBracket, NumericError, TargetUnattainable, ValidationError
-from .hydrogenic import HydrogenicAtom, _shown
+from .errors import (
+    NonMonotoneBracket,
+    NumericError,
+    TargetUnattainable,
+    ValidationError,
+    _shown,
+)
+from .hydrogenic import HydrogenicAtom
 from .rates import _ll_log_rate, guard_field
 from .units import REGISTRY
 
@@ -139,11 +146,12 @@ def invert_rate(
     for the same answer or refusal, and the steps go on from the midpoint
     of the bracket they give.  An answer takes about five solves.  'll', a
     given bracket and a JWKB target whose closed-form root lies below the
-    bracket or does not exist solve the ends first; 'll' and such a target
-    then bisect on ln F until the bracket is 1e-2 wide, and take the same
-    Newton steps, with the closed form's exact slope b I^(3/2)/F - 1: an
-    'll' answer takes about sixteen evaluations.  Once the ends are
-    solved, a step that would leave the bracket falls back to its midpoint.
+    bracket or does not exist solve the ends first.  'll' and such a target
+    then bisect on ln F, and only bisect, until the bracket is 1e-2 wide;
+    from there they take the same Newton steps, with the closed form's
+    exact slope b I^(3/2)/F - 1: an 'll' answer takes about sixteen
+    evaluations.  Once the ends are solved, a step that would leave the
+    bracket falls back to its midpoint.
     Converges to |K_e(F) - target|/target < 1e-10 (typically much tighter);
     ``iterations`` counts the rate evaluations.
     """
@@ -180,16 +188,19 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
     may lie past the rate's maximum.  Every Newton step takes its slope
     from ``log_rate.slope()``, at the field evaluated last.
 
-    The ends are solved and checked before the first step, except over a
-    seeded default bracket, where Newton starts at once (at the top,
-    solved first, where the seed lies at or above it) and the ends wait
-    for a step that needs them: a slope <= 0, a step that would leave the
-    bracket, or a target above the rate at the top.  The search then goes
-    on from the midpoint of the bracket they give, without the fields
-    evaluated before, which may lie past the rate's maximum.  (A refusal
-    met before the ends stands: the default bracket's ends answered for
-    every atom tried, Z from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H,
-    and the fields solved after them are the same.)
+    Unseeded, the ends are solved and checked first, then bisection runs
+    as a loop of its own until the bracket is 1e-2 wide on ln F, and the
+    Newton steps go on from the field it evaluated last.  Seeded, the ends
+    are solved and checked before the first step, except over a default
+    bracket, where Newton starts at once (at the top, solved first, where
+    the seed lies at or above it) and the ends wait for a step that needs
+    them: a slope <= 0, a step that would leave the bracket, or a target
+    above the rate at the top.  The search then goes on from the midpoint
+    of the bracket they give, without the fields evaluated before, which
+    may lie past the rate's maximum.  (A refusal met before the ends
+    stands: the default bracket's ends answered for every atom tried, Z
+    from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H, and the fields
+    solved after them are the same.)
     """
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
@@ -213,14 +224,12 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
 
     # on u = ln F: Newton steps from the field evaluated last, with
     # d(ln K)/d(ln F) the evaluator's slope there, and the midpoint wherever
-    # a step would leave the bracket; unseeded, bisection first narrows the
-    # bracket to newton_width
-    newton_width = math.inf if seeded else 1e-2
+    # a step would leave the bracket
     tol = _RESIDUAL_TOL
     slope = None
     while evaluations < _MAX_ITER:
         u_next = 0.5 * (u_lo + u_hi)
-        if not ends and u_hi - u_lo <= newton_width:
+        if not ends:
             if abs(g) <= tol:
                 # one more step, kept where it lowers |g|: the stop alone
                 # leaves answers up to some 30 ulps off the root.  The
@@ -279,6 +288,16 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
             u, g, ends = u_lo, g_lo, False
             tol, slope = _RESIDUAL_TOL, None
             if not seeded:
+                # unseeded, bisection narrows the bracket to 1e-2 on ln F,
+                # where Newton takes over from the field evaluated last
+                while u_hi - u_lo > 1e-2 and evaluations < _MAX_ITER:
+                    u = 0.5 * (u_lo + u_hi)
+                    g = log_rate(math.exp(u)) - log_t
+                    evaluations += 1
+                    if g > 0.0:
+                        u_hi = u
+                    else:
+                        u_lo = u
                 continue
             # Newton starts at the seed, or at the midpoint where the ends
             # waited for a step

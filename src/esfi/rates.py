@@ -43,8 +43,9 @@ from .errors import (
     NonPositiveCoordinate,
     NonPositiveField,
     ShallowTunnellingRegime,
+    _shown,
 )
-from .hydrogenic import HydrogenicAtom, _shown, make_atom
+from .hydrogenic import HydrogenicAtom, make_atom
 from .units import (
     EXTENDED,
     FIELD,
@@ -191,15 +192,19 @@ def _ll_log_rate(atom: HydrogenicAtom) -> Callable[[float], float]:
     ``slope()`` gives d ln K_e / d ln F = b I^(3/2)/F - 1 at the field of
     the last evaluation, from the long-double exponent that evaluation
     kept: bit for bit
-    ``rate_ll(atom, F, allow_shallow=True).exponent - 1.0``."""
+    ``rate_ll(atom, F, allow_shallow=True).exponent - 1.0``.  A float
+    field is checked by one comparison, 0 < F < inf; any other field goes
+    through :func:`_check_positive`, for the same refusal."""
     exponent_coeff, pre_coeff = _ll_factors(atom.I)
     exponent = None  # of the last evaluation, for slope()
+    log, inf = np.log, math.inf
 
     def log_rate(F: float) -> float:
         nonlocal exponent
-        _check_positive(F)
+        if type(F) is not float or not 0.0 < F < inf:
+            _check_positive(F)
         exponent = exponent_coeff / F
-        return float(np.log(pre_coeff / F) - exponent)
+        return float(log(pre_coeff / F) - exponent)
 
     def slope() -> float:
         """d ln K_e / d ln F at the field of the last evaluation."""
@@ -239,6 +244,16 @@ def _flush_underflow(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _float_array(F) -> np.ndarray:
+    """F (a number or an array of them) as an array of floats, an int
+    beyond the float range, which the conversion refuses with
+    OverflowError, as the infinity of its sign."""
+    try:
+        return np.asarray(F, dtype=float)
+    except OverflowError:
+        return np.vectorize(_shown, otypes=[float])(np.asarray(F, dtype=object))
+
+
 def rate_ll_array(atom: HydrogenicAtom, F) -> RateArrays:
     """:func:`rate_ll` over an array of fields [V/nm], in extended-precision
     array arithmetic, bit for bit the values :func:`rate_ll` gives field
@@ -251,7 +266,7 @@ def rate_ll_array(atom: HydrogenicAtom, F) -> RateArrays:
     """
     ld = np.longdouble
     I, B, x = ld(atom.I), ld(atom.B), EXTENDED[UnitSystem.EVNM]
-    F = np.asarray(F, dtype=float)
+    F = _float_array(F)
     flat = F.ravel()
     out = np.empty((6, flat.size))
     # the casts to double overflow to inf, or divide by a zero field, as

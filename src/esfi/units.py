@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonFiniteValue, UnsupportedGaussianDimension
+from .errors import NonFiniteValue, UnsupportedGaussianDimension, _shown
 
 # 2010 CODATA fundamentals (SI).  Kept as strings so they can be parsed
 # once into float64 and once into extended precision without double
@@ -146,8 +146,12 @@ class Quantity:
     dim: Dimension = DIMENSIONLESS
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NonFiniteValue(f"quantity value must be finite, got {self.value}")
+        try:
+            finite = math.isfinite(self.value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise NonFiniteValue(f"quantity value must be finite, got {_shown(self.value)}")
 
     def _coerce(self, other) -> "Quantity":
         if isinstance(other, Quantity):
@@ -384,7 +388,12 @@ def from_canonical(value, dim: Dimension, system: UnitSystem):
 def to_canonical(value: float, dim: Dimension, system: UnitSystem) -> Quantity:
     """Inverse of :func:`convert`: build a canonical quantity from a value
     expressed in the given system."""
-    return Quantity(value * _scale_factor(dim, system), dim)
+    factor = _scale_factor(dim, system)
+    try:
+        value = value * factor
+    except OverflowError:  # an int beyond the float range
+        value = _shown(value) * factor
+    return Quantity(value, dim)
 
 
 def gaussian_field_to_isq(field_gaussian: float) -> Quantity:

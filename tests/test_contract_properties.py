@@ -19,7 +19,9 @@ from esfi.barrier import (
     MotiveVariant,
     _coefficients,
     _jwkb_log_rate,
+    attempt_frequency_rate,
     barrier_strength,
+    motive,
     motive_peak,
     rate_jwkb,
     rate_jwkb_array,
@@ -41,10 +43,11 @@ from esfi.rates import (
     guard_field,
     rate_gaussian_check,
     rate_ll,
+    rate_ll_array,
     rate_z_form,
     suppression_field_naive,
 )
-from esfi.units import REGISTRY
+from esfi.units import FIELD, REGISTRY, Quantity, UnitSystem, gaussian_field_to_isq, to_canonical
 
 CONTRACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -345,7 +348,8 @@ def test_log_rate_does_not_fall_with_field_below_the_guard(case):
 
 
 _HYDROGEN = make_atom(1)
-# each scalar entry point as a function of one field, target or bracket end
+# each scalar entry point as a function of one field, target, bracket end,
+# quantity, coordinate or escape probability
 _NUMBER_CALLS = {
     "rate_ll": lambda x: rate_ll(_HYDROGEN, x),
     "rate_gaussian_check": rate_gaussian_check,
@@ -361,6 +365,19 @@ _NUMBER_CALLS = {
        lambda x, m=m: invert_rate(1e9, _HYDROGEN, method=m, bracket=(1.0, x))
        for m in ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")},
     "invert_rate-bottom": lambda x: invert_rate(1e9, _HYDROGEN, bracket=(x, 50.0)),
+    "Quantity": Quantity,
+    "to_canonical": lambda x: to_canonical(x, FIELD, UnitSystem.EVNM),
+    "gaussian_field_to_isq": gaussian_field_to_isq,
+    "motive": lambda x: motive(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, _HYDROGEN, 6.0), x),
+    "attempt_frequency_rate": lambda x: attempt_frequency_rate(_HYDROGEN, x),
+}
+# each array entry point as a function of one field, which it refuses
+# nowhere
+_ARRAY_CALLS = {
+    "rate_ll_array": lambda x: rate_ll_array(_HYDROGEN, [x]),
+    "rate_jwkb_array": lambda x: rate_jwkb_array(
+        MotiveVariant.TRANSFORMED_PARABOLIC, _HYDROGEN, [x]
+    ),
 }
 
 
@@ -370,10 +387,16 @@ def _refusal(call, x):
     return type(raised.value), str(raised.value)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("name", list(_NUMBER_CALLS))
+@pytest.mark.parametrize("name", list(_NUMBER_CALLS) + list(_ARRAY_CALLS))
 def test_int_beyond_the_float_range_is_refused_as_an_infinity(name, sign):
     # math.isfinite and float() raise OverflowError on such an int
+    if name in _ARRAY_CALLS:
+        call = _ARRAY_CALLS[name]
+        for got, expected in zip(call(sign * 10**400), call(sign * math.inf)):
+            assert got.tobytes() == expected.tobytes()
+        return
     call = _NUMBER_CALLS[name]
     refusal = _refusal(call, sign * 10**400)
     assert refusal == _refusal(call, sign * math.inf)

@@ -1,6 +1,7 @@
 """Inverse field calibration round trips and failure modes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,17 +152,25 @@ _PARITY_FIELDS = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-50
                   1e50, 1e200, 1e308]
 
 
+class _Float(float):
+    pass
+
+
 @pytest.mark.parametrize("Z", [1e-4, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0])
 @pytest.mark.parametrize("I", [None, 0.1, 30.0, 3000.0])
 def test_ll_evaluator_is_rate_ll_bit_for_bit(Z, I):
+    # a float field is checked by 0 < F < inf alone: its edges, and the
+    # numbers that are not floats but compare as one
     atom = make_atom(Z, I)
     log_rate = _log_rate_fn(atom, "ll")
     guard = guard_field(atom)
     fields = _PARITY_FIELDS + [0.5 * guard, np.nextafter(guard, 0.0), guard, 2.0 * guard]
-    for F in map(float, fields):
+    edges = [sys.float_info.max, _Float(3.7), True]
+    for F in [*map(float, fields), *edges]:
         expected = rate_ll(atom, F, allow_shallow=True).log_K_e
         assert log_rate(F) == expected, F  # inf == inf, -inf == -inf
-    for F in (0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, -10**400):
+    for F in (0.0, -0.0, -1.0, math.nan, np.float64("nan"), _Float(math.inf), math.inf,
+              -math.inf, 10**400, -10**400):
         with pytest.raises(errors.NonPositiveField) as raised:
             log_rate(F)
         with pytest.raises(errors.NonPositiveField) as expected:
@@ -216,6 +225,27 @@ def test_ll_refusal_above_the_maximum_solves_the_ends_only(monkeypatch):
         "on bracket (1e-06, 4.88779e+06) V/nm"
     )
     assert solves == [peak, 1e-6]  # the top, then the bottom
+
+
+@pytest.mark.parametrize("bracket, fields", [
+    (None, [16.06939539647527, 1e-06, 0.004008665039196375, 0.25380469563598224,
+            2.0195266791148514, 5.696715959254698, 9.567799183233031, 12.399546288047992,
+            14.11570798931249, 15.06090611422325, 15.556980921073514, 15.306934019360325,
+            15.183421754077564, 15.276620344706908, 15.276920946698667, 15.27692094979416]),
+    ((1.0, 50.0), [50.0, 1.0, 7.071067811865475, 18.803015465431965, 11.530715390799681,
+                   14.724544808607863, 16.639286155292233, 15.652664775585304,
+                   15.181513885717191, 15.415289411458506, 15.297955100352677,
+                   15.27690580680945, 15.27692094978631, 15.27692094979416]),
+])
+def test_ll_inversion_evaluates_the_ends_then_bisects_then_takes_newton_steps(
+    monkeypatch, bracket, fields
+):
+    # the top, the bottom, the midpoints on ln F until the bracket is 1e-2
+    # wide, then Newton's steps and the one past the stop, bit for bit
+    solves = _recording(monkeypatch)
+    result = invert_rate(1e9, make_atom(1), bracket=bracket)
+    assert solves == fields
+    assert result.iterations == len(fields)
 
 
 def _outcome(target, atom, bracket):
