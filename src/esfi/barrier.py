@@ -214,15 +214,14 @@ def motive(model: MotiveModel, coord):
     separated equation's I/4 energy scale; the barrier-strength integral
     uses them as-is.
     """
+    coord = _shown(coord)
     c = np.asarray(coord)
+    if c.dtype == object:  # a list may hold ints beyond the float range
+        c = np.vectorize(_shown, otypes=[object])(c)
     if np.all((c > 0.0) & (c < math.inf)):
-        try:
-            # a list or tuple goes in as its array; a number stays a number
-            return _motive(model._coeffs, c if c.ndim else coord)
-        except OverflowError:  # an int beyond the float range compares as finite
-            pass
-    shown = _shown(coord) if c.ndim == 0 else coord
-    raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {shown}")
+        # a list or tuple goes in as its array; a number stays a number
+        return _motive(model._coeffs, c if c.ndim else coord)
+    raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {coord}")
 
 
 def _peak(k):
@@ -723,9 +722,12 @@ def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierA
     the block finds suppressed within 1e-6 past the suppression field, is
     handed to :func:`rate_jwkb`.  Results agree with :func:`rate_jwkb` to
     rounding and are nan exactly where it raises; :func:`rate_jwkb` on that
-    field gives the reason.  A field's G can differ in its last ulp with
-    the number of fields solved beside it: BLAS orders the quadrature's
-    sums by the size of the block.
+    field gives the reason.  Rounding is relative to the barrier's height:
+    G agrees within 1e-13 of itself or eps A0/M_peak of itself, whichever
+    is larger (A0 the motive's constant term, M_peak its maximum), which
+    just below the suppression field, where M_peak is small, is the larger.
+    A field's G can differ in its last ulp with the number of fields solved
+    beside it: BLAS orders the quadrature's sums by the size of the block.
     """
     return _rate_jwkb_arrays((variant,), atom, F)[0][0]
 
@@ -737,11 +739,9 @@ def attempt_frequency_rate(atom: HydrogenicAtom, D: float) -> float:
     D > 1 is formally possible near barrier suppression and only draws a
     warning; D negative, infinite or nan is refused (ValidationError).
     """
-    # an int beyond the float range passes the comparisons with inf
-    if not 0.0 <= D < math.inf or D > 1.0 and _shown(D) == math.inf:
-        raise ValidationError(
-            f"escape probability must be finite and non-negative, got {_shown(D)}"
-        )
+    D = _shown(D)
+    if not 0.0 <= D < math.inf:
+        raise ValidationError(f"escape probability must be finite and non-negative, got {D}")
     if D > 1.0:
         warnings.warn(
             f"escape probability {D:.4g} exceeds 1",

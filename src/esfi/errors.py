@@ -1,5 +1,5 @@
 """Exception and warning types shared by the esfi modules, and the way
-their messages show a refused number.
+every entry point reads a number it is given.
 
 The hierarchy mirrors the CLI exit-code contract: validation failures
 (bad inputs, violated preconditions) exit 2, regime failures (field too
@@ -10,13 +10,17 @@ import math
 
 
 def _shown(x):
-    """x for an error message; an int beyond the float range, which
-    math.isfinite and float() refuse with OverflowError, as the infinity
-    of its sign."""
+    """x as esfi reads a number it is given: an int or Fraction beyond the
+    float range, which math.isfinite and float() refuse with
+    OverflowError, as the float infinity of its sign; anything else
+    unchanged, arrays and non-numbers included, for the caller's own
+    check to accept or refuse."""
     try:
         math.isfinite(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+    except TypeError:
+        pass
     return x
 
 

@@ -64,22 +64,16 @@ def make_atom(Z: float, I_override: Optional[float] = None) -> HydrogenicAtom:
     accepted but keeps only a few significant bits, as do the rates
     derived from it.
     """
-    try:
-        valid = Z > 0 and math.isfinite(Z)
-    except OverflowError:  # an int beyond the float range
-        valid = False
-    if not valid:
-        raise NonPositiveZ(f"charge number Z must be positive, got {_shown(Z)}")
+    Z = _shown(Z)
+    if not (Z > 0 and math.isfinite(Z)):
+        raise NonPositiveZ(f"charge number Z must be positive, got {Z}")
     # a numpy scalar would carry numpy scalar arithmetic into every field
     Z = float(Z)
     if I_override is not None:
-        try:
-            valid = math.isfinite(I_override) and I_override > 0
-        except OverflowError:
-            valid = False
-        if not valid:
+        I_override = _shown(I_override)
+        if not (math.isfinite(I_override) and I_override > 0):
             raise NonPositiveIonizationEnergy(
-                f"ionization energy must be positive, got {_shown(I_override)}"
+                f"ionization energy must be positive, got {I_override}"
             )
     B = Z * _B_H
     I = Z * Z * _I_H if I_override is None else float(I_override)
@@ -106,6 +100,7 @@ def parabolic_to_cartesian(eta: float, xi: float, phi: float) -> tuple[float, fl
         x = (eta xi)^1/2 cos(phi),  y = (eta xi)^1/2 sin(phi),
         z = (eta - xi)/2.
     """
+    eta, xi, phi = _shown(eta), _shown(xi), _shown(phi)
     if eta < 0 or xi < 0:
         raise NegativeCoordinate(
             f"parabolic coordinates must be non-negative, got eta={eta}, xi={xi}"
@@ -116,6 +111,7 @@ def parabolic_to_cartesian(eta: float, xi: float, phi: float) -> tuple[float, fl
 
 def cartesian_axis_to_parabolic(z: float) -> float:
     """On the symmetry axis (xi = 0) the parabolic coordinate is eta = 2 z."""
+    z = _shown(z)
     if z < 0:
         raise NegativeCoordinate(f"on-axis z must be non-negative, got {z}")
     return 2.0 * z

@@ -156,10 +156,11 @@ def invert_rate(
     ``iterations`` counts the rate evaluations.
     """
     target = _shown(target)
-    if not (target > 0.0) or not math.isfinite(target):
+    if not math.isfinite(target) or not target > 0.0:
         raise TargetUnattainable(f"target rate must be positive and finite, got {target}")
     if bracket is not None:
-        f_lo, f_hi = (float(_shown(f)) for f in bracket)
+        # float(f) that, like math.isfinite, refuses a string
+        f_lo, f_hi = (math.ldexp(_shown(f), 0) for f in bracket)
     else:
         f_lo, f_hi = 1e-6, guard_field(atom)
         if method == "ll":

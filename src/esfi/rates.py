@@ -99,12 +99,9 @@ def guard_field(atom: HydrogenicAtom) -> float:
 
 
 def _check_positive(F: float) -> None:
-    try:
-        valid = math.isfinite(F) and F > 0
-    except OverflowError:  # an int beyond the float range
-        valid = False
-    if not valid:
-        raise NonPositiveField(f"field must be positive, got {_shown(F)}")
+    F = _shown(F)
+    if not (math.isfinite(F) and F > 0):
+        raise NonPositiveField(f"field must be positive, got {F}")
 
 
 def _check_field(atom: HydrogenicAtom, F: float, allow_shallow: bool) -> str:
@@ -326,7 +323,8 @@ def rate_z_form(
     (4/F) exp(-2/(3F)).
     """
     atom = make_atom(Z)
-    F_canonical = to_canonical(float(_shown(F)), FIELD, unit_system).value
+    # float(F) that, like math.isfinite, refuses a string
+    F_canonical = to_canonical(math.ldexp(_shown(F), 0), FIELD, unit_system).value
     regime = _check_field(atom, F_canonical, allow_shallow)
     if unit_system not in EXTENDED:  # Gaussian: a rate has no Gaussian view
         raise _unsupported_gaussian(FREQUENCY)
@@ -387,6 +385,7 @@ def geometric_prefactor() -> float:
 
 
 def _check_eta0_window(atom: HydrogenicAtom, F: float, eta0: float) -> None:
+    eta0 = _shown(eta0)
     if not 0.0 < eta0 < math.inf:
         raise NonPositiveCoordinate(
             f"matching coordinate eta0 must be positive and finite, got {eta0}"

@@ -146,17 +146,14 @@ class Quantity:
     dim: Dimension = DIMENSIONLESS
 
     def __post_init__(self):
-        try:
-            finite = math.isfinite(self.value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise NonFiniteValue(f"quantity value must be finite, got {_shown(self.value)}")
+        value = _shown(self.value)
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"quantity value must be finite, got {value}")
 
     def _coerce(self, other) -> "Quantity":
         if isinstance(other, Quantity):
             return other
-        return Quantity(float(other), DIMENSIONLESS)
+        return Quantity(float(_shown(other)), DIMENSIONLESS)
 
     def __mul__(self, other) -> "Quantity":
         o = self._coerce(other)
@@ -188,7 +185,7 @@ class Quantity:
 
     def __pow__(self, exponent: Union[int, Fraction]) -> "Quantity":
         p = Fraction(exponent)
-        return Quantity(self.value ** float(p), self.dim**p)
+        return Quantity(self.value ** float(_shown(p)), self.dim**p)
 
 
 @dataclass(frozen=True)
@@ -382,18 +379,14 @@ def convert(q: Quantity, target: UnitSystem) -> Converted:
 def from_canonical(value, dim: Dimension, system: UnitSystem):
     """A canonical value (float or array) in the units of the given system;
     unlike a :class:`Quantity`, it may be infinite or nan."""
-    return value / _scale_factor(dim, system)
+    return _shown(value) / _scale_factor(dim, system)
 
 
 def to_canonical(value: float, dim: Dimension, system: UnitSystem) -> Quantity:
     """Inverse of :func:`convert`: build a canonical quantity from a value
     expressed in the given system."""
     factor = _scale_factor(dim, system)
-    try:
-        value = value * factor
-    except OverflowError:  # an int beyond the float range
-        value = _shown(value) * factor
-    return Quantity(value, dim)
+    return Quantity(_shown(value) * factor, dim)
 
 
 def gaussian_field_to_isq(field_gaussian: float) -> Quantity:

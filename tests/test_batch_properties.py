@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from esfi.barrier import (
     MotiveModel,
     MotiveVariant,
     _rate_jwkb_arrays,
+    motive_peak,
     rate_jwkb,
     rate_jwkb_array,
     suppression_field,
@@ -58,6 +60,35 @@ def test_array_kernels_match_scalar_path(case):
             assert abs(b.G[i] - s.G) <= 1e-13 * s.G
             assert abs(b.log_K_e[i] - s.log_K_e) <= 1e-13 * max(1.0, s.G)
             assert abs(b.coord_out[i] / s.coord_out - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("atom", [make_atom(1.0), make_atom(0.6623), make_atom(7.5918, 157.678)],
+                         ids=["H", "Z=0.6623", "Z=7.59,I=157.7"])
+@pytest.mark.parametrize("variant", list(MotiveVariant))
+def test_array_solver_just_below_suppression(variant, atom):
+    # near f_bs the barrier's peak M_peak is A0 less terms of size A0, so
+    # numpy's and math's arithmetic, each polishing nearly merged zeros,
+    # round M apart by some eps A0, and G (an integral of M^(1/2)) by some
+    # eps A0/M_peak of itself: more than 1e-13 of G (hydrogen-like
+    # Z = 0.6623 misses it by 2.3e-12 at f_bs (1 - 3.0e-6)), never more
+    # than 0.11 eps A0/M_peak of G over 28 800 random fields
+    f_bs = suppression_field(atom, variant)
+    F = f_bs * (1.0 - np.geomspace(1e-12, 1e-2, 41))
+    if atom.Z == 0.6623 and variant is MotiveVariant.TRANSFORMED_PARABOLIC:
+        F[0] = 16.82272489349526
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShallowBarrierWarning)
+        b = rate_jwkb_array(variant, atom, F)
+        for i, f in enumerate(F):
+            model = MotiveModel(variant, atom, float(f))
+            try:
+                s = rate_jwkb(model)
+            except BarrierSuppressed:
+                assert math.isnan(b.G[i])
+                continue
+            bound = max(1e-13, sys.float_info.epsilon * model._coeffs[0] / motive_peak(model)[1])
+            assert abs(b.G[i] - s.G) <= bound * s.G
+            assert abs(b.log_K_e[i] - s.log_K_e) <= 1e-13 * max(1.0, abs(s.log_K_e))
 
 
 def _edge_grid(atom, n):

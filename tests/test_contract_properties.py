@@ -33,12 +33,13 @@ from esfi.errors import (
     ShallowBarrierWarning,
     TargetUnattainable,
 )
-from esfi.hydrogenic import make_atom
+from esfi.hydrogenic import cartesian_axis_to_parabolic, make_atom, parabolic_to_cartesian
 from esfi.invert import invert_rate
 from esfi.rates import (
     barrier_integral_log_part,
     barrier_integral_main_part,
     barrier_term,
+    barrier_term_from_parts,
     effective_escape_probability,
     guard_field,
     rate_gaussian_check,
@@ -47,7 +48,15 @@ from esfi.rates import (
     rate_z_form,
     suppression_field_naive,
 )
-from esfi.units import FIELD, REGISTRY, Quantity, UnitSystem, gaussian_field_to_isq, to_canonical
+from esfi.units import (
+    FIELD,
+    REGISTRY,
+    Quantity,
+    UnitSystem,
+    from_canonical,
+    gaussian_field_to_isq,
+    to_canonical,
+)
 
 CONTRACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -168,15 +177,22 @@ def test_escape_probability_stays_below_its_bound():
 @given(st.floats(0.1, 30.0), st.floats(0.01, 20.0))
 def test_jwkb_rates_scale_with_the_charge(Z, f):
     # a default-I atom at F is hydrogen at F/Z^3: the same G, and K_e
-    # scaled by Z^2 (nu_Z); Z^2, Z^3 and F/Z^3 each round once
+    # scaled by Z^2 (nu_Z); Z^2, Z^3 and F/Z^3 each round once.  An
+    # identity of the physics, so the array path keeps it too
     atom, hydrogen, F = make_atom(Z), make_atom(1.0), f * Z**3
     for variant in MotiveVariant:
         scaled = rate_jwkb(MotiveModel(variant, atom, F))
         ref = rate_jwkb(MotiveModel(variant, hydrogen, F / Z**3))
-        assert scaled.G == pytest.approx(ref.G, rel=8 * sys.float_info.epsilon, abs=0)
-        assert scaled.log_K_e - ref.log_K_e == pytest.approx(
-            2.0 * math.log(Z), rel=0, abs=1e-14 * max(1.0, ref.G)
-        )
+        scaled_array = rate_jwkb_array(variant, atom, [F])
+        ref_array = rate_jwkb_array(variant, hydrogen, [F / Z**3])
+        for (G, log_K), (G_ref, log_K_ref) in (
+            ((scaled.G, scaled.log_K_e), (ref.G, ref.log_K_e)),
+            ((scaled_array.G[0], scaled_array.log_K_e[0]), (ref_array.G[0], ref_array.log_K_e[0])),
+        ):
+            assert G == pytest.approx(G_ref, rel=8 * sys.float_info.epsilon, abs=0)
+            assert log_K - log_K_ref == pytest.approx(
+                2.0 * math.log(Z), rel=0, abs=1e-14 * max(1.0, G_ref)
+            )
 
 
 @pytest.mark.parametrize("Z, I, fields", [
@@ -357,6 +373,9 @@ _NUMBER_CALLS = {
     "barrier_term": lambda x: barrier_term(_HYDROGEN, x),
     "barrier_integral_main_part": lambda x: barrier_integral_main_part(_HYDROGEN, x, 1.0),
     "barrier_integral_log_part": lambda x: barrier_integral_log_part(_HYDROGEN, x, 1.0),
+    "barrier_integral_main_part-eta0": lambda x: barrier_integral_main_part(_HYDROGEN, 1.0, x),
+    "barrier_integral_log_part-eta0": lambda x: barrier_integral_log_part(_HYDROGEN, 1.0, x),
+    "barrier_term_from_parts-eta0": lambda x: barrier_term_from_parts(_HYDROGEN, 1.0, x),
     "rate_z_form": lambda x: rate_z_form(1.0, x),
     **{f"MotiveModel-{v.value}": lambda x, v=v: MotiveModel(v, _HYDROGEN, x)
        for v in MotiveVariant},
@@ -366,10 +385,21 @@ _NUMBER_CALLS = {
        for m in ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")},
     "invert_rate-bottom": lambda x: invert_rate(1e9, _HYDROGEN, bracket=(x, 50.0)),
     "Quantity": Quantity,
+    "Quantity-mul": lambda x: Quantity(2.0) * x,
+    "Quantity-truediv": lambda x: Quantity(2.0) / x,
+    "Quantity-rtruediv": lambda x: x / Quantity(2.0),
+    "Quantity-add": lambda x: Quantity(2.0) + x,
+    "Quantity-sub": lambda x: Quantity(2.0) - x,
+    # an exponent is an int or a Fraction: the float infinity stands in as
+    # the power of the value
+    "Quantity-pow": lambda x: Quantity(2.0) ** x if isinstance(x, int) else Quantity(2.0**x),
     "to_canonical": lambda x: to_canonical(x, FIELD, UnitSystem.EVNM),
+    "from_canonical": lambda x: from_canonical(x, FIELD, UnitSystem.EVNM),
     "gaussian_field_to_isq": gaussian_field_to_isq,
     "motive": lambda x: motive(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, _HYDROGEN, 6.0), x),
     "attempt_frequency_rate": lambda x: attempt_frequency_rate(_HYDROGEN, x),
+    "parabolic_to_cartesian": lambda x: parabolic_to_cartesian(x, 1.0, 0.0),
+    "cartesian_axis_to_parabolic": cartesian_axis_to_parabolic,
 }
 # each array entry point as a function of one field, which it refuses
 # nowhere
@@ -381,10 +411,12 @@ _ARRAY_CALLS = {
 }
 
 
-def _refusal(call, x):
-    with pytest.raises(EsfiError) as raised:
-        call(x)
-    return type(raised.value), str(raised.value)
+def _outcome(call, x):
+    """The refusal (class and text) or the value of call(x)."""
+    try:
+        return "value", repr(call(x))
+    except EsfiError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.filterwarnings("error")
@@ -398,6 +430,15 @@ def test_int_beyond_the_float_range_is_refused_as_an_infinity(name, sign):
             assert got.tobytes() == expected.tobytes()
         return
     call = _NUMBER_CALLS[name]
-    refusal = _refusal(call, sign * 10**400)
-    assert refusal == _refusal(call, sign * math.inf)
-    assert ("-inf" if sign < 0 else "inf") in refusal[1]
+    outcome = _outcome(call, sign * 10**400)
+    assert outcome == _outcome(call, sign * math.inf)
+    if outcome[0] != "value":
+        assert ("-inf" if sign < 0 else "inf") in outcome[1]
+
+
+@pytest.mark.parametrize("name", ["rate_z_form", "invert_rate-target", "invert_rate-ll-top",
+                                  "invert_rate-bottom"])
+def test_a_number_given_as_a_string_is_refused(name):
+    # float() takes "12"; these entry points refuse it as math.isfinite does
+    with pytest.raises(TypeError, match="must be real number, not str"):
+        _NUMBER_CALLS[name]("12")
