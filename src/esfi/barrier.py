@@ -723,7 +723,7 @@ def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierA
     handed to :func:`rate_jwkb`.  Results agree with :func:`rate_jwkb` to
     rounding and are nan exactly where it raises; :func:`rate_jwkb` on that
     field gives the reason.  Rounding is relative to the barrier's height:
-    G agrees within 1e-13 of itself or eps A0/M_peak of itself, whichever
+    G agrees within 1e-13 of itself or eps A0/(4 M_peak) of itself, whichever
     is larger (A0 the motive's constant term, M_peak its maximum), which
     just below the suppression field, where M_peak is small, is the larger.
     A field's G can differ in its last ulp with the number of fields solved

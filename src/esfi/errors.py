@@ -7,6 +7,7 @@ high for the requested treatment) exit 3, numeric failures exit 4.
 """
 
 import math
+from fractions import Fraction
 
 
 def _shown(x):
@@ -14,13 +15,15 @@ def _shown(x):
     float range, which math.isfinite and float() refuse with
     OverflowError, as the float infinity of its sign; anything else
     unchanged, arrays and non-numbers included, for the caller's own
-    check to accept or refuse."""
-    try:
-        math.isfinite(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-    except TypeError:
-        pass
+    check to accept or refuse. Only an int or Fraction can overflow, so
+    nothing else is converted (Fraction by its type: an isinstance test
+    against it goes through its ABC, which costs every float a few times
+    the test itself)."""
+    if isinstance(x, int) or type(x) is Fraction:
+        try:
+            math.isfinite(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
     return x
 
 
