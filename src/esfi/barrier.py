@@ -212,13 +212,15 @@ def motive(model: MotiveModel, coord):
     The coordinate is eta for the transformed-parabolic variant and z for
     the Cartesian ones.  Note the transformed-parabolic values carry the
     separated equation's I/4 energy scale; the barrier-strength integral
-    uses them as-is.
+    uses them as-is.  A coordinate that is not positive and finite, or is
+    complex, raises NonPositiveCoordinate.
     """
     coord = _shown(coord)
     c = np.asarray(coord)
     if c.dtype == object:  # a list may hold ints beyond the float range
         c = np.vectorize(_shown, otypes=[object])(c)
-    if np.all((c > 0.0) & (c < math.inf)):
+    # numpy orders complex numbers, so a complex coordinate is refused by its type
+    if c.dtype.kind != "c" and np.all((c > 0.0) & (c < math.inf)):
         # a list or tuple goes in as its array; a number stays a number
         return _motive(model._coeffs, c if c.ndim else coord)
     raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {coord}")
@@ -443,7 +445,10 @@ def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES, factored=False):
     else:  # in place
         M = _motive(k, c)
         integrand = np.multiply(np.sqrt(np.maximum(M, 0.0, out=M), out=M), c, out=M)
-    G = (2.0 * REGISTRY.sigma.value * half * (integrand @ weights.T)).T
+    # each field's row summed on its own, as one field is: BLAS sums a
+    # block's rows in another order, which would tie a field's G to the
+    # fields solved beside it
+    G = (2.0 * REGISTRY.sigma.value * half * (integrand[..., None, :] @ weights.T)[..., 0, :]).T
     return G, (half, c, integrand, weights)
 
 
@@ -726,8 +731,6 @@ def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierA
     G agrees within 1e-13 of itself or eps A0/(4 M_peak) of itself, whichever
     is larger (A0 the motive's constant term, M_peak its maximum), which
     just below the suppression field, where M_peak is small, is the larger.
-    A field's G can differ in its last ulp with the number of fields solved
-    beside it: BLAS orders the quadrature's sums by the size of the block.
     """
     return _rate_jwkb_arrays((variant,), atom, F)[0][0]
 

@@ -52,9 +52,7 @@ from .units import (
 )
 
 _METHODS = ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")
-# sweep rows solved, noted and written at a time; a multiple of the JWKB
-# array solver's block, so that each field is solved beside the same
-# neighbours however long the sweep
+# sweep rows solved, noted and written at a time
 _ROWS_PER_WRITE = 65536
 # below this many cells a block is cheaper to format one row at a time: the
 # vectorised writer's fixed cost is some 40 numpy calls, which whole sweeps

@@ -16,6 +16,7 @@ from typing import Optional
 
 from .errors import (
     NegativeCoordinate,
+    NonFiniteValue,
     NonPositiveIonizationEnergy,
     NonPositiveZ,
     ValidationError,
@@ -99,12 +100,17 @@ def parabolic_to_cartesian(eta: float, xi: float, phi: float) -> tuple[float, fl
 
         x = (eta xi)^1/2 cos(phi),  y = (eta xi)^1/2 sin(phi),
         z = (eta - xi)/2.
+
+    A negative eta or xi raises NegativeCoordinate, an infinite or nan phi
+    NonFiniteValue.
     """
     eta, xi, phi = _shown(eta), _shown(xi), _shown(phi)
     if eta < 0 or xi < 0:
         raise NegativeCoordinate(
             f"parabolic coordinates must be non-negative, got eta={eta}, xi={xi}"
         )
+    if not math.isfinite(phi):
+        raise NonFiniteValue(f"azimuth phi must be finite, got {phi}")
     rho = math.sqrt(eta * xi)
     return (rho * math.cos(phi), rho * math.sin(phi), 0.5 * (eta - xi))
 

@@ -385,6 +385,10 @@ def geometric_prefactor() -> float:
 
 
 def _check_eta0_window(atom: HydrogenicAtom, F: float, eta0: float) -> None:
+    """Refuse a field or eta0 that is not positive and finite, and warn
+    where eta0 lies outside the soft window; the warning names the caller
+    of the entry point that calls this, so each calls it once, directly."""
+    _check_positive(F)
     eta0 = _shown(eta0)
     if not 0.0 < eta0 < math.inf:
         raise NonPositiveCoordinate(
@@ -408,8 +412,11 @@ def barrier_integral_main_part(atom: HydrogenicAtom, F: float, eta0: float) -> f
 
         b * I^(3/2)/F - sigma * I^(1/2) * eta0.
     """
-    _check_positive(F)
     _check_eta0_window(atom, F, eta0)
+    return _main_part(atom, F, eta0)
+
+
+def _main_part(atom: HydrogenicAtom, F: float, eta0: float) -> float:
     r = REGISTRY
     return r.b.value * atom.I**1.5 / F - r.sigma.value * math.sqrt(atom.I) * eta0
 
@@ -417,8 +424,11 @@ def barrier_integral_main_part(atom: HydrogenicAtom, F: float, eta0: float) -> f
 def barrier_integral_log_part(atom: HydrogenicAtom, F: float, eta0: float) -> float:
     """Coulomb-tail (logarithmic) part of the analytic barrier integral,
     -ln{(8I/eF)/eta0}; the source of the F^-1 pre-exponential."""
-    _check_positive(F)
     _check_eta0_window(atom, F, eta0)
+    return _log_part(atom, F, eta0)
+
+
+def _log_part(atom: HydrogenicAtom, F: float, eta0: float) -> float:
     return -math.log(8.0 * atom.I / (REGISTRY.e.value * F * eta0))
 
 
@@ -431,8 +441,7 @@ def barrier_term_from_parts(atom: HydrogenicAtom, F: float, eta0: float) -> floa
     every eta0 term cancels algebraically (sigma I^(1/2) = 2I/B for the
     default ionization energy), reproducing :func:`barrier_term`.
     """
-    g = barrier_integral_main_part(atom, F, eta0) + barrier_integral_log_part(
-        atom, F, eta0
-    )
+    _check_eta0_window(atom, F, eta0)  # once, so the window warns once
+    g = _main_part(atom, F, eta0) + _log_part(atom, F, eta0)
     two_i_over_b = 2.0 * atom.I / atom.B
     return two_i_over_b * eta0 * math.exp(-two_i_over_b * eta0) * math.exp(-g)

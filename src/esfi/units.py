@@ -140,6 +140,8 @@ class Quantity:
     """A finite numeric value with a physical dimension.
 
     The value is always stored in the canonical eV/V/nm/s representation.
+    A value, operand or float exponent that is infinite or nan raises
+    NonFiniteValue.
     """
 
     value: float
@@ -184,6 +186,9 @@ class Quantity:
         return Quantity(-self.value, self.dim)
 
     def __pow__(self, exponent: Union[int, Fraction]) -> "Quantity":
+        # Fraction() would refuse a float infinity or nan with a raw error
+        if isinstance(exponent, float) and not math.isfinite(exponent):
+            raise NonFiniteValue(f"exponent must be finite, got {exponent}")
         p = Fraction(exponent)
         return Quantity(self.value ** float(_shown(p)), self.dim**p)
 

@@ -94,6 +94,23 @@ def test_array_solver_just_below_suppression(variant, atom):
             assert abs(b.log_K_e[i] - s.log_K_e) <= 1e-13 * max(1.0, abs(s.log_K_e))
 
 
+@pytest.mark.parametrize("atom", [make_atom(1.0), make_atom(0.37), make_atom(7.3)],
+                         ids=["H", "Z=0.37", "Z=7.3"])
+@pytest.mark.parametrize("variant", list(MotiveVariant))
+def test_a_fields_G_does_not_depend_on_the_fields_beside_it(variant, atom):
+    # each field's quadrature nodes are summed as its own row, so a field
+    # in a block of n gets the bits it gets alone; the fields are shuffled
+    # so that the first n of them span the whole range, suppressed included
+    f_bs = suppression_field(atom, variant)
+    F = np.random.default_rng(0).permutation(np.geomspace(1e-3 * f_bs, 1.1 * f_bs, 1025))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShallowBarrierWarning)
+        alone = np.array([rate_jwkb_array(variant, atom, F[i:i + 1]).G[0] for i in range(F.size)])
+        for n in [*range(1, 71), 1023, 1024, 1025]:
+            G = rate_jwkb_array(variant, atom, F[:n]).G
+            assert np.array_equal(G, alone[:n], equal_nan=True), n
+
+
 def _edge_grid(atom, n):
     """n fields over H's barriers, with the edge cases spread among them:
     e F underflowing, G past the float range, composite-rule fields and

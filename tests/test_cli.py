@@ -520,15 +520,10 @@ def test_sweep_past_the_float_range_of_the_outer_zero_notes_each_cell(capsys):
     assert all("lies beyond the float range" in note for note in notes)
 
 
-def test_sweep_blocks_are_a_whole_number_of_solver_blocks():
-    # so each JWKB field is solved beside the same neighbours, and BLAS
-    # gives it the same bits, however the sweep is cut into blocks
-    assert cli._ROWS_PER_WRITE % barrier._BLOCK == 0
-
-
 def test_sweep_output_does_not_depend_on_its_block_size(capsys, monkeypatch):
     # e F underflowing, the composite-rule band, the ll guard and both
-    # suppression fields, in blocks of 1 024, 2 048 and 65 536 fields
+    # suppression fields, in blocks of 1 000, 1 024, 1 537, 2 048 and
+    # 65 536 fields: each field's row is its own, whatever its neighbours
     monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
     sizes = []
     columns = cli._sweep_columns
@@ -541,13 +536,13 @@ def test_sweep_output_does_not_depend_on_its_block_size(capsys, monkeypatch):
     argv = ["sweep", "--f-min", "5e-324", "--f-max", "80", "--points", "5000",
             "--methods", ",".join(ALL_METHODS)]
     runs = []
-    for rows in (1024, 2048, cli._ROWS_PER_WRITE):
+    for rows in (1000, 1024, 1537, 2048, cli._ROWS_PER_WRITE):
         monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
         sizes.clear()
         runs.append(run_cli(argv, capsys))
         assert sum(sizes) == 5000 and max(sizes) <= rows
     assert runs[0][0] == 0
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs[1:])
     assert "e F underflows" in runs[0][2] and "guard" in runs[0][2]
 
 

@@ -30,6 +30,8 @@ from esfi.barrier import (
 )
 from esfi.errors import (
     EsfiError,
+    NonFiniteValue,
+    NonPositiveCoordinate,
     ShallowBarrierWarning,
     TargetUnattainable,
 )
@@ -399,6 +401,7 @@ _NUMBER_CALLS = {
     "motive": lambda x: motive(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, _HYDROGEN, 6.0), x),
     "attempt_frequency_rate": lambda x: attempt_frequency_rate(_HYDROGEN, x),
     "parabolic_to_cartesian": lambda x: parabolic_to_cartesian(x, 1.0, 0.0),
+    "parabolic_to_cartesian-phi": lambda x: parabolic_to_cartesian(1.0, 1.0, x),
     "cartesian_axis_to_parabolic": cartesian_axis_to_parabolic,
 }
 # each array entry point as a function of one field, which it refuses
@@ -451,3 +454,26 @@ def test_a_number_given_as_a_string_is_refused(name):
     # float() takes "12"; these entry points refuse it as math.isfinite does
     with pytest.raises(TypeError, match="must be real number, not str"):
         _NUMBER_CALLS[name]("12")
+
+
+@pytest.mark.parametrize("call, refusal, text", [
+    # Fraction() cannot hold a float infinity or nan exponent
+    (lambda: Quantity(2.0) ** math.inf, NonFiniteValue, "exponent must be finite, got inf"),
+    (lambda: Quantity(2.0) ** -math.inf, NonFiniteValue, "exponent must be finite, got -inf"),
+    (lambda: Quantity(2.0) ** math.nan, NonFiniteValue, "exponent must be finite, got nan"),
+    # math.cos refuses an infinity raw and answers nan for nan
+    (lambda: parabolic_to_cartesian(1.0, 1.0, math.inf), NonFiniteValue,
+     "phi must be finite, got inf"),
+    (lambda: parabolic_to_cartesian(1.0, 1.0, math.nan), NonFiniteValue,
+     "phi must be finite, got nan"),
+    # numpy orders complex numbers, so 1j would pass c > 0
+    (lambda: motive(MotiveModel(MotiveVariant.TRANSFORMED_PARABOLIC, _HYDROGEN, 6.0), 1j),
+     NonPositiveCoordinate, "got 1j"),
+    (lambda: motive(MotiveModel(MotiveVariant.NAIVE_1D, _HYDROGEN, 6.0), [2.0, 3.0 + 0j]),
+     NonPositiveCoordinate, "got [2.0, (3+0j)]"),
+], ids=["pow-inf", "pow-minus-inf", "pow-nan", "phi-inf", "phi-nan", "motive-1j",
+        "motive-complex-list"])
+def test_a_non_finite_or_complex_input_is_refused_by_name(call, refusal, text):
+    with pytest.raises(refusal) as info:
+        call()
+    assert text in str(info.value)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -221,8 +222,6 @@ def test_ionization_power_law_in_pre_exponential():
 
 
 def test_barrier_integral_parts_eta0_cancellation():
-    import warnings
-
     rng = random.Random(5)
     for _ in range(10):
         Z = rng.uniform(0.5, 3.0)
@@ -265,7 +264,6 @@ def test_barrier_integral_main_part_au_leading_term():
 def test_eta0_window_warning_boundaries():
     atom = make_atom(1)
     F = 5.0
-    import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -276,6 +274,17 @@ def test_eta0_window_warning_boundaries():
     with pytest.warns(errors.Eta0OutsideWindow):
         outer = 2.0 * atom.I / F
         barrier_integral_log_part(atom, F, 0.5 * outer)
+
+
+@pytest.mark.parametrize("part", [
+    barrier_integral_main_part, barrier_integral_log_part, barrier_term_from_parts
+])
+def test_eta0_outside_the_window_warns_once_at_the_caller(part):
+    # barrier_term_from_parts sums both parts but checks eta0 only once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        part(make_atom(1), 12.0, 1e-4)
+    assert [(w.category, w.filename) for w in caught] == [(errors.Eta0OutsideWindow, __file__)]
 
 
 @pytest.mark.filterwarnings("error")
