@@ -52,6 +52,13 @@ skips the model objects, keeps only ln K_e and gives its slope on ln F
 from the quadrature's nodes, for the inverse solver;
 :func:`rate_jwkb_array` runs it on blocks of fields and hands the few it
 cannot settle to :func:`rate_jwkb`.
+The evaluator fetches what is fixed for its atom and shape once: every
+coefficient but A1 (also as 0-d arrays, which numpy takes quicker than
+floats), 2I/B, and the 32/64-node pair's tables, which are built on first
+use and then kept by the module.  One field sums its nodes as a 1-D
+product, bit for bit the row of that field in an array; the slope sums
+its nodes in numpy's pairwise order, not by a BLAS dot, whose order
+OpenBLAS picks by CPU, so a JWKB answer is the same on every CPU.
 A block holds one barrier shape, whose coefficients are the numbers of
 :func:`_coefficients` with A1 a column of fields.  The Cartesian barrier
 is not solved over arrays: it is the parabolic one at z = eta/2, every
@@ -101,7 +108,11 @@ _TOL_ABS, _TOL_REL = 1e-10, 1e-12
 # zeros; the parabolic motive (A0 = I/4) is the Cartesian one at z = eta/2
 # over 4, so both shapes call the same fields suppressed
 _SUPPRESSED = 1e3 * _EPS
-_STRENGTH_BOUND = 4.0 * REGISTRY.sigma.value / 3.0  # G < this * A0^(3/2)/A1
+_SIGMA = REGISTRY.sigma.value
+_TWO_SIGMA = 2.0 * _SIGMA  # G = 2 sigma * integral of M^(1/2)
+_STRENGTH_BOUND = 4.0 * _SIGMA / 3.0  # G < this * A0^(3/2)/A1
+_FLOAT_MAX = sys.float_info.max
+_ZERO = np.array(0.0)  # an array operand: numpy converts a float one on every call
 _BLOCK = 1024  # fields per block of the array solver
 # within this relative margin past the suppression field, rounding can turn
 # the array solver's verdict of suppression; rate_jwkb settles those fields
@@ -181,11 +192,10 @@ def _motive_and_slope(k, c):
     return A0 - A1 * c - ic * (A2 + A3 * ic), -A1 + ic * ic * (A2 + 2.0 * A3 * ic)
 
 
-def _polish(k, c):
-    """Newton steps on M from close estimates c of its zeros; a step is
-    kept only while it shrinks |M|, and each entry of an array stops as it
-    would alone."""
-    ns = _arithmetic(c)
+def _polish(k, c, ns):
+    """Newton steps on M from close estimates c of its zeros, in the
+    arithmetic ns of c; a step is kept only while it shrinks |M|, and each
+    entry of an array stops as it would alone."""
     v, d = _motive_and_slope(k, c)
     live = True
     for _ in range(_NEWTON_MAX):
@@ -226,10 +236,10 @@ def motive(model: MotiveModel, coord):
     raise NonPositiveCoordinate(f"coordinate must be positive and finite, got {coord}")
 
 
-def _peak(k):
-    """Location of the single maximum of M, for A1 > 0: the closed form,
-    without Newton steps, within a few ulps of the cubic's root."""
-    ns = _arithmetic(k[1])
+def _peak(k, ns):
+    """Location of the single maximum of M, for A1 > 0, in the arithmetic
+    ns of A1: the closed form, without Newton steps, within a few ulps of
+    the cubic's root."""
     _, A1, A2, A3 = k
     s = ns.sqrt(A2) / ns.sqrt(A1)  # the naive barrier's peak
     if A3 == 0.0:
@@ -251,7 +261,7 @@ def _motive_peak(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
     if not k[1] > 0.0:
         raise BracketingFailure("field too small to resolve: e F underflows")
     try:
-        peak = _peak(k)
+        peak = _peak(k, _SCALAR)
         return peak, _motive(k, peak)
     except (ArithmeticError, ValueError) as exc:
         raise _no_barrier(variant, atom, F, exc) from exc
@@ -305,16 +315,16 @@ def suppression_field(atom: HydrogenicAtom, variant: MotiveVariant) -> float:
         return w * w * (0.5 * atom.B + 0.5 * inv_sigma2 * w) / REGISTRY.e.value
 
 
-def _zero_estimates(k):
-    """(c_in, c_out) in closed form, for Newton steps on M to polish (c_out
-    is nan where its closed form is infinite).  With c = (A0/A1) y the zeros
-    of c^2 M solve y^3 - y^2 + alpha y + beta = 0 (beta = 0 and one factor y
-    fewer for the naive barrier).  The outer zero is its largest root,
+def _zero_estimates(k, ns):
+    """(c_in, c_out) in closed form, in the arithmetic ns of A1, for Newton
+    steps on M to polish (c_out is nan where its closed form is infinite).
+    With c = (A0/A1) y the zeros of c^2 M solve
+    y^3 - y^2 + alpha y + beta = 0 (beta = 0 and one factor y fewer for the
+    naive barrier).  The outer zero is its largest root,
     trigonometric for the cubic and from the quadratic formula otherwise;
     deflating it leaves a quadratic whose positive root is the inner zero,
     in a form free of the cancellation that the wide spread of the zeros
     at low field would cause."""
-    ns = _arithmetic(k[1])
     A0, A1, A2, A3 = k
     ratio = A1 / A0
     alpha = ratio * (A2 / A0)
@@ -343,8 +353,8 @@ def _turning_points(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
     if peak_value <= _SUPPRESSED * k[0]:
         raise _no_barrier(variant, atom, F)
     try:
-        c_in, c_out = _zero_estimates(k)
-        c_in, c_out = _polish(k, c_in), _polish(k, c_out)
+        c_in, c_out = _zero_estimates(k, _SCALAR)
+        c_in, c_out = _polish(k, c_in, _SCALAR), _polish(k, c_out, _SCALAR)
     except (ArithmeticError, ValueError) as exc:
         raise _no_barrier(variant, atom, F, exc) from exc
     if not c_out < math.inf:
@@ -398,8 +408,9 @@ def _gauss_legendre(n: int):
 @functools.lru_cache(maxsize=None)
 def _sine_mapped_rules(rules: tuple[tuple[int, int], ...]):
     """Composite Gauss-Legendre rules on t in [-pi/2, pi/2], each given as
-    (nodes per panel, equal panels), stacked: 1 + sin t at every node, and
-    one weight row per rule (w cos t, zero at the other rules' nodes)."""
+    (nodes per panel, equal panels), stacked: 1 + sin t at every node, the
+    weights with one column per rule (w cos t, zero at the other rules'
+    nodes), and the last rule's column alone."""
     ts, ws = [], []
     for order, panels in rules:
         x, w = _gauss_legendre(order)
@@ -414,42 +425,63 @@ def _sine_mapped_rules(rules: tuple[tuple[int, int], ...]):
     weights[rule, np.arange(t.size)] = np.concatenate(ws) * np.cos(t)
     rise.setflags(write=False)  # shared by every caller through the cache
     weights.setflags(write=False)
-    return rise, weights
+    return rise, weights.T, weights[-1]
+
+
+_PAIR = None  # the 32/64-node pair's tables, built on first use (some 3.5 ms)
+
+
+def _pair_rules():
+    """:func:`_sine_mapped_rules` of the 32/64-node pair, kept in _PAIR."""
+    global _PAIR
+    _PAIR = _sine_mapped_rules(_GAUSS_RULES)
+    return _PAIR
 
 
 def _strength_fits(k):
     """Whether G, below the triangular barrier's 4 sigma A0^(3/2)/(3 A1),
     is sure to stay inside the float range (so does every term of its
     quadrature)."""
-    return _STRENGTH_BOUND * k[0] ** 1.5 < sys.float_info.max * k[1]
+    return _STRENGTH_BOUND * k[0] ** 1.5 < _FLOAT_MAX * k[1]
 
 
 def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES, factored=False):
     """G between the turning points by the coarser and the finer of two
-    sine-mapped rules, stacked along the first axis, and the nodes: half
-    the log-span of c, c and the integrand c M^(1/2) at every node, and
-    the rules' weights.  Over an array of fields, A1, c_in and c_out are
-    columns: a row of nodes per field.  `factored` takes c M^(1/2) from
-    the zeros of c^2 M = A1 (c_out - c)(c - c_in)(c - r3), with
+    sine-mapped rules (for one field a pair of floats, for an array of
+    fields stacked along the first axis), and the nodes: half the
+    log-span of c, c and the integrand c M^(1/2) at every node, and the
+    finer rule's weights.  Over an array of fields, A1, c_in and c_out
+    are columns: a row of nodes per field.  `factored` takes c M^(1/2)
+    from the zeros of c^2 M = A1 (c_out - c)(c - c_in)(c - r3), with
     r3 = -A3/(A1 c_in c_out), instead of from M's terms."""
     # log c = log c_in + half (1 + sin t), so dc = c half cos t dt
     half = 0.5 * _arithmetic(c_in).log1p((c_out - c_in) / c_in)
-    rise, weights = _sine_mapped_rules(rules)
+    if rules is _GAUSS_RULES:
+        rise, weights_T, fine = _PAIR or _pair_rules()
+    else:
+        rise, weights_T, fine = _sine_mapped_rules(rules)
     c = np.exp(half * rise)
     c *= c_in
     # rounding can push M a hair below zero at the ends
     if factored:
         A1 = k[1]
         r3 = -k[3] / (A1 * c_in * c_out)
-        integrand = np.sqrt(np.maximum(A1 * (c_out - c) * (c - c_in) * (c - r3), 0.0))
+        integrand = np.sqrt(np.maximum(A1 * (c_out - c) * (c - c_in) * (c - r3), _ZERO))
     else:  # in place
         M = _motive(k, c)
-        integrand = np.multiply(np.sqrt(np.maximum(M, 0.0, out=M), out=M), c, out=M)
-    # each field's row summed on its own, as one field is: BLAS sums a
+        integrand = np.multiply(np.sqrt(np.maximum(M, _ZERO, out=M), out=M), c, out=M)
+    nodes = half, c, integrand, fine
+    if integrand.ndim == 1:
+        # one field: the 1-D product, a gemv, bit for bit the row below,
+        # scaled as floats
+        scale = _TWO_SIGMA * half
+        G_coarse, G = (integrand @ weights_T).tolist()
+        return (scale * G_coarse, scale * G), nodes
+    # an array: each field's row summed on its own, a (1, n) @ (n, 2)
+    # product, so that a row is the field solved alone; BLAS sums a
     # block's rows in another order, which would tie a field's G to the
     # fields solved beside it
-    G = (2.0 * REGISTRY.sigma.value * half * (integrand[..., None, :] @ weights.T)[..., 0, :]).T
-    return G, (half, c, integrand, weights)
+    return (_TWO_SIGMA * half * (integrand[..., None, :] @ weights_T)[..., 0, :]).T, nodes
 
 
 def _converged(G_coarse, G):
@@ -459,31 +491,34 @@ def _converged(G_coarse, G):
     return (err <= _TOL_ABS) | (err <= _TOL_REL * abs(G))
 
 
-def _strength_between(k, F: float, c_in: float, c_out: float):
+def _strength_between(k, F: float, c_in: float, c_out: float, k_nodes=None):
     """G of the barrier with coefficients k at the field F, by the 32/64-
     node pair or, where they disagree, the composite rule; and the nodes
-    of the rule that settled it (as :func:`_strength_pair` gives them)."""
+    of the rule that settled it (as :func:`_strength_pair` gives them).
+    `k_nodes`, where given, is k with its fixed coefficients as 0-d
+    arrays, for the arithmetic on the nodes: the same values, but numpy
+    converts a float operand on every call, which takes longer than the
+    operation on the nodes of one field."""
+    if k_nodes is None:
+        k_nodes = k
     # G, or the quadrature's nodes c and 1/c, past the float range
     if not (_strength_fits(k) and c_out / c_in < math.inf and 1.0 / c_in < math.inf):
         raise BracketingFailure(
             f"barrier strength at F={F:.6g} V/nm exceeds the float range"
         )
-    pair, nodes = _strength_pair(k, c_in, c_out)
-    G_coarse, G = pair.tolist()
+    (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out)
     if not _converged(G_coarse, G):
         # once log c spans some 45 units (fields below about 1e-19 of
         # suppression) 32 nodes fall short, so split t into panels as the
         # span grows, and check against twice as many
         panels = math.ceil(0.5 * math.log1p((c_out - c_in) / c_in) / _LOG_SPAN_PER_PANEL)
         rules = ((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels))
-        pair, nodes = _strength_pair(k, c_in, c_out, rules)
-        G_coarse, G = pair.tolist()
+        (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out, rules)
     if not _converged(G_coarse, G):
         # just below suppression, where I is far below Z^2 I_H, M's terms
         # cancel to a few digits near the close turning points, which its
         # factored form does not
-        pair, factored_nodes = _strength_pair(k, c_in, c_out, factored=True)
-        G_factored = pair.tolist()
+        G_factored, factored_nodes = _strength_pair(k_nodes, c_in, c_out, factored=True)
         if _converged(*G_factored):
             return G_factored[1], factored_nodes
         raise QuadratureNonConvergence(
@@ -606,35 +641,54 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
 
     the first the fall of G (dA1/d ln F = A1; the ends, where M = 0, add
     nothing), the second the change of ln(x e^-x) (dc_in/dA1 =
-    c_in/M'(c_in)).
+    c_in/M'(c_in)).  A float field is checked by one comparison,
+    0 < F < inf; any other field goes through :func:`_check_positive`,
+    for the same refusal.
     """
     eta_scale = _ETA_SCALE[variant]
+    # fixed per evaluator: every coefficient but A1, which is e F/8 for
+    # the parabolic barrier and e F otherwise (a power of two times e F,
+    # so e F times 1/8 is e F/8 bit for bit), and the pre-factor's 2I/B
+    A0, _, A2, A3 = _coefficients(variant, atom, 1.0)
+    per_eF = 0.125 if variant is MotiveVariant.TRANSFORMED_PARABOLIC else 1.0
+    two_I_per_B = 2.0 * atom.I / atom.B
+    # the same numbers as 0-d arrays, for the quadrature's node arithmetic
+    # (see _strength_between)
+    A0_nodes, A2_nodes, A3_nodes = np.array(A0), np.array(A2), np.array(A3)
+    inf = math.inf
     last = None  # what slope() needs of the last evaluation
 
     def log_rate(F) -> float:
         nonlocal last
         last = None  # a refused field leaves no slope behind
-        _check_positive(F)  # before the cast, as MotiveModel has it
-        F = float(F)
-        k = _coefficients(variant, atom, F)
+        if type(F) is not float or not 0.0 < F < inf:
+            _check_positive(F)  # before the cast, as MotiveModel has it
+            F = float(F)
+        k = A0, _CHARGE * F * per_eF, A2, A3
         c_in, c_out = _turning_points(k, variant, atom, F)
-        G, nodes = _strength_between(k, F, c_in, c_out)
-        last = k, c_in, nodes
+        G, nodes = _strength_between(k, F, c_in, c_out, (A0_nodes, k[1], A2_nodes, A3_nodes))
+        last = k[1], c_in, nodes
         return _prefactor(atom, c_in, eta_scale, _SCALAR)[2] - G
 
     def slope() -> float:
         """d ln K_e / d ln F at the field of the last evaluation."""
-        k, c_in, (half, c, integrand, weights) = last
-        A1 = k[1]
+        A1, c_in, (half, c, integrand, fine) = last
         # 1/M^(1/2) = c/(c M^(1/2)), taken as 0 where M rounds to zero
-        # (at nodes within rounding of a turning point); times the finer
-        # rule's weights (zero at the coarser rule's nodes) before c, as
-        # they vanish at the ends, where 1/M^(1/2) grows
-        inv_root = np.divide(c, integrand, out=np.zeros(c.shape), where=integrand > 0.0)
-        d_log_K = REGISTRY.sigma.value * half * float((A1 * c) @ (c * (inv_root * weights[-1])))
+        # (at nodes within rounding of a turning point; the nodes of a rule
+        # that converged are finite and not negative, so without a zero a
+        # plain division serves, quicker than a masked one); times the
+        # finer rule's weights (zero at the coarser rule's nodes) before c,
+        # as they vanish at the ends, where 1/M^(1/2) grows.  Summed in
+        # numpy's pairwise order: a 1-D BLAS dot picks its order by CPU
+        if np.count_nonzero(integrand) == integrand.size:
+            inv_root = c / integrand
+        else:
+            inv_root = np.divide(c, integrand, out=np.zeros(c.shape), where=integrand > 0.0)
+        d_log_K = _SIGMA * half * float(np.add.reduce((A1 * c) * (c * (inv_root * fine))))
         if eta_scale:
-            x = 2.0 * atom.I / atom.B * (eta_scale * c_in)  # as _prefactor has it
-            d_log_K += (1.0 - x) * A1 / _motive_and_slope(k, c_in)[1]
+            x = two_I_per_B * (eta_scale * c_in)  # as _prefactor has it
+            ic = 1.0 / c_in  # M'(c_in) as _motive_and_slope has it
+            d_log_K += (1.0 - x) * A1 / (-A1 + ic * ic * (A2 + 2.0 * A3 * ic))
         return d_log_K
 
     log_rate.slope = slope
@@ -650,15 +704,15 @@ def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray):
     # A1 below the normal floats, where e F/8 has lost bits that the
     # Cartesian barrier's e F keeps
     resolvable = _strength_fits(k) & (A1 >= sys.float_info.min) & (F < math.inf)
-    peak = _peak(k)
+    peak = _peak(k, _ARRAY)
     barrier = ~(_motive(k, peak) <= _SUPPRESSED * A0)  # nan counts as a barrier
     (index,) = (resolvable & barrier).nonzero()
     A1, peak = A1[index], peak[index]
     k = A0, A1, A2, A3
 
-    c_in, c_out = _zero_estimates(k)
+    c_in, c_out = _zero_estimates(k, _ARRAY)
     # both zeros of every field in one pass, each polished as it would be alone
-    zeros = _polish((A0, np.concatenate((A1, A1)), A2, A3), np.concatenate((c_in, c_out)))
+    zeros = _polish((A0, np.concatenate((A1, A1)), A2, A3), np.concatenate((c_in, c_out)), _ARRAY)
     c_in, c_out = zeros[: index.size], zeros[index.size :]
     G_coarse, G = _strength_pair((A0, A1[:, None], A2, A3), c_in[:, None], c_out[:, None])[0]
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)

@@ -56,6 +56,10 @@ _MAX_ITER = 300
 _BELOW_SUPPRESSION = 1.0 - 1e-6
 _PEAK_WIDTH = 1e-9
 _VARIANTS = {variant.value: variant for variant in MotiveVariant}
+# the closed form's constants: ln(C_FI/b) and ln b of its root, b of its peak
+_LOG_C_FI_PER_B = math.log(REGISTRY.C_FI.value / REGISTRY.b.value)
+_B = REGISTRY.b.value
+_LOG_B = math.log(_B)
 
 
 @dataclass(frozen=True)
@@ -81,13 +85,13 @@ def _closed_form_root(atom: HydrogenicAtom, log_t: float) -> Optional[float]:
     (Corless et al., Adv. Comput. Math. 5, 329 (1996)); Newton from
     X = L + ln L, below the root, steps past it and then falls to it."""
     log_I = math.log(atom.I)
-    L = math.log(REGISTRY.C_FI.value / REGISTRY.b.value) + log_I - log_t
+    L = _LOG_C_FI_PER_B + log_I - log_t
     if not L > 1.0:
         return None
     X = L + math.log(L)
     for _ in range(4):
         X -= (X - math.log(X) - L) / (1.0 - 1.0 / X)
-    return math.log(REGISTRY.b.value) + 1.5 * log_I - math.log(X)
+    return _LOG_B + 1.5 * log_I - math.log(X)
 
 
 def _rate_peak(log_rate, log_t: float, u_lo: float, u_hi: float, g_hi: float, budget: int):
@@ -166,7 +170,7 @@ def invert_rate(
         if method == "ll":
             # the closed form peaks where b I^(3/2)/F = 1 and falls past it;
             # the peak lies below the guard once I passes 455 Z^2 I_H
-            peak = REGISTRY.b.value * atom.I**1.5
+            peak = _B * atom.I**1.5
             if f_lo < peak < f_hi:
                 f_hi = peak
         elif method in _VARIANTS:

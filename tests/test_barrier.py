@@ -1,7 +1,10 @@
 """Motive models, turning points, barrier-strength quadrature, JWKB rates."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -478,10 +481,10 @@ def test_closed_form_peak_is_the_cubic_root_to_a_few_ulps():
     for atom, ratios in atoms:
         for variant in (PARABOLIC, CARTESIAN, NAIVE):
             F = np.asarray(ratios) * suppression_field(atom, variant)
-            peaks = barrier._peak(barrier._coefficients(variant, atom, F))
+            peaks = barrier._peak(barrier._coefficients(variant, atom, F), barrier._ARRAY)
             for f, array_peak in zip(F, peaks):
                 k = _, A1, A2, A3 = barrier._coefficients(variant, atom, float(f))
-                peak = barrier._peak(k)
+                peak = barrier._peak(k, barrier._SCALAR)
                 root = _cubic_root(k, peak)
                 for value in (peak, array_peak):
                     assert abs(value - root) <= 5 * math.ulp(root), (atom, variant, f)
@@ -558,12 +561,18 @@ def _log_rate_or_refusal(call):
         return type(exc), str(exc)
 
 
+class _Float(float):
+    pass
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("Z", [1e-4, 0.5, 1.0, 2.5, 30.0])
 @pytest.mark.parametrize("I", [None, 0.1, 30.0, 3000.0])
 def test_jwkb_evaluator_is_rate_jwkb_bit_for_bit(Z, I):
     # from fields whose G leaves the float range, through the composite
-    # rule's and the 32/64-node pair's, to past suppression
+    # rule's and the 32/64-node pair's, to past suppression; a float field
+    # is checked by 0 < F < inf alone: its edges, and the numbers that are
+    # not floats but compare as one
     atom = make_atom(Z, I)
     for variant in MotiveVariant:
         log_rate = _jwkb_log_rate(atom, variant)
@@ -572,7 +581,9 @@ def test_jwkb_evaluator_is_rate_jwkb_bit_for_bit(Z, I):
                   *(f_bs * np.geomspace(1e-25, 1.0, 30)),
                   f_bs * (1 - 1e-9), f_bs * (1 + 1e-9), 2.0 * f_bs, guard_field(atom),
                   np.float64(0.5 * f_bs), 0.0, -1.0, math.nan, math.inf,
-                  10**400, -10**400]
+                  10**400, -10**400,
+                  True, 12, sys.float_info.max, -0.0, np.float64("nan"),
+                  _Float(0.5 * f_bs), _Float(math.inf)]
         for F in fields:
             expected = _log_rate_or_refusal(lambda: rate_jwkb(MotiveModel(variant, atom, F)).log_K_e)
             got = _log_rate_or_refusal(lambda: log_rate(F))
@@ -596,10 +607,112 @@ def test_jwkb_slope_matches_a_central_difference(atom, variant):
     for f in (1e-30, 1e-22, 1e-15, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9):
         model = MotiveModel(variant, atom, f * f_bs)
         pair, _ = _strength_pair(model._coeffs, *turning_points(model))
-        composite.append(not _converged(*pair.tolist()))
+        composite.append(not _converged(*pair))
         log_rate(model.F)
         assert log_rate.slope() == pytest.approx(_central_slope(log_rate, model.F), rel=1e-8)
     assert composite == [True, True] + [False] * 7
+
+
+# d ln K/d ln F at these fractions of the suppression field, the first two
+# settled by the composite rule, the last with nodes where M rounds to zero;
+# the Cartesian barrier is the parabolic one at z = eta/2, so its slopes are
+# the parabolic row
+_SLOPE_FRACTIONS = (1e-30, 1e-22, 1e-3, 1e-2, 0.1, 0.3, 0.6, 0.9, 0.99, 1 - 1e-12)
+_SLOPE_GOLDEN = {
+    ("H", PARABOLIC): [5.920043196236963e+30, 5.920043196259634e+22, 5919.0436930727265,
+                       591.0066937609012, 58.19624328537483, 18.65516608524039,
+                       8.448199541636058, 3.0699787553205358, -8.809761683660138,
+                       -1747187.3607747164],
+    ("H", NAIVE): [1.066666666671051e+31, 1.0666666666617198e+23, 10664.66802389176,
+                   1064.6759791730265, 104.71977634962585, 33.66532599049688,
+                   15.943573886497925, 10.059083017823642, 8.99235809710539,
+                   8.83619180399871],
+    ("Z0.37", PARABOLIC): [5.920043196237584e+30, 5.920043196260215e+22, 5919.04369307485,
+                           591.0066937608096, 58.196243285367785, 18.655166085236885,
+                           8.448199541635189, 3.0699787553185387, -8.809761683635355,
+                           -1747319.5225223685],
+    ("Z0.37", NAIVE): [1.0666666666707946e+31, 1.0666666666618233e+23, 10664.668023891403,
+                       1064.6759791730303, 104.71977634962161, 33.66532599049906,
+                       15.943573886497584, 10.059083017843841, 8.992358097094861,
+                       8.846283738064498],
+    ("Z2.5-I40", PARABOLIC): [8.204170491829847e+30, 8.204170491984776e+22, 8202.713249587405,
+                              818.9635763318116, 80.59384568003361, 25.847329768577133,
+                              11.878256183112004, 5.404523357520062, -5.890669084972719,
+                              -1623842.5000744874],
+    ("Z2.5-I40", NAIVE): [1.5552458918038067e+31, 1.5552458917902333e+23, 15549.544810817566,
+                          1552.3433837841267, 152.6859393353641, 49.08549369630115,
+                          23.246416675794244, 14.666575817554788, 13.111244988811281,
+                          12.90467904427471],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
+@pytest.mark.parametrize("name", ["H", "Z0.37", "Z2.5-I40"])
+def test_jwkb_slope_is_pinned_to_the_bit(name, variant):
+    # the slope sums its nodes in numpy's pairwise order, so these digits
+    # are the same on every CPU (a BLAS dot picks its order by CPU)
+    atom = {"H": make_atom(1), "Z0.37": make_atom(0.37), "Z2.5-I40": make_atom(2.5, 40.0)}[name]
+    log_rate = _jwkb_log_rate(atom, variant)
+    f_bs = suppression_field(atom, variant)
+    slopes = []
+    for f in _SLOPE_FRACTIONS:
+        log_rate(f * f_bs)
+        slopes.append(log_rate.slope())
+    assert slopes == _SLOPE_GOLDEN[name, NAIVE if variant is NAIVE else PARABOLIC]
+
+
+def test_quadrature_tables_are_built_on_first_use():
+    # building them costs some milliseconds, which at import would land in
+    # every cold process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import esfi.cli; from esfi import barrier; "
+         "print(barrier._PAIR, barrier._sine_mapped_rules.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None 0"
+
+
+# the evaluator's slopes on a grid and an inversion whose answer followed
+# the BLAS kernel, as a digest
+_KERNEL_DIGEST = """
+import hashlib
+import numpy as np
+from esfi import barrier, invert_rate, make_atom
+digest = hashlib.sha256()
+for Z in (1.0, 0.37, 7.3):
+    atom = make_atom(Z)
+    for variant in barrier.MotiveVariant:
+        log_rate = barrier._jwkb_log_rate(atom, variant)
+        f_bs = barrier.suppression_field(atom, variant)
+        for F in np.geomspace(1e-3 * f_bs, 0.999 * f_bs, 40).tolist():
+            log_rate(F)
+            digest.update(repr(log_rate.slope()).encode())
+res = invert_rate(2643.1251908411687, make_atom(0.37), method="jwkb-naive")
+digest.update(repr((res.F, res.iterations, res.residual)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_jwkb_slope_does_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE forces a kernel in a DYNAMIC_ARCH OpenBLAS, whose
+    # 1-D dot sums in an order of the kernel's own; where numpy's BLAS
+    # ignores the variable both runs take the same kernel
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = src
+    digests = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_DIGEST], capture_output=True,
+                              text=True, env={**env, **kernel})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.filterwarnings("error")
