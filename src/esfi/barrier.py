@@ -43,22 +43,23 @@ its zeros, instead.  G is bounded by the triangular barrier's
 raise BracketingFailure before any arithmetic overflows.
 
 One solver core serves one field and an array of fields: each step is
-written once over the arithmetic of its input, :mod:`math` for a float
-and numpy for an array, each entry of which stops as it would alone, and
-:func:`_assemble` turns its turning points and G into the rate.
+written once, and its caller hands it the arithmetic, :mod:`math` for a
+float and numpy for an array, each entry of which stops as it would
+alone; :func:`_assemble` turns the turning points and G into the rate.
 :func:`rate_jwkb` runs it on one field, names the reason for any failure
 and alone has the composite rule, with :func:`_jwkb_log_rate`, which
 skips the model objects, keeps only ln K_e and gives its slope on ln F
 from the quadrature's nodes, for the inverse solver;
 :func:`rate_jwkb_array` runs it on blocks of fields and hands the few it
 cannot settle to :func:`rate_jwkb`.
-The evaluator fetches what is fixed for its atom and shape once: every
-coefficient but A1 (also as 0-d arrays, which numpy takes quicker than
-floats), 2I/B, and the 32/64-node pair's tables, which are built on first
-use and then kept by the module.  One field sums its nodes as a 1-D
-product, bit for bit the row of that field in an array; the slope sums
-its nodes in numpy's pairwise order, not by a BLAS dot, whose order
-OpenBLAS picks by CPU, so a JWKB answer is the same on every CPU.
+Each caller of the quadrature fetches the 32/64-node pair's tables, built
+on first use, once: per call, per block of fields or per evaluator.  The
+evaluator also fetches once its coefficients at F = 1 (A1 times F is A1 at
+F), the fixed ones also as 0-d arrays, which numpy takes quicker than
+floats, and 2I/B.  One field sums its nodes as a 1-D product, bit for bit
+the row of that field in an array; the slope sums its nodes in numpy's
+pairwise order, not by a BLAS dot, whose order OpenBLAS picks by CPU, so
+a JWKB answer is the same on every CPU.
 A block holds one barrier shape, whose coefficients are the numbers of
 :func:`_coefficients` with A1 a column of fields.  The Cartesian barrier
 is not solved over arrays: it is the parabolic one at z = eta/2, every
@@ -124,24 +125,18 @@ _ROOT3_3_2, _ROOT3_2_3 = 1.5 * math.sqrt(3.0), 2.0 / math.sqrt(3.0)  # 3^(3/2)/2
 # the arguments math accepts; unlike numpy's, a float division raises on
 # a zero divisor and math.log on zero.
 _SCALAR = SimpleNamespace(
-    sqrt=math.sqrt, cos=math.cos, acos=math.acos, exp=math.exp, log1p=math.log1p,
-    log=lambda x: math.log(x) if x else -math.inf, any=bool,
+    sqrt=math.sqrt, hypot=math.hypot, cos=math.cos, acos=math.acos, exp=math.exp,
+    log=lambda x: math.log(x) if x else -math.inf, log1p=math.log1p, any=bool,
     clip=lambda x, lo, hi: (x if x < hi else hi) if x > lo else lo,  # min(hi, max(lo, x))
     where=lambda cond, a, b: a if cond else b,
     divide=lambda v, d: v / d if d else math.inf,
 )
 _ARRAY = SimpleNamespace(
-    sqrt=np.sqrt, cos=np.cos, acos=np.arccos, exp=np.exp, log=np.log, log1p=np.log1p,
-    any=np.count_nonzero,  # the quickest form for a few hundred entries
+    sqrt=np.sqrt, hypot=np.hypot, cos=np.cos, acos=np.arccos, exp=np.exp, log=np.log,
+    log1p=np.log1p, any=np.count_nonzero,  # the quickest any for a few hundred entries
     clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
     where=np.where, divide=np.divide,
 )
-_ARITHMETIC = {np.ndarray: _ARRAY}
-
-
-def _arithmetic(x):
-    """The namespace for x: an array of fields, or one field."""
-    return _ARITHMETIC.get(type(x), _SCALAR)
 
 
 class MotiveVariant(enum.Enum):
@@ -342,8 +337,12 @@ def _zero_estimates(k, ns):
     # D = A1 c_out; the positive root of the quadratic is the inner zero
     D = A0 * y_out
     g = (A2 + A3 / c_out) / D
-    c_in = 0.5 * (g + ns.sqrt(g * g + 4.0 * A3 / D))
-    return c_in, c_out
+    if A3 == 0.0:
+        return g, c_out
+    # hypot where g^2 leaves the float range (an inner zero past some 1e154)
+    disc = g * g + 4.0 * A3 / D
+    root = ns.where(disc < math.inf, ns.sqrt(disc), ns.hypot(g, 2.0 * ns.sqrt(A3 / D)))
+    return 0.5 * (g + root), c_out
 
 
 def _turning_points(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
@@ -428,16 +427,6 @@ def _sine_mapped_rules(rules: tuple[tuple[int, int], ...]):
     return rise, weights.T, weights[-1]
 
 
-_PAIR = None  # the 32/64-node pair's tables, built on first use (some 3.5 ms)
-
-
-def _pair_rules():
-    """:func:`_sine_mapped_rules` of the 32/64-node pair, kept in _PAIR."""
-    global _PAIR
-    _PAIR = _sine_mapped_rules(_GAUSS_RULES)
-    return _PAIR
-
-
 def _strength_fits(k):
     """Whether G, below the triangular barrier's 4 sigma A0^(3/2)/(3 A1),
     is sure to stay inside the float range (so does every term of its
@@ -445,21 +434,19 @@ def _strength_fits(k):
     return _STRENGTH_BOUND * k[0] ** 1.5 < _FLOAT_MAX * k[1]
 
 
-def _strength_pair(k, c_in, c_out, rules=_GAUSS_RULES, factored=False):
+def _strength_pair(k, c_in, c_out, tables, ns, factored=False):
     """G between the turning points by the coarser and the finer of two
-    sine-mapped rules (for one field a pair of floats, for an array of
-    fields stacked along the first axis), and the nodes: half the
+    sine-mapped rules with the `tables` of :func:`_sine_mapped_rules`, in
+    the arithmetic ns of c_in (for one field a pair of floats, for an array
+    of fields stacked along the first axis), and the nodes: half the
     log-span of c, c and the integrand c M^(1/2) at every node, and the
-    finer rule's weights.  Over an array of fields, A1, c_in and c_out
-    are columns: a row of nodes per field.  `factored` takes c M^(1/2)
-    from the zeros of c^2 M = A1 (c_out - c)(c - c_in)(c - r3), with
+    finer rule's weights.  Over an array of fields, A1, c_in and c_out are
+    columns: a row of nodes per field.  `factored` takes c M^(1/2) from the
+    zeros of c^2 M = A1 (c_out - c)(c - c_in)(c - r3), with
     r3 = -A3/(A1 c_in c_out), instead of from M's terms."""
     # log c = log c_in + half (1 + sin t), so dc = c half cos t dt
-    half = 0.5 * _arithmetic(c_in).log1p((c_out - c_in) / c_in)
-    if rules is _GAUSS_RULES:
-        rise, weights_T, fine = _PAIR or _pair_rules()
-    else:
-        rise, weights_T, fine = _sine_mapped_rules(rules)
+    half = 0.5 * ns.log1p((c_out - c_in) / c_in)
+    rise, weights_T, fine = tables
     c = np.exp(half * rise)
     c *= c_in
     # rounding can push M a hair below zero at the ends
@@ -491,36 +478,34 @@ def _converged(G_coarse, G):
     return (err <= _TOL_ABS) | (err <= _TOL_REL * abs(G))
 
 
-def _strength_between(k, F: float, c_in: float, c_out: float, k_nodes=None):
+def _strength_between(k, F: float, c_in: float, c_out: float, k_nodes, pair):
     """G of the barrier with coefficients k at the field F, by the 32/64-
-    node pair or, where they disagree, the composite rule; and the nodes
-    of the rule that settled it (as :func:`_strength_pair` gives them).
-    `k_nodes`, where given, is k with its fixed coefficients as 0-d
-    arrays, for the arithmetic on the nodes: the same values, but numpy
+    node pair, whose tables are `pair`, or, where they disagree, the
+    composite rule; and the nodes of the rule that settled it (as
+    :func:`_strength_pair` gives them).  `k_nodes` is k for the arithmetic
+    on the nodes, its fixed coefficients as floats or as 0-d arrays: numpy
     converts a float operand on every call, which takes longer than the
     operation on the nodes of one field."""
-    if k_nodes is None:
-        k_nodes = k
     # G, or the quadrature's nodes c and 1/c, past the float range
     if not (_strength_fits(k) and c_out / c_in < math.inf and 1.0 / c_in < math.inf):
         raise BracketingFailure(
             f"barrier strength at F={F:.6g} V/nm exceeds the float range"
         )
-    (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out)
+    (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR)
     if not _converged(G_coarse, G):
         # once log c spans some 45 units (fields below about 1e-19 of
         # suppression) 32 nodes fall short, so split t into panels as the
         # span grows, and check against twice as many
         panels = math.ceil(0.5 * math.log1p((c_out - c_in) / c_in) / _LOG_SPAN_PER_PANEL)
-        rules = ((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels))
-        (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out, rules)
+        tables = _sine_mapped_rules(((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels)))
+        (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out, tables, _SCALAR)
     if not _converged(G_coarse, G):
         # just below suppression, where I is far below Z^2 I_H, M's terms
         # cancel to a few digits near the close turning points, which its
         # factored form does not
-        G_factored, factored_nodes = _strength_pair(k_nodes, c_in, c_out, factored=True)
+        G_factored, nodes = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR, factored=True)
         if _converged(*G_factored):
-            return G_factored[1], factored_nodes
+            return G_factored[1], nodes
         raise QuadratureNonConvergence(
             f"barrier-strength quadrature error {abs(G - G_coarse):.3e} "
             f"exceeds tolerance (G={G:.6g})"
@@ -533,7 +518,8 @@ def barrier_strength(model: MotiveModel) -> float:
     turning points (dimensionless).  Parametrization-invariant: the eta
     and z forms agree."""
     c_in, c_out = turning_points(model)
-    return _strength_between(model._coeffs, model.F, c_in, c_out)[0]
+    k = model._coeffs
+    return _strength_between(k, model.F, c_in, c_out, k, _sine_mapped_rules(_GAUSS_RULES))[0]
 
 
 @dataclass(frozen=True)
@@ -594,10 +580,9 @@ def _prefactor(atom: HydrogenicAtom, c_in, eta_scale, ns):
     return P_jwkb, P_eff, log_P
 
 
-def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale):
+def _assemble(atom: HydrogenicAtom, c_in, c_out, G, eta_scale, ns):
     """The numeric fields of :class:`BarrierSolution`, in their order, with
-    the pre-factor of :func:`_prefactor`."""
-    ns = _arithmetic(c_in)
+    the pre-factor of :func:`_prefactor`, in the arithmetic ns of c_in."""
     P_jwkb, P_eff, log_P = _prefactor(atom, c_in, eta_scale, ns)
     D_eff = P_eff * ns.exp(-G)
     return c_in, c_out, G, P_jwkb, P_eff, D_eff, atom.nu_Z * D_eff, log_P - G
@@ -620,9 +605,10 @@ def rate_jwkb(model: MotiveModel, *, simple_prefactor: bool = False) -> BarrierS
     K_e = nu_Z * exp(-G) is used instead (tunnelling pre-factor 1).
     """
     c_in, c_out = turning_points(model)
-    G, _ = _strength_between(model._coeffs, model.F, c_in, c_out)
+    k = model._coeffs
+    G, _ = _strength_between(k, model.F, c_in, c_out, k, _sine_mapped_rules(_GAUSS_RULES))
     eta_scale = 0.0 if simple_prefactor else _ETA_SCALE[model.variant]
-    values = _assemble(model.atom, c_in, c_out, G, eta_scale)
+    values = _assemble(model.atom, c_in, c_out, G, eta_scale, _SCALAR)
     regime = _check_field(model.atom, model.F, allow_shallow=True)
     method = model.variant.value + ("-simple" if simple_prefactor else "")
     return BarrierSolution(method, *values, regime=regime)
@@ -646,14 +632,14 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
     for the same refusal.
     """
     eta_scale = _ETA_SCALE[variant]
-    # fixed per evaluator: every coefficient but A1, which is e F/8 for
-    # the parabolic barrier and e F otherwise (a power of two times e F,
-    # so e F times 1/8 is e F/8 bit for bit), and the pre-factor's 2I/B
-    A0, _, A2, A3 = _coefficients(variant, atom, 1.0)
-    per_eF = 0.125 if variant is MotiveVariant.TRANSFORMED_PARABOLIC else 1.0
+    # fixed per evaluator: the coefficients at F = 1, where A1 is its scale
+    # (e is 1 in canonical units, so A1 is that power of two times F, bit
+    # for bit), the pre-factor's 2I/B and the 32/64-node pair's tables
+    A0, per_F, A2, A3 = _coefficients(variant, atom, 1.0)
     two_I_per_B = 2.0 * atom.I / atom.B
-    # the same numbers as 0-d arrays, for the quadrature's node arithmetic
-    # (see _strength_between)
+    pair = _sine_mapped_rules(_GAUSS_RULES)
+    # the fixed coefficients as 0-d arrays, for the quadrature's node
+    # arithmetic (see _strength_between)
     A0_nodes, A2_nodes, A3_nodes = np.array(A0), np.array(A2), np.array(A3)
     inf = math.inf
     last = None  # what slope() needs of the last evaluation
@@ -664,9 +650,9 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
         if type(F) is not float or not 0.0 < F < inf:
             _check_positive(F)  # before the cast, as MotiveModel has it
             F = float(F)
-        k = A0, _CHARGE * F * per_eF, A2, A3
+        k = A0, per_F * F, A2, A3
         c_in, c_out = _turning_points(k, variant, atom, F)
-        G, nodes = _strength_between(k, F, c_in, c_out, (A0_nodes, k[1], A2_nodes, A3_nodes))
+        G, nodes = _strength_between(k, F, c_in, c_out, (A0_nodes, k[1], A2_nodes, A3_nodes), pair)
         last = k[1], c_in, nodes
         return _prefactor(atom, c_in, eta_scale, _SCALAR)[2] - G
 
@@ -714,13 +700,16 @@ def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray):
     # both zeros of every field in one pass, each polished as it would be alone
     zeros = _polish((A0, np.concatenate((A1, A1)), A2, A3), np.concatenate((c_in, c_out)), _ARRAY)
     c_in, c_out = zeros[: index.size], zeros[index.size :]
-    G_coarse, G = _strength_pair((A0, A1[:, None], A2, A3), c_in[:, None], c_out[:, None])[0]
+    k_rows = A0, A1[:, None], A2, A3  # a row of nodes per field
+    pair = _sine_mapped_rules(_GAUSS_RULES)
+    G_coarse, G = _strength_pair(k_rows, c_in[:, None], c_out[:, None], pair, _ARRAY)[0]
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)
     solved = _converged(G_coarse, G) & bracketed
 
     values = np.full((len(BarrierArrays._fields), F.size), np.nan)
     done = index[solved]
-    solution = _assemble(atom, c_in[solved], c_out[solved], G[solved], _ETA_SCALE[variant])
+    solution = _assemble(atom, c_in[solved], c_out[solved], G[solved], _ETA_SCALE[variant],
+                         _ARRAY)
     for row, value in zip(values, solution):
         row[done] = value
     left = ~resolvable

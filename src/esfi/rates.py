@@ -281,9 +281,7 @@ def _ll_rate_and_exponent(atom: HydrogenicAtom, F) -> tuple[np.ndarray, np.ndarr
     [V/nm], in one pass.  A sweep hands it at most one block of its rows,
     so its long-double temporaries stay as small as those of
     :func:`rate_ll_array`."""
-    exponent_coeff, pre_coeff, _ = _coefficients(
-        EXTENDED[UnitSystem.EVNM], np.longdouble(atom.I)
-    )
+    exponent_coeff, pre_coeff = _ll_factors(atom.I)
     F = np.asarray(F, dtype=float).astype(np.longdouble)
     # no warnings for overflow or a zero field, as in rate_ll_array
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

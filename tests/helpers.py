@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 
-from esfi.barrier import _SHORT_RANGE, MotiveModel, motive, turning_points
+from esfi.barrier import _SHORT_RANGE, MotiveModel
 from esfi.rates import _ll_factors
 from esfi.units import REGISTRY
 
@@ -14,13 +14,19 @@ def composite_barrier_strength(model: MotiveModel, panels: int = 1_000_000) -> f
     Uses the same endpoint-regularizing sine substitution as the program's
     quadrature, but on the linear coordinate and with a fixed
     million-panel composite rule, making it an independent check of the
-    log-mapped Gauss-Legendre route.
+    log-mapped Gauss-Legendre route.  Nothing comes from esfi's solver:
+    the turning points are :func:`exact_turning_points` of
+    :func:`exact_coefficients`, and M is evaluated from those coefficients
+    rounded to floats.
     """
-    c_in, c_out = turning_points(model)
-    mid = 0.5 * (c_in + c_out)
-    half = 0.5 * (c_out - c_in)
+    with mpmath.workdps(30):
+        coeffs = exact_coefficients(model.atom, model.variant.value, model.F)
+        c_in, c_out = exact_turning_points(coeffs)
+        mid, half = float((c_in + c_out) / 2), float((c_out - c_in) / 2)
+    A0, A1, A2, A3 = (float(a) for a in coeffs)
     t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, panels + 1)
-    values = np.sqrt(np.clip(motive(model, mid + half * np.sin(t)), 0.0, None)) * np.cos(t)
+    c = mid + half * np.sin(t)
+    values = np.sqrt(np.clip(A0 - A1 * c - A2 / c - A3 / c**2, 0.0, None)) * np.cos(t)
     h = t[1] - t[0]
     simpson = (values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()) * h / 3.0
     return 2.0 * REGISTRY.sigma.value * half * simpson
@@ -56,16 +62,39 @@ def naive_strength_forbes_deane(atom, F: float) -> float:
         return float(b * I**1.5 * v / F)
 
 
+def exact_coefficients(atom, method: str, F) -> tuple:
+    """(A0, A1, A2, A3) of a JWKB method's barrier at the field F as mpmath
+    numbers, from the program's float inputs each taken as exact: atom.I,
+    atom.B, the registry's e and sigma, and the transformed barriers'
+    short-range coefficient A3 = 1/(4 sigma^2) as the program rounds it."""
+    I, B, eF = mpmath.mpf(atom.I), mpmath.mpf(atom.B), mpmath.mpf(REGISTRY.e.value) * F
+    A3 = mpmath.mpf(_SHORT_RANGE)
+    return {
+        "jwkb-parabolic": (I / 4, eF / 8, B / 4, A3),
+        "jwkb-cartesian": (I, eF, B / 2, A3),
+        "jwkb-naive": (I, eF, B, mpmath.mpf(0)),
+    }[method]
+
+
+def exact_turning_points(coeffs) -> tuple:
+    """c_in < c_out, the positive roots of -c^2 M for
+    M(c) = A0 - A1 c - A2/c - A3/c^2 with the coefficients taken as exact,
+    in the working precision of mpmath."""
+    A0, A1, A2, A3 = map(mpmath.mpf, coeffs)
+    roots = mpmath.polyroots([A1, -A0, A2, A3], maxsteps=200, extraprec=100)
+    c_in, c_out = sorted(r.real for r in roots if r.real > 0 and abs(r.imag) < 1e-20 * r.real)
+    return c_in, c_out
+
+
 def exact_barrier(coeffs):
     """(c_in, G) for M(c) = A0 - A1 c - A2/c - A3/c^2 with the coefficients
     (A0, A1, A2, A3) taken as exact, in 30-digit mpmath: the turning points
-    c_in < c_out are the positive roots of -c^2 M, and
+    are :func:`exact_turning_points`, and
     G = 2 sigma * integral of M^(1/2) between them by tanh-sinh quadrature
     on log c."""
     with mpmath.workdps(30):
         A0, A1, A2, A3 = map(mpmath.mpf, coeffs)
-        roots = mpmath.polyroots([A1, -A0, A2, A3], maxsteps=200, extraprec=100)
-        c_in, c_out = sorted(r.real for r in roots if r.real > 0 and abs(r.imag) < 1e-20 * r.real)
+        c_in, c_out = exact_turning_points(coeffs)
 
         def integrand(s):
             c = mpmath.exp(s)
@@ -78,21 +107,14 @@ def exact_barrier(coeffs):
 
 
 def exact_jwkb_log_rate(atom, method: str, F) -> mpmath.mpf:
-    """ln K_e of a JWKB method at the field F in 30-digit mpmath, from the
-    program's float inputs each taken as exact: atom.I, atom.B,
-    atom.nu_Z, the registry's e and sigma, and the transformed barriers'
-    short-range coefficient A3 = 1/(4 sigma^2) as the program rounds it.
+    """ln K_e of a JWKB method at the field F in 30-digit mpmath, from
+    :func:`exact_coefficients` and atom.nu_Z taken as exact.
     K_e = nu_Z 2 pi x e^-x e^-G, x = (2I/B) eta_in, for the transformed
     barriers (eta_in = 2 z_in on the axis), nu_Z e^-G for the naive one."""
     with mpmath.workdps(30):
-        I, B, eF = mpmath.mpf(atom.I), mpmath.mpf(atom.B), mpmath.mpf(REGISTRY.e.value) * F
-        A3 = mpmath.mpf(_SHORT_RANGE)
-        coeffs, eta_per_c = {
-            "jwkb-parabolic": ((I / 4, eF / 8, B / 4, A3), 1),
-            "jwkb-cartesian": ((I, eF, B / 2, A3), 2),
-            "jwkb-naive": ((I, eF, B, 0), 0),
-        }[method]
-        c_in, G = exact_barrier(coeffs)
+        I, B = mpmath.mpf(atom.I), mpmath.mpf(atom.B)
+        eta_per_c = {"jwkb-parabolic": 1, "jwkb-cartesian": 2, "jwkb-naive": 0}[method]
+        c_in, G = exact_barrier(exact_coefficients(atom, method, F))
         log_K = mpmath.log(atom.nu_Z) - G
         if eta_per_c:
             x = 2 * I / B * eta_per_c * c_in

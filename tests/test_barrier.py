@@ -18,11 +18,14 @@ from helpers import (
 
 from esfi import barrier, errors
 from esfi.barrier import (
+    _GAUSS_RULES,
+    _SCALAR,
     MotiveModel,
     MotiveVariant,
     _converged,
     _gauss_legendre,
     _jwkb_log_rate,
+    _sine_mapped_rules,
     _strength_pair,
     attempt_frequency_rate,
     barrier_strength,
@@ -96,6 +99,13 @@ def test_motive_rejects_non_positive_coordinate():
         MotiveModel(PARABOLIC, make_atom(1), -2.0)
 
 
+def test_motive_reads_each_int_of_a_list_as_a_number():
+    # a list holding an int beyond the float range becomes an object array,
+    # read entry by entry: 10**400 is the float infinity, not an OverflowError
+    with pytest.raises(errors.NonPositiveCoordinate):
+        motive(au_model(NAIVE, 0.01), [1.0, 10**400])
+
+
 @pytest.mark.parametrize("variant", list(MotiveVariant))
 def test_motive_takes_coordinates_as_a_list_or_tuple(variant):
     model = au_model(variant, 0.01)
@@ -113,6 +123,44 @@ def test_outer_zero_beyond_the_float_range_is_a_bracketing_failure(variant):
     model = MotiveModel(variant, make_atom(1.0), 1e-308)
     with pytest.raises(errors.BracketingFailure, match="lies beyond the float range"):
         rate_jwkb(model)
+
+
+def _strength_at_scale(coeffs):
+    """G of :func:`exact_barrier` for coefficients whose zeros lie beyond
+    what mpmath's polyroots resolves at their own scale: with c = (A0/A1) y,
+    M/A0 has the coefficients (1, 1, A1 A2/A0^2, A3 A1^2/A0^3), and G
+    scales by (A0/A1) A0^(1/2)."""
+    with mpmath.workdps(30):
+        A0, A1, A2, A3 = map(mpmath.mpf, coeffs)
+        _, G = exact_barrier((1, 1, A1 * A2 / A0**2, A3 * A1**2 / A0**3))
+        return float(G * A0 / A1 * mpmath.sqrt(A0))
+
+
+@pytest.mark.parametrize("variant, Z, I, F", [
+    (NAIVE, 3.666546872716423e+129, 2.0717069298164032e-48, 5.363371100047738e-227),
+    (PARABOLIC, 2.3007580669840723e+115, 1.8321833749598286e-42, 3.4653423013508673e-217),
+    (CARTESIAN, 2.3007580669840723e+115, 1.8321833749598286e-42, 3.4653423013508673e-217),
+], ids=["naive", "parabolic", "cartesian"])
+def test_inner_zero_whose_square_overflows_is_resolved(variant, Z, I, F):
+    # inner zeros near 2.7e177 nm (naive) and 1.8e157 nm (eta), their
+    # squares past the float range, at 0.26 and 7e-18 of the suppression field
+    atom = make_atom(Z, I)
+    G = rate_jwkb(MotiveModel(variant, atom, F)).G
+    assert G == pytest.approx(_strength_at_scale(barrier._coefficients(variant, atom, F)),
+                              rel=1e-13)
+    assert rate_jwkb_array(variant, atom, [F]).G[0] == pytest.approx(G, rel=1e-13)
+
+
+def test_naive_inner_zero_whose_square_underflows_is_the_quadratic_root():
+    # the inner zero, about 4e-226 nm, squared underflows to zero, where
+    # (g + (g^2)^(1/2))/2 is half the root
+    atom = make_atom(3.339947508190545e-213, 11980137500049.91)
+    F = 2.3913020859743882e+219
+    with mpmath.workdps(30):
+        I, B, eF = mpmath.mpf(atom.I), mpmath.mpf(atom.B), REGISTRY.e.value * mpmath.mpf(F)
+        exact = float(2 * B / (I + mpmath.sqrt(I * I - 4 * eF * B)))
+    assert turning_points(MotiveModel(NAIVE, atom, F))[0] == pytest.approx(exact, rel=1e-13, abs=0)
+    assert rate_jwkb_array(NAIVE, atom, [F]).coord_in[0] == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_naive_turning_points_match_quadratic_oracle():
@@ -401,7 +449,9 @@ def test_barrier_solution_serialization_round_trip():
     (make_atom(2.5), ()),
     # the inner turning point scales like B/I, far below the orbit radius
     (make_atom(1, 3000), (0.5, 1.0, 5.0)),
-], ids=["H", "Z2.5", "H-I3000"])
+    # the inner turning point, about 2.7e177 nm, squared leaves the float range
+    (make_atom(3.666546872716423e+129, 2.0717069298164032e-48), (5.363371100047738e-227,)),
+], ids=["H", "Z2.5", "H-I3000", "inner-zero-past-1e154"])
 def test_naive_strength_matches_forbes_deane(atom, fields):
     f_bs = suppression_field_naive(atom)
     for F in [*(float(f * f_bs) for f in np.geomspace(1e-3, 0.95, 12)), *fields]:
@@ -603,10 +653,11 @@ def test_jwkb_slope_matches_a_central_difference(atom, variant):
     # fields below about 1e-19 of suppression take the composite rule
     f_bs = suppression_field(atom, variant)
     log_rate = _jwkb_log_rate(atom, variant)
+    tables = _sine_mapped_rules(_GAUSS_RULES)
     composite = []
     for f in (1e-30, 1e-22, 1e-15, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9):
         model = MotiveModel(variant, atom, f * f_bs)
-        pair, _ = _strength_pair(model._coeffs, *turning_points(model))
+        pair, _ = _strength_pair(model._coeffs, *turning_points(model), tables, _SCALAR)
         composite.append(not _converged(*pair))
         log_rate(model.F)
         assert log_rate.slope() == pytest.approx(_central_slope(log_rate, model.F), rel=1e-8)
@@ -669,13 +720,13 @@ def test_quadrature_tables_are_built_on_first_use():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import esfi.cli; from esfi import barrier; "
-         "print(barrier._PAIR, barrier._sine_mapped_rules.cache_info().currsize)"],
+         "print(barrier._sine_mapped_rules.cache_info().currsize)"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "None 0"
+    assert proc.stdout.strip() == "0"
 
 
 # the evaluator's slopes on a grid and an inversion whose answer followed

@@ -581,6 +581,29 @@ def test_invert_over_a_falling_bracket_exits_4(capsys):
     assert err == "error: rate not increasing over bracket (400, 100000) V/nm\n"
 
 
+def test_barrier_whose_inner_zero_squared_overflows_answers(capsys):
+    # the inner zero, about 2.7e177 nm, squared leaves the float range
+    code, out, _ = run_cli(
+        ["barrier", "--Z", "3.666546872716423e+129", "--ionization-energy",
+         "2.0717069298164032e-48", "--field", "5.363371100047738e-227", "--model", "jwkb-naive"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["coord_in"] == pytest.approx(2.7433082163545293e+177, rel=1e-13)
+
+
+def test_barrier_whose_inner_zero_lies_below_the_float_range_exits_4(capsys):
+    # the inner zero, about 3e-434 nm, rounds to zero
+    code, out, err = run_cli(
+        ["barrier", "--Z", "1.6876609323513246e-299", "--ionization-energy",
+         "8.326454833058804e+134", "--field", "2.6331835170619706e+219", "--model", "jwkb-naive"],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: the barrier at F=2.63318e+219 V/nm leaves the float range (")
+
+
 GOLDEN_BARRIER = {
     "jwkb-parabolic": {
         "D_eff": 7.256519325534604e-16, "G": 35.11516142848947, "K_e": 4.774560355368984,
