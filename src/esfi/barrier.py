@@ -242,12 +242,20 @@ def _peak(k, ns):
     # c = s x turns A1 c^3 - A2 c - 2 A3 = 0 into x^3 - x - kappa = 0,
     # whose single positive root is trigonometric (three real roots) or
     # Cardano's (one real root), written here without cancellation
-    kappa = 2.0 * A3 / (A2 * s)
+    kappa = ns.divide(2.0 * A3, A2 * s)
     d = 0.25 * kappa * kappa - 1.0 / 27.0
     cos3 = ns.clip(_ROOT3_3_2 * kappa, -1.0, 1.0)
     w = (0.5 * kappa + ns.sqrt(abs(d))) ** (1.0 / 3.0)  # d < 0 takes cos3
     x = ns.where(d < 0.0, _ROOT3_2_3 * ns.cos(ns.acos(cos3) / 3.0), w + 1.0 / (3.0 * w))
-    return s * x
+    c = s * x
+    if ns.any(d == math.inf):
+        # kappa^2 leaves the float range (A2 s underflowing, say): x^3 = kappa
+        # to rounding, so A1 c^3 = 2 A3. The powers' rounded exponent 1/3
+        # costs some 1e-14 of c at c ~ 1e68, which one Newton step mends;
+        # 2 A3/A1 itself can overflow where A1 is subnormal
+        r = (2.0 * A3) ** (1.0 / 3.0) / A1 ** (1.0 / 3.0)
+        c = ns.where(d < math.inf, c, r + (2.0 * A3 / (A1 * r * r) - r) / 3.0)
+    return c
 
 
 def _motive_peak(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
@@ -280,13 +288,18 @@ def _no_barrier(
     return _barrier_suppressed(variant, F, f_bs)
 
 
+def _suppressed_reason(variant: MotiveVariant, f_bs: float) -> str:
+    """The text of BarrierSuppressed for the shape whose suppression field
+    is f_bs, with "{:.6g}" where the field goes (str.format)."""
+    return (
+        "barrier vanished at F={:.6g} V/nm "
+        f"(suppression field {f_bs:.6g} V/nm for {variant.value})"
+    )
+
+
 def _barrier_suppressed(variant: MotiveVariant, F: float, f_bs: float) -> BarrierSuppressed:
     """BarrierSuppressed at F for the shape whose suppression field is f_bs."""
-    return BarrierSuppressed(
-        f"barrier vanished at F={F:.6g} V/nm "
-        f"(suppression field {f_bs:.6g} V/nm for {variant.value})",
-        suppression_field=f_bs,
-    )
+    return BarrierSuppressed(_suppressed_reason(variant, f_bs).format(F), suppression_field=f_bs)
 
 
 def suppression_field(atom: HydrogenicAtom, variant: MotiveVariant) -> float:

@@ -24,8 +24,8 @@ from . import __version__
 from .barrier import (
     MotiveModel,
     MotiveVariant,
-    _barrier_suppressed,
     _rate_jwkb_arrays,
+    _suppressed_reason,
     rate_jwkb,
     suppression_field,
 )
@@ -39,7 +39,13 @@ from .errors import (
 )
 from .hydrogenic import make_atom
 from .invert import invert_rate
-from .rates import _check_field, _ll_rate_and_exponent, guard_field, rate_ll
+from .rates import (
+    _NOT_POSITIVE,
+    _ll_rate_and_exponent,
+    _shallow_reason,
+    guard_field,
+    rate_ll,
+)
 from .units import (
     FIELD,
     FREQUENCY,
@@ -185,32 +191,35 @@ def _sweep_columns(methods: list[str], atom, F: np.ndarray, allow_shallow: bool)
     return columns
 
 
-def _refusal(method: str, atom, F_canonical: float, allow_shallow: bool, f_bs) -> str:
-    """The text of the scalar path's error at a field that a sweep refused
-    without solving it: the guard's for ll, whose refused fields are the
-    ones the guard rejects, and suppression past the suppression field
-    f_bs for JWKB.  Only the text leaves: a caught error's traceback would
-    tie the caller's frame, and the block it holds, into a cycle."""
-    if method != "ll":
-        return str(_barrier_suppressed(MotiveVariant(method), F_canonical, f_bs))
-    try:
-        _check_field(atom, F_canonical, allow_shallow)
-    except (ValidationError, RegimeError) as exc:
-        return str(exc)
-
-
-def _notes(methods, columns, atom, F, grid, allow_shallow: bool) -> str:
-    """The note lines of the refused cells over fields F, row by row: the
-    error text the array solver recorded, or else the reason the closed
-    forms give."""
-    notes = []
-    refused = np.isnan([column.exponent for column in columns]).any(axis=0)
-    for i in np.flatnonzero(refused).tolist():
-        for m, (_, exponent, refusals, f_bs) in zip(methods, columns):
-            if math.isnan(exponent[i]):
-                reason = refusals.get(i) or _refusal(m, atom, float(F[i]), allow_shallow, f_bs)
-                notes.append(f"note: {m} at F={grid[i]:.9e}: {reason}\n")
-    return "".join(notes)
+def _notes(methods, columns, atom, F, grid) -> str:
+    """The note lines of the refused cells over fields F, rows ascending,
+    then methods in column order. A JWKB cell takes the error text the
+    array solver recorded for it; any other cell takes the text of the
+    scalar path's error, from the templates that path formats
+    (rates._NOT_POSITIVE and rates._shallow_reason for ll, whose refused
+    fields are the ones its guard rejects; barrier._suppressed_reason past
+    a JWKB shape's suppression field), each filled in once per column."""
+    rows, lines = [], []
+    for m, (_, exponent, refusals, f_bs) in zip(methods, columns):
+        refused = np.flatnonzero(np.isnan(exponent))
+        head = f"note: {m} at F={{:.9e}}: "
+        cells = zip(refused.tolist(), grid[refused].tolist(), F[refused].tolist())
+        if m == "ll":
+            shallow = (head + _shallow_reason(guard_field(atom)) + "\n").format
+            zero = (head + _NOT_POSITIVE + "\n").format
+            lines += [shallow(g, f) if f > 0.0 else zero(g, f) for _, g, f in cells]
+        else:
+            suppressed = (head + _suppressed_reason(MotiveVariant(m), f_bs) + "\n").format
+            solved = (head + "{}\n").format
+            lines += [
+                solved(g, text) if (text := refusals.get(i)) else suppressed(g, f)
+                for i, g, f in cells
+            ]
+        rows.append(refused)
+    if not lines:
+        return ""
+    order = np.argsort(np.concatenate(rows), kind="stable")  # keeps column order in a row
+    return "".join([lines[k] for k in order.tolist()])
 
 
 def _words(texts: list[bytes], width: int) -> np.ndarray:
@@ -350,7 +359,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for start in range(0, F.size, _ROWS_PER_WRITE):
             block = slice(start, start + _ROWS_PER_WRITE)
             columns = _sweep_columns(methods, atom, F[block], allow_shallow)
-            sys.stderr.write(_notes(methods, columns, atom, F[block], grid[block], allow_shallow))
+            sys.stderr.write(_notes(methods, columns, atom, F[block], grid[block]))
             cells = [grid[block]] + [from_canonical(c.K, FREQUENCY, system) for c in columns]
             fh.write(_csv_rows(cells + [c.exponent for c in columns]))
     return 0
@@ -433,6 +442,11 @@ def _add_units_flag(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """esfi's parser, and the sub-parser of each command by name."""
     parser = argparse.ArgumentParser(
         prog="esfi",
         description="Field-ionization rate constants for ground-state "
@@ -494,16 +508,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_units_flag(p)
     p.add_argument("--out", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+_parsers = functools.cache(_build)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the command that argv (default sys.argv[1:]) names; its exit code.
+
+    The parse comes from the command's own sub-parser, which is what the
+    full parser hands a command's arguments to, so only the top-level
+    pass is skipped.  Anything that pass could word otherwise goes to the
+    full parser: an empty argv, a first word that names no command (so
+    top-level --help, --version and unknown commands), and arguments the
+    sub-parser leaves over (the top-level "unrecognized arguments" error).
+    Sub-parser help and errors are the sub-parser's own either way."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    name = argv[0] if argv else None
+    if name in commands:
+        args, extra = commands[name].parse_known_args(argv[1:])
+        args.command = name
+    if name not in commands or extra:
+        args = parser.parse_args(argv)
     # looked up per call, so that a rebound cmd_* name takes effect
     command = globals()[f"cmd_{args.command}"]
     try:

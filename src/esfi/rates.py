@@ -98,10 +98,23 @@ def guard_field(atom: HydrogenicAtom) -> float:
     return 0.5 * suppression_field_naive(atom)
 
 
+# the text of NonPositiveField, "{}" where the field goes (str.format)
+_NOT_POSITIVE = "field must be positive, got {}"
+
+
 def _check_positive(F: float) -> None:
     F = _shown(F)
     if not (math.isfinite(F) and F > 0):
-        raise NonPositiveField(f"field must be positive, got {F}")
+        raise NonPositiveField(_NOT_POSITIVE.format(F))
+
+
+def _shallow_reason(guard: float) -> str:
+    """The text of ShallowTunnellingRegime under the guard field `guard`,
+    with "{:.6g}" where the field goes (str.format)."""
+    return (
+        "field {:.6g} V/nm is at or above the deep-tunnelling guard "
+        f"{guard:.6g} V/nm (barrier suppression at {2 * guard:.6g} V/nm)"
+    )
 
 
 def _check_field(atom: HydrogenicAtom, F: float, allow_shallow: bool) -> str:
@@ -112,10 +125,7 @@ def _check_field(atom: HydrogenicAtom, F: float, allow_shallow: bool) -> str:
         return REGIME_DEEP
     if allow_shallow:
         return REGIME_EXTRAPOLATED
-    raise ShallowTunnellingRegime(
-        f"field {F:.6g} V/nm is at or above the deep-tunnelling guard "
-        f"{guard:.6g} V/nm (barrier suppression at {2 * guard:.6g} V/nm)"
-    )
+    raise ShallowTunnellingRegime(_shallow_reason(guard).format(F))
 
 
 class RateArrays(NamedTuple):

@@ -151,6 +151,34 @@ def test_inner_zero_whose_square_overflows_is_resolved(variant, Z, I, F):
     assert rate_jwkb_array(variant, atom, [F]).G[0] == pytest.approx(G, rel=1e-13)
 
 
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN], ids=["parabolic", "cartesian"])
+@pytest.mark.parametrize("Z, I, F", [
+    # A2 s underflows to zero, and kappa = 2 A3/(A2 s) lies past the float
+    # range anyway: the peak lies near 4.77e68 nm (eta), at 0.18 f_bs
+    (1.0181284273634001e-289, 1.6043478811000583e-138, 1.4069651947950288e-207),
+    # kappa^2 overflows, and 2 A3/A1 too, A1 being subnormal: the peak lies
+    # near 5.43e105 nm (eta), at 2.8e-5 f_bs
+    (5.272001028862301e-242, 4.194732307311614e-210, 9.49545e-319),
+], ids=["A2s-underflows", "A1-subnormal"])
+def test_peak_whose_kappa_leaves_the_float_range_is_the_cube_root(variant, Z, I, F):
+    # there the peak is (2 A3/A1)^(1/3) to rounding
+    atom = make_atom(Z, I)
+    k = barrier._coefficients(variant, atom, F)
+    peak = motive_peak(MotiveModel(variant, atom, F))[0]
+    with np.errstate(all="ignore"):  # as the array solver calls it
+        array_peak = barrier._peak(barrier._coefficients(variant, atom, np.array([F])),
+                                   barrier._ARRAY)
+    with mpmath.workdps(40):  # the cubic's root, in units of (2 A3/A1)^(1/3)
+        _, A1, A2, A3 = (mpmath.mpf(a) for a in k)
+        unit = mpmath.cbrt(2 * A3 / A1)
+        root = float(unit * mpmath.findroot(lambda t: t**3 - A2 * unit / (2 * A3) * t - 1, 1))
+    for value in (peak, array_peak[0]):
+        assert abs(value - root) <= 5 * math.ulp(root)
+    G = rate_jwkb(MotiveModel(variant, atom, F)).G
+    assert G == pytest.approx(_strength_at_scale(k), rel=1e-13)
+    assert rate_jwkb_array(variant, atom, [F]).G[0] == pytest.approx(G, rel=1e-13)
+
+
 def test_naive_inner_zero_whose_square_underflows_is_the_quadratic_root():
     # the inner zero, about 4e-226 nm, squared underflows to zero, where
     # (g + (g^2)^(1/2))/2 is half the root

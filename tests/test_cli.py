@@ -272,6 +272,49 @@ def test_sweep_matches_scalar_path(capsys, monkeypatch, Z, I, units, f_min, f_ma
     assert [line for line in err.splitlines() if line.startswith("note:")] == notes
 
 
+_F_BS = {v: suppression_field(make_atom(1.0), v) for v in MotiveVariant}
+
+
+@pytest.mark.parametrize("units, f_min, f_max, points, spacing, methods, override, reasons", [
+    # the ll guard (16 V/nm) and both suppression fields (32, 58 V/nm); from
+    # 60.5 V/nm on every method refuses the row, or all three JWKB ones
+    ("evnm", 2.0, 80.0, 9, "linear", ALL_METHODS, False,
+     ["deep-tunnelling guard", "barrier vanished"]),
+    ("evnm", 2.0, 80.0, 9, "linear", ALL_METHODS, True, ["barrier vanished"]),
+    # fields that are 0 after conversion to V/nm
+    ("si", 5e-324, 1e10, 12, "log", ALL_METHODS, False, ["field must be positive, got 0.0"]),
+    ("si", 5e-324, 1e10, 12, "log", ["ll", "jwkb-naive"], True,
+     ["field must be positive, got 0.0"]),
+    ("evnm", 5e-324, 1e-309, 5, "log", ALL_METHODS, False, ["e F underflows"]),
+    ("evnm", 1e-308, 2e-308, 2, "log", ["jwkb-naive", "jwkb-parabolic", "ll"], False,
+     ["lies beyond the float range"]),
+    # each shape's suppression field, within and past its 1e-6 margin
+    *[("evnm", f_bs * (1.0 - 3e-6), f_bs * (1.0 + 3e-6), 13, "linear", [v.value, "ll"], False,
+       ["barrier vanished"]) for v, f_bs in _F_BS.items()],
+])
+def test_sweep_notes_word_each_refusal_as_the_scalar_path(
+    capsys, monkeypatch, units, f_min, f_max, points, spacing, methods, override, reasons
+):
+    # notes are worded a column at a time; each must read as the error the
+    # scalar path raises for its cell, in row order, then column order
+    if override:
+        monkeypatch.setenv("ESFI_GUARD_OVERRIDE", "1")
+    else:
+        monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
+    expected, notes = _scalar_sweep(1.0, None, units, f_min, f_max, points, methods, override,
+                                    spacing=spacing)
+    code, out, err = run_cli(
+        ["sweep", "--f-min", repr(f_min), "--f-max", repr(f_max), "--points", str(points),
+         "--spacing", spacing, "--methods", ",".join(methods), "--units", units],
+        capsys,
+    )
+    assert code == 0
+    assert out == expected
+    assert err.splitlines() == notes
+    assert all(any(reason in note for note in notes) for reason in reasons)
+    assert not (override and "guard" in err)
+
+
 def test_sweep_nan_sentinel_keeps_row_count(capsys):
     code, out, err = run_cli(
         ["sweep", "--f-min", "5", "--f-max", "40", "--points", "4",
@@ -592,6 +635,19 @@ def test_barrier_whose_inner_zero_squared_overflows_answers(capsys):
     assert json.loads(out)["coord_in"] == pytest.approx(2.7433082163545293e+177, rel=1e-13)
 
 
+def test_barrier_whose_peak_kappa_leaves_the_float_range_answers(capsys):
+    # A2 s underflows, so the peak is (2 A3/A1)^(1/3), about 2.38e68 nm on the axis
+    code, out, _ = run_cli(
+        ["barrier", "--Z", "1.0181284273634001e-289", "--ionization-energy",
+         "1.6043478811000583e-138", "--field", "1.4069651947950288e-207",
+         "--model", "jwkb-cartesian"],
+        capsys,
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["coord_in"] < 2.38e68 < record["coord_out"]
+
+
 def test_barrier_whose_inner_zero_lies_below_the_float_range_exits_4(capsys):
     # the inner zero, about 3e-434 nm, rounds to zero
     code, out, err = run_cli(
@@ -844,6 +900,92 @@ def test_main_looks_up_the_command_per_call(capsys, monkeypatch):
     assert main(["rate", "--field", "7"]) == 0
     assert calls == [7.0]
     capsys.readouterr()
+
+
+_COMMANDS = ["constants", "rate", "sweep", "invert", "barrier"]
+_SWEEP = ["sweep", "--f-min", "2", "--f-max", "14"]
+
+
+@pytest.mark.parametrize("argv, full", [
+    # valid: every command, --flag=value, abbreviated long options,
+    # negative values, "--"
+    (["constants"], False),
+    (["constants", "--units", "au", "--format", "csv", "--out", "c.csv"], False),
+    (["rate", "--field", "12"], False),
+    (["rate", "--field=12", "--method=jwkb-parabolic", "--Z=2", "--units=si"], False),
+    (["rate", "--fie", "12", "--meth", "ll", "--ion", "20", "--un", "au"], False),
+    (["rate", "--field", "-3", "--Z", "-1"], False),
+    (["rate", "--field", "-1e-3", "--ionization-energy=-5"], False),
+    (_SWEEP + ["--points", "5", "--methods", "ll,jwkb-naive", "--spacing", "linear",
+               "--units", "si", "--ionization-energy", "20", "--Z", "2", "--out", "s.csv"], False),
+    (["sweep", "--f-mi", "-2", "--f-ma=14", "--po", "-5", "--sp", "log"], False),
+    (["invert", "--target", "1e9", "--f-lo", "1", "--f-hi", "50", "--method",
+      "jwkb-cartesian", "--units", "evnm", "--out", "i.json"], False),
+    (["invert", "--tar=1e9", "--f-l", "-1"], False),
+    (["barrier", "--field", "8", "--model", "jwkb-naive", "--simple", "--Z", "0.5"], False),
+    (["barrier", "--fi", "8", "--mo=jwkb-cartesian", "--si"], False),
+    (["rate", "--", "--field", "12"], False),
+    (["rate", "--field", "12", "--"], True),
+    (["--", "rate", "--field", "12"], True),
+    # help, per command and at the top
+    *[([name, flag], False) for name in _COMMANDS for flag in ("-h", "--help")],
+    (["sweep", "--he"], False),
+    (["--help"], True),
+    (["-h"], True),
+    (["--version"], True),
+    (["--vers"], True),
+    # invalid
+    ([], True),
+    (["frobnicate"], True),
+    (["rat", "--field", "12"], True),
+    (["RATE", "--field", "12"], True),
+    (["--Z", "1", "rate", "--field", "12"], True),
+    (["rate", "--field", "12", "--bogus"], True),
+    (["rate", "--field", "12", "extra"], True),
+    (["rate", "--field", "12", "--", "extra"], True),
+    (["rate", "--field", "12", "--version"], True),
+    (["rate"], False),
+    (["sweep", "--f-min", "2"], False),
+    (["rate", "--field", "abc"], False),
+    (_SWEEP + ["--points", "2.5"], False),
+    (["rate", "--field", "12", "--method", "wkb"], False),
+    (["constants", "--units", "cgs"], False),
+    (["barrier", "--field", "8", "--model", "jwkb"], False),
+    (["rate", "--field"], False),
+    (["rate", "--field", "12", "--field"], False),
+])
+def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, argv, full):
+    # main hands a command's arguments to its own sub-parser, and what the
+    # top-level pass could word otherwise to the full parser (full): both
+    # give the exit code, output and Namespace of build_parser().parse_args
+    def outcome(call):
+        try:
+            value, code = call(), 0
+        except SystemExit as exc:
+            value, code = None, exc.code
+        return (code, *capsys.readouterr(), value)
+
+    parser = cli._parsers()[0]
+    parse_args = parser.parse_args
+    full_parses = []
+
+    def counted(args):
+        full_parses.append(args)
+        return parse_args(args)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    expected = outcome(lambda: vars(cli.build_parser().parse_args(list(argv))))
+    assert expected[0] in (0, 2)
+    seen = []
+    for name in _COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(vars(args)) or 0)
+    got = outcome(lambda: main(list(argv)) or (seen.pop() if seen else None))
+    assert got == expected
+    assert len(full_parses) == full
+    # the console script's path: main() reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["esfi"] + argv)
+    assert outcome(lambda: main() or (seen.pop() if seen else None)) == expected
+    assert seen == []
 
 
 def test_rate_si_field_input_matches_evnm(capsys):
