@@ -61,13 +61,16 @@ _METHODS = ("ll", "jwkb-parabolic", "jwkb-cartesian", "jwkb-naive")
 # sweep rows solved, noted and written at a time
 _ROWS_PER_WRITE = 65536
 # below this many cells a block is cheaper to format one row at a time: the
-# vectorised writer's fixed cost is some 40 numpy calls, which whole sweeps
-# recoup at about 160 cells for closed-form blocks and about 400 for JWKB
-# blocks with refused cells, whose solves leave the writer's caches cold
+# vectorised writer's fixed cost is some 40 us of numpy calls, which whole
+# in-process sweeps recoup at about 150 cells for closed-form blocks and at
+# 250-300 for JWKB blocks with refused cells, whose solves leave the
+# writer's caches cold (2-CPU x86-64 host, AVX-512)
 _VECTOR_CELLS = 400
 _SLOT = 20  # bytes per cell: "-1.234567890e-308", its separator and zero bytes
 _EXP_LO, _EXP_HI = -330, 330  # decimal exponents of the tables; float64 spans -324..308
-_WIDE = np.longdouble  # type of the scaled significand; its precision sets the doubt margin
+# below this decimal exponent 10^(9 - E) leaves the float range: such cells
+# are scaled by 2^_SHIFT first, exactly, and their table entry by 2^-_SHIFT
+_TINY, _SHIFT = -290, 200
 
 
 def _guard_override() -> bool:
@@ -198,10 +201,13 @@ def _notes(methods, columns, atom, F, grid) -> str:
     scalar path's error, from the templates that path formats
     (rates._NOT_POSITIVE and rates._shallow_reason for ll, whose refused
     fields are the ones its guard rejects; barrier._suppressed_reason past
-    a JWKB shape's suppression field), each filled in once per column."""
+    a JWKB shape's suppression field), each filled in once per column
+    that refused a cell."""
     rows, lines = [], []
     for m, (_, exponent, refusals, f_bs) in zip(methods, columns):
         refused = np.flatnonzero(np.isnan(exponent))
+        if not refused.size:
+            continue
         head = f"note: {m} at F={{:.9e}}: "
         cells = zip(refused.tolist(), grid[refused].tolist(), F[refused].tolist())
         if m == "ll":
@@ -229,13 +235,15 @@ def _words(texts: list[bytes], width: int) -> np.ndarray:
 
 
 @functools.cache
-def _csv_tables(wide):
+def _csv_tables():
     """Lookup tables of the vectorised writer, as 4-byte words whose zero
     bytes the writer strips: sign, first digit, point and second digit
     for each sign and pair of digits; each group of four digits; "e", the
     exponent's sign and its digits for each exponent E (two words, the
-    hundreds a zero byte below 100); nan, inf and -inf; and 10^(9 - E) in
-    `wide`, rounded once from its decimal string."""
+    hundreds a zero byte below 100); nan, inf and -inf; and two rows, the
+    scale 2^s and the power 10^(9 - E) 2^-s of each E, with s = _SHIFT
+    below _TINY and 0 elsewhere, the power the float nearest to the exact
+    rational."""
     heads = _words([b"%c%d.%d" % (s, i // 10, i % 10) for s in b"\0-" for i in range(100)], 4)
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     quads = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32)
@@ -244,41 +252,40 @@ def _csv_tables(wide):
         [b"e%c%s" % (b"+-"[e < 0], (b"%02d" % abs(e)).rjust(3, b"\0")) for e in exps], 8
     )
     specials = _words([b"nan", b"inf", b"-inf"], _SLOT)
-    powers = np.array([wide(f"1e{9 - e}") for e in exps])
-    powers.setflags(write=False)  # shared by every caller through the cache
-    return heads.ravel(), quads.ravel(), exponents[:, 0], exponents[:, 1], specials, powers
+    # int / int rounds to the nearest float, as does float() of a decimal
+    powers = [10 ** (9 - e) / 2**_SHIFT if e < _TINY else float(f"1e{9 - e}") for e in exps]
+    scaling = np.array([[2.0**_SHIFT if e < _TINY else 1.0 for e in exps], powers])
+    scaling.setflags(write=False)  # shared by every caller through the cache
+    return heads.ravel(), quads.ravel(), exponents[:, 0], exponents[:, 1], specials, scaling
 
 
-def _significands(x: np.ndarray, powers: np.ndarray):
+def _significands(x: np.ndarray, scales: np.ndarray, powers: np.ndarray):
     """Each cell's decimal exponent E and ten significant digits m, the
     integer nearest to y = |x| 10^(9 - E) with y in [1e9, 1e10) (m = 0
     for zeros, any value for nan and inf), and the cells where m is in
-    doubt. `_WIDE` carries y to about 1e-9, while Python rounds the exact
-    value half to even: a cell whose y lies within 64 `_WIDE` epsilons
-    (times 1e10) of a half-integer is in doubt, as is one whose y stays
-    out of range."""
+    doubt. y is computed in double as (|x| scales[E]) powers[E]: the first
+    product is exact, the power and the second product are each rounded
+    once, so y lies within eps 1e10 (some 2.2e-6) of the exact value,
+    while Python rounds the exact value half to even. A cell whose y lies
+    within 4 eps 1e10 of a half-integer is in doubt, as is one whose y
+    stays out of range."""
     a = np.abs(x)
     zero = a == 0.0
     a[zero | ~np.isfinite(x)] = 1.0  # scaled to exactly 1e9 below
     E = np.floor(np.log10(a)).astype(np.intp)
-    y = a.astype(_WIDE) * powers[E - _EXP_LO]
-    y64 = y.astype(np.float64)
+    i = E - _EXP_LO
+    y = a * scales.take(i) * powers.take(i)
     # log10 can land one off next to a power of ten; within 0.05 of either
     # end of the range, y rounds to the same text on both sides
-    off = np.flatnonzero((y64 < 1e9) | (y64 >= 1e10))
+    off = np.flatnonzero((y < 1e9) | (y >= 1e10))
     if off.size:
-        E[off] += np.where(y64[off] < 1e9, -1, 1)
-        y[off] = a[off].astype(_WIDE) * powers[E[off] - _EXP_LO]
-        y64[off] = y[off]
-        off = off[~((y64[off] >= 1e9) & (y64[off] < 1e10))]
-        y[off] = y64[off] = 1e9 + 0.5  # a tie, so in doubt below
-    m = np.rint(y64)
-    # a float, and exactly the long-double figure (5^10 2^-47): a long
-    # double here would carry the comparisons below into long double
-    margin = 64 * float(np.finfo(_WIDE).eps) * 1e10
-    # y64 is y to within 2^-20, so only cells that close to doubt need y
-    near = np.flatnonzero(np.abs(y64 - m) > 0.5 - margin - 2.0**-20)
-    doubtful = near[~(np.abs((y[near] - m[near]).astype(np.float64)) < 0.5 - margin)]
+        E[off] += np.where(y[off] < 1e9, -1, 1)
+        i = E[off] - _EXP_LO
+        y[off] = a[off] * scales.take(i) * powers.take(i)
+        off = off[~((y[off] >= 1e9) & (y[off] < 1e10))]
+        y[off] = 1e9 + 0.5  # a tie, so in doubt below
+    m = np.rint(y)
+    doubtful = np.flatnonzero(np.abs(y - m) > 0.5 - 4 * 2.0**-52 * 1e10)
     carry = m == 1e10
     E += carry
     m[carry] = 1e9
@@ -294,9 +301,9 @@ def _csv_rows(columns: list[np.ndarray]) -> str:
     if len(columns) * columns[0].size < _VECTOR_CELLS:
         row = ",".join(["%.9e"] * len(columns)) + "\n"
         return "".join([row % values for values in zip(*[c.tolist() for c in columns])])
-    heads, quads, exp_heads, exp_tails, specials, powers = _csv_tables(_WIDE)
+    heads, quads, exp_heads, exp_tails, specials, scaling = _csv_tables()
     x = np.column_stack(columns).ravel()
-    E, m, doubtful = _significands(x, powers)
+    E, m, doubtful = _significands(x, *scaling)
     pair = m // 10**8
     low8 = m - pair * 10**8
     high4 = low8 // 10**4

@@ -19,11 +19,9 @@ pre-exponential, K_e, D_eff, T and ln K_e); :func:`rate_ll` and
 of fields at once, together with the mask of fields below the guard.
 Field inversion evaluates ln K_e alone, with the factors of each
 ionization energy computed once, dividing each float field straight into
-those long-double factors.  The kernel's first step, K_e and the
-exponent, is a piece of its own, which a field sweep evaluates alone
-over an array of fields, zeroing each K_e that underflows a double before
-it is stored as one, which gives the same bits as the cast and skips its
-slow path.
+those long-double factors.  A field sweep evaluates K_e and the
+exponent alone over an array of fields, and evaluates exp only where
+K_e may not round to a zero in double.
 
 Unless stated otherwise, fields are in V/nm and rates in s^-1.
 """
@@ -162,21 +160,14 @@ def _coefficients(x, I):
     return x.b * I_3_2, x.C_FI * I**_FIVE_HALVES, x.pi_hbar_C_FI * I_3_2
 
 
-def _rate_terms(exponent_coeff, pre_coeff, F):
-    """The closed form's first step, from the first two
-    :func:`_coefficients`: K_e, pre-exponential, exponent and the decay
-    factor exp(-exponent)."""
-    pre, exponent = pre_coeff / F, exponent_coeff / F
-    decay = np.exp(-exponent)
-    return pre * decay, pre, exponent, decay
-
-
 def _closed_form(x, I, B, F):
     """The closed form in extended precision, with I, B and F (a long
     double or an array of them) in the unit system of the constants x:
     K_e, pre-exponential, exponent, D_eff, T and ln K_e."""
     exponent_coeff, pre_coeff, D_eff_coeff = _coefficients(x, I)
-    K_e, pre, exponent, decay = _rate_terms(exponent_coeff, pre_coeff, F)
+    pre, exponent = pre_coeff / F, exponent_coeff / F
+    decay = np.exp(-exponent)
+    K_e = pre * decay
     D_eff = D_eff_coeff / F * decay
     T = (2 * I / B) * (8 * I / (x.e * F)) * decay
     return K_e, pre, exponent, D_eff, T, np.log(pre) - exponent
@@ -236,21 +227,6 @@ def _rate_result(values, method: str, unit_system: UnitSystem, regime: str) -> R
     )
 
 
-# at most this in magnitude, a long double rounds to a zero in double
-# (to nearest, ties to even); 0 where long double is double
-_UNDERFLOW = np.longdouble(2.0**-1074) / 2
-
-
-def _flush_underflow(values: np.ndarray) -> np.ndarray:
-    """values (long doubles) with those that round to a zero in double set
-    to a zero of their sign, in place, so that their cast to double gives
-    the same bits while skipping its slow path (some 190 ns a value on
-    x86-64 for every value that underflows).  nan and infinities pass
-    unchanged."""
-    values[np.abs(values) <= _UNDERFLOW] *= 0
-    return values
-
-
 def _float_array(F) -> np.ndarray:
     """F (a number or an array of them) as an array of floats, an int
     beyond the float range, which the conversion refuses with
@@ -287,16 +263,27 @@ def rate_ll_array(atom: HydrogenicAtom, F) -> RateArrays:
 
 def _ll_rate_and_exponent(atom: HydrogenicAtom, F) -> tuple[np.ndarray, np.ndarray]:
     """K_e and the exponent of :func:`rate_ll_array`, bit for bit, and
-    nothing else: the closed form's first step over an array of fields
-    [V/nm], in one pass.  A sweep hands it at most one block of its rows,
-    so its long-double temporaries stay as small as those of
-    :func:`rate_ll_array`."""
+    nothing else, over an array of fields [V/nm] in one pass.  exp(-X),
+    with X the exponent, runs only where K_e may not round to a zero in
+    double.  Where ln F + X exceeds ln(C_FI I^(5/2)) + 747, computed in
+    double to some 1e-12, K_e lies below e^-747, well under half the
+    least subnormal (e^-745.13): it is then the prefactor times 0, +0,
+    which the cast of the full product gives too, without expl or the
+    cast's slow path for a value that underflows.  The comparison is
+    false for nan, zero and negative fields, which take the full
+    product; at +inf it is true, and K_e is +0 both ways.  A sweep hands
+    it at most one block of its rows, so its long-double temporaries
+    stay as small as those of :func:`rate_ll_array`."""
     exponent_coeff, pre_coeff = _ll_factors(atom.I)
-    F = np.asarray(F, dtype=float).astype(np.longdouble)
-    # no warnings for overflow or a zero field, as in rate_ll_array
+    F = np.asarray(F, dtype=float)
+    Fl = F.astype(np.longdouble)
+    # no warnings for overflow, a zero field or the log of a negative one
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        K_e, _, exponent, _ = _rate_terms(exponent_coeff, pre_coeff, F)
-        return _flush_underflow(K_e).astype(float), exponent.astype(float)
+        exponent = exponent_coeff / Fl
+        X = exponent.astype(float)
+        decay = np.zeros_like(exponent)
+        np.exp(-exponent, out=decay, where=~(np.log(F) + X > float(np.log(pre_coeff)) + 747.0))
+        return (pre_coeff / Fl * decay).astype(float), X
 
 
 def rate_ll(atom: HydrogenicAtom, F: float, *, allow_shallow: bool = False) -> RateResult:

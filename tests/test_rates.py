@@ -3,7 +3,6 @@
 import math
 import random
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,50 +306,40 @@ def test_rate_result_serialization_round_trip():
     assert loaded == r.as_dict()
 
 
-def _underflow_edge_values():
-    """Long doubles around the double's underflow: 2^-1075 and its
-    long-double neighbours, the subnormals next to it, the largest
-    subnormal and the smallest normal double, with both signs, and zeros,
-    nan and infinities."""
-    ld = np.longdouble
-    half = ld(2.0**-1074) / 2
-    tiny = [
-        half,
-        np.nextafter(half, ld(0)),
-        np.nextafter(half, ld(1)),
-        ld(1.5) * ld(2.0**-1074),
-        ld(2.0**-1074),
-        ld(np.nextafter(2.0**-1022, 0.0)),  # the largest subnormal
-        ld(2.0**-1022),
-        half / 7,
-        ld(1e-4000),
-        ld(1e-330),
-    ]
-    return tiny + [-v for v in tiny] + [ld(0.0), -ld(0.0), ld("nan"), ld("inf"), -ld("inf")]
-
-
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-def test_underflow_flush_keeps_the_bits_of_the_cast():
-    values = _underflow_edge_values()
-    assert np.finfo(np.longdouble).nmant == 63  # 2^-1075 and its neighbours are distinct
-    flushed = rates._flush_underflow(np.array(values))
-    expected = [np.float64(float(v)) for v in values]
-    assert _bits(flushed).tolist() == _bits(expected).tolist()
-    # the values that round to a zero are zeros now, of their sign
-    assert np.count_nonzero(flushed == 0) == 12
+def _field_of_log_rate(atom, log_K):
+    """The field [V/nm] where ln K_e = log_K, deep below the guard, by the
+    fixed point F = b I^(3/2) / (ln(C_FI I^(5/2)) - ln F - log_K)."""
+    exponent_coeff, pre_coeff = (float(c) for c in rates._ll_factors(atom.I))
+    F = exponent_coeff / -log_K
+    for _ in range(60):
+        F = exponent_coeff / (math.log(pre_coeff) - math.log(F) - log_K)
+    return F
 
 
-def test_underflow_flush_is_exact_where_long_double_is_double():
-    # on such a platform _UNDERFLOW rounds to 0 and the values are doubles:
-    # the flush must change nothing
-    doubles = np.array([float(v) for v in _underflow_edge_values()])
-    with mock.patch.object(rates, "_UNDERFLOW", np.float64(2.0**-1074) / 2):
-        assert rates._UNDERFLOW == 0.0
-        flushed = rates._flush_underflow(doubles.copy())
-    assert _bits(flushed).tolist() == _bits(doubles).tolist()
+@pytest.mark.parametrize("Z, I", [(1.0, None), (2.5, None), (1.0, 30.0), (1.0, 4000.0)])
+def test_lean_sweep_kernel_keeps_the_bits_across_the_skipped_exp(Z, I):
+    # exp is skipped where ln K_e is below about -747, K_e being a zero in
+    # double there; a dense grid where ln K_e crosses -749...-743 holds
+    # skipped fields, fields whose K_e rounds to a zero through the cast,
+    # and nonzero subnormals (ln K_e > -744.44), each bit for bit the full
+    # closed form, as are fields that are not positive or not finite, the
+    # least subnormal field and 1e300 V/nm, whose K_e is small through its
+    # prefactor alone
+    atom = make_atom(Z, I)
+    F = np.geomspace(_field_of_log_rate(atom, -749.0), _field_of_log_rate(atom, -743.0), 4001)
+    specials = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+    F = np.concatenate([F, specials])
+    r = rate_ll_array(atom, F)
+    K_e, exponent = rates._ll_rate_and_exponent(atom, F)
+    assert _bits(K_e).tolist() == _bits(r.K_e).tolist()
+    assert _bits(exponent).tolist() == _bits(r.exponent).tolist()
+    grid = r.K_e[: -len(specials)]
+    assert (grid[:1000] == 0).all() and (grid[-1000:] > 0).all()
+    assert ((grid > 0) & (grid < 2.0**-1022)).sum() > 500
 
 
 def _underflow_grid(atom, n):
@@ -363,7 +352,7 @@ def _underflow_grid(atom, n):
 
 @pytest.mark.parametrize("n", [16, 65536, 65537])
 def test_lean_sweep_kernel_keeps_the_bits_of_rate_ll_array(n):
-    # the flush before the store changes no bit of K_e, across the block
+    # skipping the exponential changes no bit of K_e, across the block
     # edge of 65 536 fields
     atom = make_atom(1.0)
     F = _underflow_grid(atom, n)
