@@ -23,8 +23,10 @@ turning points are the two positive roots of -c^2 M, a cubic (for the
 naive barrier c M, a quadratic).  The transformed barriers vanish where
 M = M' = 0 share a root, which gives their suppression field directly.
 Newton steps on M polish the two zeros; the peak, which only decides
-suppression and must lie between the zeros, is the closed form alone,
-within a few ulps of the cubic's root.
+suppression and must lie between the zeros, is the closed form alone.
+Its relative error grows as 1.85e-17 ln kappa (see :func:`_peak`), some
+56 ulps at kappa near 1e150, which moves neither G, which the zeros
+give, nor the suppression verdict: M is flat at its peak.
 
 The barrier-strength integrand M^(1/2) has square-root zeros at both
 turning points.  The quadrature maps [c_in, c_out] to log c, which spreads
@@ -51,7 +53,10 @@ and alone has the composite rule, with :func:`_jwkb_log_rate`, which
 skips the model objects, keeps only ln K_e and gives its slope on ln F
 from the quadrature's nodes, for the inverse solver;
 :func:`rate_jwkb_array` runs it on blocks of fields and hands the few it
-cannot settle to :func:`rate_jwkb`.
+cannot settle to :func:`rate_jwkb`.  For a sweep, :func:`_rate_jwkb_arrays`
+also words each refused field's note as the error :func:`rate_jwkb`
+raises there: the text of that error where the field went to
+:func:`rate_jwkb`, else the shape's template of BarrierSuppressed.
 Each caller of the quadrature fetches the 32/64-node pair's tables, built
 on first use, once: per call, per block of fields or per evaluator.  The
 evaluator also fetches once its coefficients at F = 1 (A1 times F is A1 at
@@ -233,8 +238,14 @@ def motive(model: MotiveModel, coord):
 
 def _peak(k, ns):
     """Location of the single maximum of M, for A1 > 0, in the arithmetic
-    ns of A1: the closed form, without Newton steps, within a few ulps of
-    the cubic's root."""
+    ns of A1: the closed form, without Newton steps.  Cardano's branch
+    raises to the rounded exponent 1/3, which costs a relative error of
+    about 1.85e-17 ln kappa: a few ulps of the cubic's root up to kappa
+    near 1e26, and up to 56 ulps measured at kappa near 1e135-1e151.
+    That moves neither G, which the zeros give, nor the suppression
+    verdict: M' vanishes at the peak, so M there moves by the square of
+    the error times terms that a standing barrier keeps below A0, some
+    1e-27 A0, far below the verdict's threshold of 1e3 eps A0."""
     _, A1, A2, A3 = k
     s = ns.sqrt(A2) / ns.sqrt(A1)  # the naive barrier's peak
     if A3 == 0.0:
@@ -272,7 +283,9 @@ def _motive_peak(k, variant: MotiveVariant, atom: HydrogenicAtom, F: float):
 
 def motive_peak(model: MotiveModel) -> tuple[float, float]:
     """Location and value of the single barrier maximum; the location is
-    the cubic's closed-form root, within a few ulps (see :func:`_peak`)."""
+    the cubic's closed-form root, to a relative error of about
+    1.85e-17 ln kappa, which M, flat at its peak, does not feel (see
+    :func:`_peak`)."""
     return _motive_peak(model._coeffs, model.variant, model.atom, model.F)
 
 
@@ -285,7 +298,7 @@ def _no_barrier(
     f_bs = suppression_field(atom, variant)
     if exc is not None and F < f_bs:
         return BracketingFailure(f"the barrier at F={F:.6g} V/nm leaves the float range ({exc})")
-    return _barrier_suppressed(variant, F, f_bs)
+    return BarrierSuppressed(_suppressed_reason(variant, f_bs).format(F), suppression_field=f_bs)
 
 
 def _suppressed_reason(variant: MotiveVariant, f_bs: float) -> str:
@@ -295,11 +308,6 @@ def _suppressed_reason(variant: MotiveVariant, f_bs: float) -> str:
         "barrier vanished at F={:.6g} V/nm "
         f"(suppression field {f_bs:.6g} V/nm for {variant.value})"
     )
-
-
-def _barrier_suppressed(variant: MotiveVariant, F: float, f_bs: float) -> BarrierSuppressed:
-    """BarrierSuppressed at F for the shape whose suppression field is f_bs."""
-    return BarrierSuppressed(_suppressed_reason(variant, f_bs).format(F), suppression_field=f_bs)
 
 
 def suppression_field(atom: HydrogenicAtom, variant: MotiveVariant) -> float:
@@ -733,20 +741,21 @@ def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray):
 def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F):
     """:func:`rate_jwkb_array` for every shape of `variants`, each distinct
     barrier solved once per block of fields (the Cartesian one as the
-    parabolic, its coordinates halved): per shape, its BarrierArrays and a
+    parabolic, its coordinates halved): per shape, its BarrierArrays, a
     dict from the flat index of each field that :func:`rate_jwkb` refused
-    to the text of its error.  Every other nan field lies past the shape's
-    suppression field by more than the margin."""
+    to the text of its error, and the template of the error of every
+    other nan field, which lies past the shape's suppression field by
+    more than the margin: the text of BarrierSuppressed, with "{:.6g}"
+    where the field goes (str.format)."""
     F = _float_array(F)
     flat = F.ravel()
     solve = [MotiveVariant.TRANSFORMED_PARABOLIC if v is MotiveVariant.TRANSFORMED_CARTESIAN
              else v for v in variants]
     out = np.empty((len(BarrierArrays._fields), len(variants), flat.size))
     left = np.empty((len(variants), flat.size), dtype=bool)
-    # each distinct barrier, the columns it fills, and its suppression
-    # field and margin
+    # each distinct barrier, the columns it fills, and its suppression field
     shapes = {shape: [j for j, s in enumerate(solve) if s is shape] for shape in solve}
-    near = {shape: suppression_field(atom, shape) * (1.0 + _SUPPRESSION_MARGIN) for shape in shapes}
+    f_bs = {shape: suppression_field(atom, shape) for shape in shapes}
     # masked-out fields compute garbage; nothing of it reaches the results
     with np.errstate(all="ignore"):
         for start in range(0, flat.size, _BLOCK):
@@ -754,7 +763,8 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F):
             for shape, columns in shapes.items():
                 values, scalar, gone = _solve_block(shape, atom, flat[block])
                 out[:, columns, block] = values[:, None]
-                left[columns, block] = scalar | (gone & (flat[block] < near[shape]))
+                near = flat[block] < f_bs[shape] * (1.0 + _SUPPRESSION_MARGIN)
+                left[columns, block] = scalar | (gone & near)
     refusals = []
     for j, variant in enumerate(variants):
         if variant is MotiveVariant.TRANSFORMED_CARTESIAN:
@@ -769,7 +779,8 @@ def _rate_jwkb_arrays(variants, atom: HydrogenicAtom, F):
             out[:, j, i] = [getattr(sol, name) for name in BarrierArrays._fields]
         refusals.append(refused)
     out = out.reshape(out.shape[:2] + F.shape)
-    return [(BarrierArrays(*out[:, j]), refusals[j]) for j in range(len(variants))]
+    return [(BarrierArrays(*out[:, j]), refusals[j], _suppressed_reason(v, f_bs[solve[j]]))
+            for j, v in enumerate(variants)]
 
 
 def rate_jwkb_array(variant: MotiveVariant, atom: HydrogenicAtom, F) -> BarrierArrays:

@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 validation failure, 3 regime failure (shallow
 tunnelling / suppressed barrier), 4 numeric failure.  Setting
 ESFI_GUARD_OVERRIDE=1 disables the deep-tunnelling guard for the
 closed-form methods; such results are labelled 'extrapolated'.
+
+A sweep writes one note to stderr per refused cell, row by row, then in
+column order.  The module of the method that refused the cell words it,
+as the error its scalar path raises there: rates._ll_column for ll and
+barrier._rate_jwkb_arrays for the JWKB shapes.
 """
 
 from __future__ import annotations
@@ -16,19 +21,12 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .barrier import (
-    MotiveModel,
-    MotiveVariant,
-    _rate_jwkb_arrays,
-    _suppressed_reason,
-    rate_jwkb,
-    suppression_field,
-)
+from .barrier import MotiveModel, MotiveVariant, _rate_jwkb_arrays, rate_jwkb
 from .errors import (
     BarrierSuppressed,
     NonFiniteValue,
@@ -39,13 +37,7 @@ from .errors import (
 )
 from .hydrogenic import make_atom
 from .invert import invert_rate
-from .rates import (
-    _NOT_POSITIVE,
-    _ll_rate_and_exponent,
-    _shallow_reason,
-    guard_field,
-    rate_ll,
-)
+from .rates import _ll_column, rate_ll
 from .units import (
     FIELD,
     FREQUENCY,
@@ -164,68 +156,37 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Column(NamedTuple):
-    """One method's cells of a sweep over canonical fields, and what words
-    the notes of its refused cells."""
-
-    K: np.ndarray  # K_e, nan where the method refuses a field
-    exponent: np.ndarray  # nan where the method refuses a field
-    # index -> error text of each JWKB field that rate_jwkb refused; every
-    # other refused JWKB field lies past the suppression field
-    refusals: dict
-    f_bs: Optional[float]  # the JWKB shape's suppression field
-
-
 def _sweep_columns(methods: list[str], atom, F: np.ndarray, allow_shallow: bool):
-    """The :class:`_Column` of each method over canonical fields F."""
+    """Each method's column over canonical fields F, as rates._ll_column
+    and barrier._rate_jwkb_arrays give it: K_e and the exponent, nan
+    where the method refuses a field, a dict from the index of a refused
+    field to the text of its note, and the template of the text of every
+    other refused field."""
     variants = [MotiveVariant(m) for m in methods if m != "ll"]
-    jwkb = iter(_rate_jwkb_arrays(variants, atom, F) if variants else ())
-    columns = []
-    for method in methods:
-        if method == "ll":
-            K, exponent = _ll_rate_and_exponent(atom, F)
-            refused = ~((F > 0.0) & ((F < guard_field(atom)) | allow_shallow))
-            K[refused] = exponent[refused] = np.nan
-            columns.append(_Column(K, exponent, {}, None))
-            continue
-        sol, refusals = next(jwkb)
-        f_bs = suppression_field(atom, MotiveVariant(method))
-        columns.append(_Column(sol.K_e, sol.G, refusals, f_bs))
-    return columns
+    solved = _rate_jwkb_arrays(variants, atom, F) if variants else []
+    jwkb = iter([(sol.K_e, sol.G, texts, template) for sol, texts, template in solved])
+    return [_ll_column(atom, F, allow_shallow) if m == "ll" else next(jwkb) for m in methods]
 
 
-def _notes(methods, columns, atom, F, grid) -> str:
-    """The note lines of the refused cells over fields F, rows ascending,
-    then methods in column order. A JWKB cell takes the error text the
-    array solver recorded for it; any other cell takes the text of the
-    scalar path's error, from the templates that path formats
-    (rates._NOT_POSITIVE and rates._shallow_reason for ll, whose refused
-    fields are the ones its guard rejects; barrier._suppressed_reason past
-    a JWKB shape's suppression field), each filled in once per column
-    that refused a cell."""
-    rows, lines = [], []
-    for m, (_, exponent, refusals, f_bs) in zip(methods, columns):
-        refused = np.flatnonzero(np.isnan(exponent))
-        if not refused.size:
-            continue
-        head = f"note: {m} at F={{:.9e}}: "
-        cells = zip(refused.tolist(), grid[refused].tolist(), F[refused].tolist())
-        if m == "ll":
-            shallow = (head + _shallow_reason(guard_field(atom)) + "\n").format
-            zero = (head + _NOT_POSITIVE + "\n").format
-            lines += [shallow(g, f) if f > 0.0 else zero(g, f) for _, g, f in cells]
-        else:
-            suppressed = (head + _suppressed_reason(MotiveVariant(m), f_bs) + "\n").format
-            solved = (head + "{}\n").format
-            lines += [
-                solved(g, text) if (text := refusals.get(i)) else suppressed(g, f)
-                for i, g, f in cells
-            ]
-        rows.append(refused)
-    if not lines:
+def _notes(methods, columns, grid, F) -> str:
+    """The note lines of a block's refused cells, row by row, then in
+    column order: each names the cell's field on the grid, followed by
+    the text its column recorded for the cell, or else the column's
+    template filled in with the canonical field F."""
+    refused = [np.isnan(exponent) for _, exponent, _, _ in columns]
+    if not any(r.any() for r in refused):
         return ""
-    order = np.argsort(np.concatenate(rows), kind="stable")  # keeps column order in a row
-    return "".join([lines[k] for k in order.tolist()])
+    rows, cols = np.nonzero(np.column_stack(refused))
+    wording = []
+    for m, (_, _, texts, template) in zip(methods, columns):
+        head = f"note: {m} at F={{:.9e}}: "
+        wording.append((texts, (head + "{}\n").format, (head + template + "\n").format))
+    lines = []
+    for i, j, g, f in zip(rows.tolist(), cols.tolist(), grid[rows].tolist(), F[rows].tolist()):
+        texts, recorded, templated = wording[j]
+        text = texts.get(i)
+        lines.append(recorded(g, text) if text else templated(g, f))
+    return "".join(lines)
 
 
 def _words(texts: list[bytes], width: int) -> np.ndarray:
@@ -366,9 +327,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for start in range(0, F.size, _ROWS_PER_WRITE):
             block = slice(start, start + _ROWS_PER_WRITE)
             columns = _sweep_columns(methods, atom, F[block], allow_shallow)
-            sys.stderr.write(_notes(methods, columns, atom, F[block], grid[block]))
-            cells = [grid[block]] + [from_canonical(c.K, FREQUENCY, system) for c in columns]
-            fh.write(_csv_rows(cells + [c.exponent for c in columns]))
+            sys.stderr.write(_notes(methods, columns, grid[block], F[block]))
+            rates = [from_canonical(K, FREQUENCY, system) for K, _, _, _ in columns]
+            exponents = [exponent for _, exponent, _, _ in columns]
+            fh.write(_csv_rows([grid[block]] + rates + exponents))
     return 0
 
 

@@ -21,7 +21,9 @@ Field inversion evaluates ln K_e alone, with the factors of each
 ionization energy computed once, dividing each float field straight into
 those long-double factors.  A field sweep evaluates K_e and the
 exponent alone over an array of fields, and evaluates exp only where
-K_e may not round to a zero in double.
+K_e may not round to a zero in double; :func:`_ll_column` also marks
+the fields :func:`rate_ll` refuses and words the sweep's note for each,
+as the error :func:`rate_ll` raises there.
 
 Unless stated otherwise, fields are in V/nm and rates in s^-1.
 """
@@ -284,6 +286,25 @@ def _ll_rate_and_exponent(atom: HydrogenicAtom, F) -> tuple[np.ndarray, np.ndarr
         decay = np.zeros_like(exponent)
         np.exp(-exponent, out=decay, where=~(np.log(F) + X > float(np.log(pre_coeff)) + 747.0))
         return (pre_coeff / Fl * decay).astype(float), X
+
+
+def _ll_column(atom: HydrogenicAtom, F: np.ndarray, allow_shallow: bool):
+    """A sweep's closed-form column over a 1-D array of fields [V/nm]: K_e
+    and the exponent of :func:`_ll_rate_and_exponent`, nan wherever
+    :func:`rate_ll` refuses the field, and the text of each refusal, as a
+    dict from the index of each field that is not positive and finite to
+    its text, and the template of every other refusal, the guard's, with
+    "{:.6g}" where the field goes (str.format)."""
+    K_e, exponent = _ll_rate_and_exponent(atom, F)
+    guard = guard_field(atom)
+    # _check_field's rule: F is finite and positive, and below the guard
+    # unless allow_shallow
+    refused = ~((F > 0.0) & (F < (math.inf if allow_shallow else guard)))
+    K_e[refused] = exponent[refused] = np.nan
+    (index,) = np.nonzero(refused)
+    texts = {i: _NOT_POSITIVE.format(f) for i, f in zip(index.tolist(), F[index].tolist())
+             if not 0.0 < f < math.inf}
+    return K_e, exponent, texts, _shallow_reason(guard)
 
 
 def rate_ll(atom: HydrogenicAtom, F: float, *, allow_shallow: bool = False) -> RateResult:

@@ -136,11 +136,12 @@ def test_stacked_solve_matches_one_shape_at_a_time(n):
         for size in (1, 2, 3):
             for variants in itertools.permutations(MotiveVariant, size):
                 stacked = _rate_jwkb_arrays(variants, atom, F)
-                for variant, (arrays, refused) in zip(variants, stacked):
+                for variant, (arrays, refused, template) in zip(variants, stacked):
                     for name, a, b in zip(BarrierArrays._fields, arrays, alone[variant]):
                         assert np.array_equal(a, b, equal_nan=True), (variants, variant, name)
-                    _, refusals = one_shape[variant]
+                    _, refusals, template_alone = one_shape[variant]
                     assert refused == refusals, (variants, variant)
+                    assert template == template_alone, (variants, variant)
 
 
 def test_cartesian_columns_take_the_parabolic_solve(monkeypatch):

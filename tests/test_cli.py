@@ -275,25 +275,32 @@ def test_sweep_matches_scalar_path(capsys, monkeypatch, Z, I, units, f_min, f_ma
 _F_BS = {v: suppression_field(make_atom(1.0), v) for v in MotiveVariant}
 
 
-@pytest.mark.parametrize("units, f_min, f_max, points, spacing, methods, override, reasons", [
+@pytest.mark.parametrize("I, units, f_min, f_max, points, spacing, methods, override, reasons", [
     # the ll guard (16 V/nm) and both suppression fields (32, 58 V/nm); from
     # 60.5 V/nm on every method refuses the row, or all three JWKB ones
-    ("evnm", 2.0, 80.0, 9, "linear", ALL_METHODS, False,
+    (None, "evnm", 2.0, 80.0, 9, "linear", ALL_METHODS, False,
      ["deep-tunnelling guard", "barrier vanished"]),
-    ("evnm", 2.0, 80.0, 9, "linear", ALL_METHODS, True, ["barrier vanished"]),
+    (None, "evnm", 2.0, 80.0, 9, "linear", ALL_METHODS, True, ["barrier vanished"]),
+    # the same fields in atomic units, whose notes give the grid's field
+    (None, "au", 0.004, 0.16, 11, "linear", ALL_METHODS, False,
+     ["deep-tunnelling guard", "barrier vanished"]),
+    # I = 30 eV: the guard at 78 V/nm, suppression at 156 and 257 V/nm
+    (30.0, "evnm", 10.0, 300.0, 13, "linear", ALL_METHODS, False,
+     ["deep-tunnelling guard", "barrier vanished"]),
     # fields that are 0 after conversion to V/nm
-    ("si", 5e-324, 1e10, 12, "log", ALL_METHODS, False, ["field must be positive, got 0.0"]),
-    ("si", 5e-324, 1e10, 12, "log", ["ll", "jwkb-naive"], True,
+    (None, "si", 5e-324, 1e10, 12, "log", ALL_METHODS, False,
      ["field must be positive, got 0.0"]),
-    ("evnm", 5e-324, 1e-309, 5, "log", ALL_METHODS, False, ["e F underflows"]),
-    ("evnm", 1e-308, 2e-308, 2, "log", ["jwkb-naive", "jwkb-parabolic", "ll"], False,
+    (None, "si", 5e-324, 1e10, 12, "log", ["ll", "jwkb-naive"], True,
+     ["field must be positive, got 0.0"]),
+    (None, "evnm", 5e-324, 1e-309, 5, "log", ALL_METHODS, False, ["e F underflows"]),
+    (None, "evnm", 1e-308, 2e-308, 2, "log", ["jwkb-naive", "jwkb-parabolic", "ll"], False,
      ["lies beyond the float range"]),
     # each shape's suppression field, within and past its 1e-6 margin
-    *[("evnm", f_bs * (1.0 - 3e-6), f_bs * (1.0 + 3e-6), 13, "linear", [v.value, "ll"], False,
-       ["barrier vanished"]) for v, f_bs in _F_BS.items()],
+    *[(None, "evnm", f_bs * (1.0 - 3e-6), f_bs * (1.0 + 3e-6), 13, "linear", [v.value, "ll"],
+       False, ["barrier vanished"]) for v, f_bs in _F_BS.items()],
 ])
 def test_sweep_notes_word_each_refusal_as_the_scalar_path(
-    capsys, monkeypatch, units, f_min, f_max, points, spacing, methods, override, reasons
+    capsys, monkeypatch, I, units, f_min, f_max, points, spacing, methods, override, reasons
 ):
     # notes are worded a column at a time; each must read as the error the
     # scalar path raises for its cell, in row order, then column order
@@ -301,13 +308,13 @@ def test_sweep_notes_word_each_refusal_as_the_scalar_path(
         monkeypatch.setenv("ESFI_GUARD_OVERRIDE", "1")
     else:
         monkeypatch.delenv("ESFI_GUARD_OVERRIDE", raising=False)
-    expected, notes = _scalar_sweep(1.0, None, units, f_min, f_max, points, methods, override,
+    expected, notes = _scalar_sweep(1.0, I, units, f_min, f_max, points, methods, override,
                                     spacing=spacing)
-    code, out, err = run_cli(
-        ["sweep", "--f-min", repr(f_min), "--f-max", repr(f_max), "--points", str(points),
-         "--spacing", spacing, "--methods", ",".join(methods), "--units", units],
-        capsys,
-    )
+    argv = ["sweep", "--f-min", repr(f_min), "--f-max", repr(f_max), "--points", str(points),
+            "--spacing", spacing, "--methods", ",".join(methods), "--units", units]
+    if I is not None:
+        argv += ["--ionization-energy", repr(I)]
+    code, out, err = run_cli(argv, capsys)
     assert code == 0
     assert out == expected
     assert err.splitlines() == notes

@@ -364,6 +364,28 @@ def test_lean_sweep_kernel_keeps_the_bits_of_rate_ll_array(n):
     assert (K == 0).any() and ((K > 0) & (K < 2.0**-1022)).any() and (K >= 2.0**-1022).any()
 
 
+@pytest.mark.parametrize("allow_shallow", [False, True])
+@pytest.mark.parametrize("Z, I", [(1.0, None), (2.5, 30.0), (0.37, None)])
+def test_sweep_column_refuses_and_words_as_rate_ll(Z, I, allow_shallow):
+    # a cell is nan exactly where rate_ll raises, and its note reads as
+    # that error, at the edges of the rule: not positive or not finite,
+    # the least subnormal, and the guard with the floats either side
+    atom = make_atom(Z, I)
+    guard = guard_field(atom)
+    F = np.array([-1.0, -0.0, 0.0, np.nan, np.inf, 5e-324, math.nextafter(guard, 0.0), guard,
+                  math.nextafter(guard, math.inf), 0.5 * guard, 2.0 * guard])
+    K_e, exponent, texts, template = rates._ll_column(atom, F, allow_shallow)
+    for i, f in enumerate(F.tolist()):
+        try:
+            r = rate_ll(atom, f, allow_shallow=allow_shallow)
+        except errors.EsfiError as exc:
+            assert math.isnan(K_e[i]) and math.isnan(exponent[i]), f
+            assert (texts.get(i) or template.format(f)) == str(exc), f
+            continue
+        assert (_bits(K_e[i]), _bits(exponent[i])) == (_bits(r.K_e), _bits(r.exponent)), f
+        assert i not in texts, f
+
+
 @pytest.mark.parametrize("Z, I", [(1.0, None), (2.5, None), (0.357, None), (1.0, 30.0)])
 def test_lean_sweep_kernel_is_rate_ll_bit_for_bit(Z, I):
     atom = make_atom(Z, I)
