@@ -523,8 +523,10 @@ def _strength_between(k, F: float, c_in: float, c_out: float, k_nodes, pair):
     if not _converged(G_coarse, G):
         # just below suppression, where I is far below Z^2 I_H, M's terms
         # cancel to a few digits near the close turning points, which its
-        # factored form does not
-        G_factored, nodes = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR, factored=True)
+        # factored form does not; its product can overflow, leaving inf or
+        # nan, without a warning, to the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            G_factored, nodes = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR, factored=True)
         if _converged(*G_factored):
             return G_factored[1], nodes
         raise QuadratureNonConvergence(

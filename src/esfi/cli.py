@@ -221,37 +221,26 @@ def _csv_tables():
 
 
 def _significands(x: np.ndarray, scales: np.ndarray, powers: np.ndarray):
-    """Each cell's decimal exponent E and ten significant digits m, the
-    integer nearest to y = |x| 10^(9 - E) with y in [1e9, 1e10) (m = 0
-    for zeros, any value for nan and inf), and the cells where m is in
-    doubt. y is computed in double as (|x| scales[E]) powers[E]: the first
-    product is exact, the power and the second product are each rounded
-    once, so y lies within eps 1e10 (some 2.2e-6) of the exact value,
-    while Python rounds the exact value half to even. A cell whose y lies
-    within 4 eps 1e10 of a half-integer is in doubt, as is one whose y
-    stays out of range."""
+    """Each cell's decimal exponent E and ten significant digits m, and the
+    cells in doubt; for every other cell E and m are exact: m is the
+    integer nearest to y = |x| 10^(9 - E), in [1e9, 1e10) (m = 0 for
+    zeros, any value for nan and inf). y is computed in double as
+    (|x| scales[E]) powers[E]: the first product is exact, the power and
+    the second product are each rounded once, so y lies within eps 1e10
+    (some 2.2e-6) of the exact value, while Python rounds the exact value
+    half to even. A cell is in doubt whose y lies within 4 eps 1e10 of a
+    half-integer, or below 1e9 (log10 landed one high), or whose m reaches
+    1e10 (log10 landed one low, or y rounds up); its m is 0."""
     a = np.abs(x)
     zero = a == 0.0
     a[zero | ~np.isfinite(x)] = 1.0  # scaled to exactly 1e9 below
     E = np.floor(np.log10(a)).astype(np.intp)
     i = E - _EXP_LO
     y = a * scales.take(i) * powers.take(i)
-    # log10 can land one off next to a power of ten; within 0.05 of either
-    # end of the range, y rounds to the same text on both sides
-    off = np.flatnonzero((y < 1e9) | (y >= 1e10))
-    if off.size:
-        E[off] += np.where(y[off] < 1e9, -1, 1)
-        i = E[off] - _EXP_LO
-        y[off] = a[off] * scales.take(i) * powers.take(i)
-        off = off[~((y[off] >= 1e9) & (y[off] < 1e10))]
-        y[off] = 1e9 + 0.5  # a tie, so in doubt below
     m = np.rint(y)
-    doubtful = np.flatnonzero(np.abs(y - m) > 0.5 - 4 * 2.0**-52 * 1e10)
-    carry = m == 1e10
-    E += carry
-    m[carry] = 1e9
-    m[zero] = 0.0
-    return E, m.astype(np.int64), doubtful
+    doubtful = (np.abs(y - m) > 0.5 - 4 * 2.0**-52 * 1e10) | (y < 1e9) | (m >= 1e10)
+    m[zero | doubtful] = 0.0
+    return E, m.astype(np.int64), np.flatnonzero(doubtful)
 
 
 def _csv_rows(columns: list[np.ndarray]) -> str:

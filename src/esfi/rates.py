@@ -230,13 +230,15 @@ def _rate_result(values, method: str, unit_system: UnitSystem, regime: str) -> R
 
 
 def _float_array(F) -> np.ndarray:
-    """F (a number or an array of them) as an array of floats, an int
-    beyond the float range, which the conversion refuses with
-    OverflowError, as the infinity of its sign."""
-    try:
-        return np.asarray(F, dtype=float)
-    except OverflowError:
-        return np.vectorize(_shown, otypes=[float])(np.asarray(F, dtype=object))
+    """F (a number or an array of them) as an array of floats, each read as
+    the scalar entry points read a field: bools, ints and floats as numpy
+    converts them, anything else one by one as math.ldexp(_shown(f), 0),
+    which takes an int beyond the float range as the infinity of its sign
+    and refuses a str, a complex number or None with TypeError."""
+    F = np.asarray(F)
+    if F.dtype.kind in "biuf":
+        return F.astype(float, copy=False)
+    return np.vectorize(lambda f: math.ldexp(_shown(f), 0), otypes=[float])(F.astype(object))
 
 
 def rate_ll_array(atom: HydrogenicAtom, F) -> RateArrays:

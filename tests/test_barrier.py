@@ -624,6 +624,18 @@ def test_field_beyond_float_range_is_a_numeric_error(variant, F):
 
 
 @pytest.mark.filterwarnings("error")
+def test_factored_form_whose_product_overflows_warns_nothing():
+    # the 32/64-node pair and the composite rule disagree, and the retry
+    # by M's factored form overflows: a result or a refusal, never numpy's
+    # RuntimeWarning
+    atom = make_atom(9.748084614542967e145, 3.1791822681359707e-81)
+    try:
+        assert math.isfinite(rate_jwkb(MotiveModel(NAIVE, atom, 1.8001101792007386e-308)).G)
+    except errors.EsfiError:
+        pass
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
 def test_numpy_scalar_field_gives_the_float_result(variant):
     atom = make_atom(1)

@@ -667,6 +667,22 @@ def test_barrier_whose_inner_zero_lies_below_the_float_range_exits_4(capsys):
     assert err.startswith("error: the barrier at F=2.63318e+219 V/nm leaves the float range (")
 
 
+def test_barrier_whose_factored_form_overflows_prints_one_line():
+    # numpy's overflow and invalid-value warnings would precede the error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "esfi.cli", "barrier", "--Z", "9.748084614542967e+145",
+         "--ionization-energy", "3.1791822681359707e-81",
+         "--field", "1.8001101792007386e-308", "--model", "jwkb-naive"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 GOLDEN_BARRIER = {
     "jwkb-parabolic": {
         "D_eff": 7.256519325534604e-16, "G": 35.11516142848947, "K_e": 4.774560355368984,

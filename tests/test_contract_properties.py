@@ -448,12 +448,17 @@ def test_int_beyond_the_float_range_is_refused_as_an_infinity(name, sign):
         assert ("-inf" if sign < 0 else "inf") in outcome[1]
 
 
-@pytest.mark.parametrize("name", ["rate_z_form", "invert_rate-target", "invert_rate-ll-top",
-                                  "invert_rate-bottom"])
-def test_a_number_given_as_a_string_is_refused(name):
+@pytest.mark.parametrize("name, value, kind", [
+    *[pytest.param(name, "12", "str", id=name)
+      for name in ["rate_z_form", "invert_rate-target", "invert_rate-ll-top", "invert_rate-bottom"]],
+    # numpy would read "12" as 12, None as nan and 12+5j as 12 with a warning
+    *[pytest.param(name, value, type(value).__name__, id=f"{name}-{type(value).__name__}")
+      for name in _ARRAY_CALLS for value in ["12", 12 + 5j, None]],
+])
+def test_a_number_given_as_a_string_is_refused(name, value, kind):
     # float() takes "12"; these entry points refuse it as math.isfinite does
-    with pytest.raises(TypeError, match="must be real number, not str"):
-        _NUMBER_CALLS[name]("12")
+    with pytest.raises(TypeError, match=f"must be real number, not {kind}"):
+        {**_NUMBER_CALLS, **_ARRAY_CALLS}[name](value)
 
 
 @pytest.mark.parametrize("call, refusal, text", [

@@ -407,6 +407,23 @@ def test_jwkb_default_bracket_answers_below_the_rate_maximum(I, target):
     assert up > _jwkb_log_rate_at(atom, result.F)
 
 
+def test_rate_peak_returns_the_lower_end_where_its_ln_k_is_larger():
+    # ln K = -(u - p)^2 over ln F in (0, 1): two bisections end with the
+    # bracket (0.25, 0.5), whose lower end lies nearer the peak at p
+    p = 0.30000001
+
+    class Parabola:
+        def __call__(self, F):
+            self.u = math.log(F)
+            return -(self.u - p) ** 2
+
+        def slope(self):
+            return -2.0 * (self.u - p)
+
+    got = invert._rate_peak(Parabola(), 0.0, 0.0, 1.0, -(1.0 - p) ** 2, 2)
+    assert got == (0.25, -0.0025000010000001066, 2)
+
+
 @pytest.mark.parametrize("target, bracket, message", [
     (1e13, (8e4, guard_field(make_atom(1, 1086.0))),
      "rate not increasing over bracket (80000, 102381) V/nm"),
