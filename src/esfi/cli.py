@@ -10,6 +10,10 @@ A sweep writes one note to stderr per refused cell, row by row, then in
 column order.  The module of the method that refused the cell words it,
 as the error its scalar path raises there: rates._ll_column for ll and
 barrier._rate_jwkb_arrays for the JWKB shapes.
+
+numpy and the numeric modules (rates, barrier, invert) are imported by
+the first computing command (rate, sweep, barrier, invert), all together:
+constants, help, version and usage errors run without them.
 """
 
 from __future__ import annotations
@@ -23,10 +27,7 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .barrier import MotiveModel, MotiveVariant, _rate_jwkb_arrays, rate_jwkb
 from .errors import (
     BarrierSuppressed,
     NonFiniteValue,
@@ -36,8 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .hydrogenic import make_atom
-from .invert import invert_rate
-from .rates import _ll_column, rate_ll
 from .units import (
     FIELD,
     FREQUENCY,
@@ -63,6 +62,20 @@ _EXP_LO, _EXP_HI = -330, 330  # decimal exponents of the tables; float64 spans -
 # below this decimal exponent 10^(9 - E) leaves the float range: such cells
 # are scaled by 2^_SHIFT first, exactly, and their table entry by 2^-_SHIFT
 _TINY, _SHIFT = -290, 200
+
+
+@functools.cache
+def _numeric() -> None:
+    """Import numpy and the numeric modules, as a whole and once, and bind
+    the names the computing commands use; ``constants``, help, version
+    and usage errors never call this."""
+    global np, MotiveModel, MotiveVariant, _rate_jwkb_arrays, rate_jwkb
+    global invert_rate, _ll_column, rate_ll
+    import numpy as np
+
+    from .barrier import MotiveModel, MotiveVariant, _rate_jwkb_arrays, rate_jwkb
+    from .invert import invert_rate
+    from .rates import _ll_column, rate_ll
 
 
 def _guard_override() -> bool:
@@ -453,7 +466,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--field", type=float, required=True)
     p.add_argument(
         "--model",
-        choices=[v.value for v in MotiveVariant],
+        choices=_METHODS[1:],
         default="jwkb-parabolic",
         help="barrier shape; coordinates in the output are eta for "
         "jwkb-parabolic and z on the symmetry axis otherwise",
@@ -490,6 +503,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.command = name
     if name not in commands or extra:
         args = parser.parse_args(argv)
+    if args.command != "constants":
+        _numeric()
     # looked up per call, so that a rebound cmd_* name takes effect
     command = globals()[f"cmd_{args.command}"]
     try:

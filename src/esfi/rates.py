@@ -12,11 +12,15 @@ decomposition K_e = nu_Z * D_eff = omega_Z * T.
 
 All exponents are evaluated in extended precision: they reach ~1e4 deep
 in the tunnelling regime, where a single float64 rounding of the
-coefficient already shifts the rate at the 1e-12 level.  One
-extended-precision kernel carries the whole closed form (exponent,
-pre-exponential, K_e, D_eff, T and ln K_e); :func:`rate_ll` and
-:func:`rate_z_form` feed it one field, :func:`rate_ll_array` a whole array
-of fields at once, together with the mask of fields below the guard.
+coefficient already shifts the rate at the 1e-12 level.  Their constants
+are this module's :data:`EXTENDED`, per unit system: the fundamentals
+parsed as long doubles, and the derived constants from the derivation
+that gives the float64 registry of :mod:`esfi.units`, which imports no
+numpy itself.  One extended-precision kernel carries the whole closed
+form (exponent, pre-exponential, K_e, D_eff, T and ln K_e):
+:func:`rate_ll` and :func:`rate_z_form` feed it one field,
+:func:`rate_ll_array` a whole array of fields at once, together with the
+mask of fields below the guard.
 Field inversion evaluates ln K_e alone, with the factors of each
 ionization energy computed once, dividing each float field straight into
 those long-double factors.  A field sweep evaluates K_e and the
@@ -47,17 +51,32 @@ from .errors import (
 )
 from .hydrogenic import HydrogenicAtom, make_atom
 from .units import (
-    EXTENDED,
     FIELD,
     FREQUENCY,
     REGISTRY,
     UnitSystem,
+    _derive,
+    _fundamentals,
     _unsupported_gaussian,
     to_canonical,
 )
 
 REGIME_DEEP = "deep"
 REGIME_EXTRAPOLATED = "extrapolated"
+
+
+class ExtendedConstants:
+    """The fundamentals of one unit system in numpy extended precision
+    (80-bit on x86-64), with the derived constants of ``units._derive``."""
+
+    def __init__(self, system: UnitSystem = UnitSystem.EVNM):
+        ld = np.longdouble
+        self.e, self.m_e, self.hbar, self.eps0 = _fundamentals(ld, system)
+        vars(self).update(_derive(ld, self.e, self.m_e, self.hbar, self.eps0))
+
+
+EXTENDED = {system: ExtendedConstants(system) for system in
+            (UnitSystem.EVNM, UnitSystem.AU, UnitSystem.SI)}
 
 
 @dataclass(frozen=True)

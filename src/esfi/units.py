@@ -9,8 +9,9 @@ in separately.
 
 This module alone knows constant formulas and unit scales.  One
 derivation, :func:`_derive`, generic over the number type, gives every
-derived constant of :data:`REGISTRY` (float64) and :data:`EXTENDED` (long
-double, per unit system).  One conversion arithmetic rests on
+derived constant of :data:`REGISTRY` (float64) and of the long-double
+constants that :mod:`esfi.rates` keeps per unit system; the module itself
+imports no numpy.  One conversion arithmetic rests on
 :func:`_scale_factor`: :func:`to_canonical` multiplies by it and
 :func:`from_canonical`, which :func:`convert` calls, divides by it.
 
@@ -29,8 +30,6 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
-
-import numpy as np
 
 from .errors import NonFiniteValue, UnsupportedGaussianDimension, _shown
 
@@ -309,7 +308,7 @@ def build_registry() -> ConstantsRegistry:
     of its chain of operations: up to 3 ulps from the same derivation in
     long double rounded once to float64.  C_FI is 3 ulps above it, I_H 2
     below and pi_hbar_C_FI 2 above.  The values stay as derived: the
-    closed form reads the long doubles of :data:`EXTENDED`, not these,
+    closed form reads the long doubles of ``rates.EXTENDED``, not these,
     and rounding them once would move the ``constants`` dump, which is
     pinned byte for byte.
     """
@@ -402,26 +401,3 @@ def gaussian_field_to_isq(field_gaussian: float) -> Quantity:
 def gaussian_charge_to_isq(charge_gaussian: float) -> Quantity:
     """ISQ charge from its Gaussian counterpart: e = e_s * (4 pi eps0)^1/2."""
     return to_canonical(charge_gaussian, CHARGE, UnitSystem.GAUSSIAN)
-
-
-class ExtendedConstants:
-    """The fundamentals of one unit system in numpy extended precision
-    (80-bit on x86-64), with the derived constants of :func:`_derive`.
-
-    Rate-constant exponents reach ~10^4 in the deep-tunnelling regime, so
-    a relative error of one float64 ulp in the exponent coefficient is
-    already ~10^-12 of the rate itself.  The closed-form rate module
-    therefore evaluates its coefficients in extended precision.
-    """
-
-    def __init__(self, system: UnitSystem = UnitSystem.EVNM):
-        ld = np.longdouble
-        self.e, self.m_e, self.hbar, self.eps0 = _fundamentals(ld, system)
-        vars(self).update(_derive(ld, self.e, self.m_e, self.hbar, self.eps0))
-
-
-EXTENDED = {
-    UnitSystem.EVNM: ExtendedConstants(UnitSystem.EVNM),
-    UnitSystem.AU: ExtendedConstants(UnitSystem.AU),
-    UnitSystem.SI: ExtendedConstants(UnitSystem.SI),
-}

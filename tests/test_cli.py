@@ -433,6 +433,7 @@ def test_sweep_golden_output(capsys, monkeypatch):
 
 def _count_jwkb_solves(monkeypatch):
     """The (shape, field) of each rate_jwkb call, as it is called."""
+    cli._numeric()  # binds cli.rate_jwkb, which a later load would rebind
     solves = []
     solve = barrier.rate_jwkb
 
@@ -530,15 +531,7 @@ def test_sweep_ll_column_takes_only_the_closed_forms_first_step(capsys, monkeypa
 def test_sweep_solves_each_refused_jwkb_cell_once(capsys, monkeypatch):
     # e F underflows, or G leaves the float range: the array solver hands
     # each such field to rate_jwkb once, and its error words the note
-    solves = []
-    solve = barrier.rate_jwkb
-
-    def counted(model, **kwargs):
-        solves.append((model.variant.value, model.F))
-        return solve(model, **kwargs)
-
-    monkeypatch.setattr(barrier, "rate_jwkb", counted)
-    monkeypatch.setattr(cli, "rate_jwkb", counted)
+    solves = _count_jwkb_solves(monkeypatch)
     methods = ALL_METHODS[1:]
     grid = np.geomspace(5e-324, 1e-309, 9)
     code, out, err = run_cli(
@@ -763,6 +756,7 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericError("synthetic numeric failure")
 
+    cli._numeric()  # binds cli.invert_rate, which a later load would rebind
     monkeypatch.setattr(cli, "invert_rate", boom)
     code, _, err = run_cli(["invert", "--target", "1e6", "--Z", "1"], capsys)
     assert code == 4
@@ -1039,14 +1033,94 @@ def test_console_entry_point_runs():
     assert proc.stdout.startswith("symbol,value,units")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+# numpy and the modules that the first computing command loads, all together
+_NUMERIC_LAYER = ("esfi.barrier", "esfi.invert", "esfi.rates", "numpy")
+
+
+def _loaded_after(statements: str) -> list:
+    """The modules of the numeric layer, and of scipy, that a fresh
+    interpreter has loaded after running `statements`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    report = (
+        "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+        f" if m in {_NUMERIC_LAYER!r} or m.split('.')[0] == 'scipy')))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, esfi.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", f"{statements}\n{report}"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+# main(argv) in a fresh interpreter, its output swallowed, its exit code checked
+_RUN_MAIN = """\
+import contextlib, io
+from esfi.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+assert code == {code}, code
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _loaded_after("import esfi.cli") == []
+
+
+def test_package_import_leaves_numpy_unloaded():
+    assert _loaded_after("import esfi") == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["constants", "--format", "csv"], 0),
+    (["constants"], 0),
+    (["--version"], 0),
+    (["--help"], 0),
+    (["sweep", "--f-min", "1", "--f-max", "2", "--bogus"], 2),
+])
+def test_commands_that_compute_nothing_leave_numpy_unloaded(argv, code):
+    assert _loaded_after(_RUN_MAIN.format(argv=argv, code=code)) == []
+
+
+def test_a_computing_command_loads_the_numeric_layer_whole():
+    argv = ["rate", "--Z", "1", "--field", "12"]
+    assert _loaded_after(_RUN_MAIN.format(argv=argv, code=0)) == sorted(_NUMERIC_LAYER)
+
+
+def test_barrier_models_are_the_motive_variants():
+    assert [v.value for v in MotiveVariant] == list(cli._METHODS[1:])
+
+
+def test_barrier_help_text_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["barrier", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == BARRIER_HELP
+
+
+BARRIER_HELP = """\
+usage: esfi barrier [-h] [--Z Z] [--ionization-energy EV] --field FIELD
+                    [--model {jwkb-parabolic,jwkb-cartesian,jwkb-naive}]
+                    [--simple] [--units {si,evnm,au}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --Z Z                 charge number (default 1)
+  --ionization-energy EV
+                        override the ionization energy [eV] (B stays Z-based)
+  --field FIELD
+  --model {jwkb-parabolic,jwkb-cartesian,jwkb-naive}
+                        barrier shape; coordinates in the output are eta for
+                        jwkb-parabolic and z on the symmetry axis otherwise
+  --simple              use the plain attempt-frequency estimate (tunnelling
+                        pre-factor 1)
+  --units {si,evnm,au}  unit system for fields and rates (default evnm: V/nm,
+                        s^-1)
+  --out OUT
+"""

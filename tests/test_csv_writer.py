@@ -14,6 +14,10 @@ from hypothesis import strategies as st
 from esfi import cli, guard_field, make_atom, rates
 from esfi.units import FIELD, FREQUENCY, UnitSystem, from_canonical, to_canonical
 
+# the writer's numpy, which cli binds with the numeric layer when a
+# computing command first runs
+cli._numeric()
+
 
 def per_row(columns):
     """The reference: one % per row, as the writer's small blocks do."""

@@ -10,6 +10,7 @@ import pytest
 from esfi import errors, rates
 from esfi.hydrogenic import make_atom
 from esfi.rates import (
+    EXTENDED,
     barrier_integral_log_part,
     barrier_integral_main_part,
     barrier_term,
@@ -23,7 +24,7 @@ from esfi.rates import (
     rate_z_form,
     suppression_field_naive,
 )
-from esfi.units import EXTENDED, REGISTRY, UnitSystem
+from esfi.units import REGISTRY, UnitSystem
 
 AU_FIELD = REGISTRY.au_field
 AU_TIME = REGISTRY.au_time

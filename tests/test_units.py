@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from esfi import errors
+from esfi.rates import EXTENDED
 from esfi.units import (
     CHARGE,
-    EXTENDED,
     DIMENSIONLESS,
     ENERGY,
     FIELD,
