@@ -50,8 +50,9 @@ float and numpy for an array, each entry of which stops as it would
 alone; :func:`_assemble` turns the turning points and G into the rate.
 :func:`rate_jwkb` runs it on one field, names the reason for any failure
 and alone has the composite rule, with :func:`_jwkb_log_rate`, which
-skips the model objects, keeps only ln K_e and gives its slope on ln F
-from the quadrature's nodes, for the inverse solver;
+skips the model objects, keeps only ln K_e and gives its slope on ln F,
+for the inverse solver, from the fall of G that the strength step hands
+back with G, computed only when asked;
 :func:`rate_jwkb_array` runs it on blocks of fields and hands the few it
 cannot settle to :func:`rate_jwkb`.  For a sweep, :func:`_rate_jwkb_arrays`
 also words each refused field's note as the error :func:`rate_jwkb`
@@ -62,7 +63,7 @@ on first use, once: per call, per block of fields or per evaluator.  The
 evaluator also fetches once its coefficients at F = 1 (A1 times F is A1 at
 F), the fixed ones also as 0-d arrays, which numpy takes quicker than
 floats, and 2I/B.  One field sums its nodes as a 1-D product, bit for bit
-the row of that field in an array; the slope sums its nodes in numpy's
+the row of that field in an array; the fall of G sums them in numpy's
 pairwise order, not by a BLAS dot, whose order OpenBLAS picks by CPU, so
 a JWKB answer is the same on every CPU.
 A block holds one barrier shape, whose coefficients are the numbers of
@@ -458,13 +459,13 @@ def _strength_fits(k):
 def _strength_pair(k, c_in, c_out, tables, ns, factored=False):
     """G between the turning points by the coarser and the finer of two
     sine-mapped rules with the `tables` of :func:`_sine_mapped_rules`, in
-    the arithmetic ns of c_in (for one field a pair of floats, for an array
-    of fields stacked along the first axis), and the nodes: half the
-    log-span of c, c and the integrand c M^(1/2) at every node, and the
-    finer rule's weights.  Over an array of fields, A1, c_in and c_out are
-    columns: a row of nodes per field.  `factored` takes c M^(1/2) from the
-    zeros of c^2 M = A1 (c_out - c)(c - c_in)(c - r3), with
-    r3 = -A3/(A1 c_in c_out), instead of from M's terms."""
+    the arithmetic ns of c_in: for one field a pair of floats and the fall
+    of G on ln A1 (see :func:`_fall`) as a callable of no arguments, for an
+    array of fields the two stacked along the first axis.  Over an array of
+    fields, A1, c_in and c_out are columns: a row of nodes per field.
+    `factored` takes c M^(1/2) from the zeros of
+    c^2 M = A1 (c_out - c)(c - c_in)(c - r3), with r3 = -A3/(A1 c_in c_out),
+    instead of from M's terms."""
     # log c = log c_in + half (1 + sin t), so dc = c half cos t dt
     half = 0.5 * ns.log1p((c_out - c_in) / c_in)
     rise, weights_T, fine = tables
@@ -478,18 +479,34 @@ def _strength_pair(k, c_in, c_out, tables, ns, factored=False):
     else:  # in place
         M = _motive(k, c)
         integrand = np.multiply(np.sqrt(np.maximum(M, _ZERO, out=M), out=M), c, out=M)
-    nodes = half, c, integrand, fine
     if integrand.ndim == 1:
         # one field: the 1-D product, a gemv, bit for bit the row below,
         # scaled as floats
         scale = _TWO_SIGMA * half
         G_coarse, G = (integrand @ weights_T).tolist()
-        return (scale * G_coarse, scale * G), nodes
+        fall = functools.partial(_fall, k[1], half, c, integrand, fine)
+        return (scale * G_coarse, scale * G), fall
     # an array: each field's row summed on its own, a (1, n) @ (n, 2)
     # product, so that a row is the field solved alone; BLAS sums a
     # block's rows in another order, which would tie a field's G to the
     # fields solved beside it
-    return (_TWO_SIGMA * half * (integrand[..., None, :] @ weights_T)[..., 0, :]).T, nodes
+    return (_TWO_SIGMA * half * (integrand[..., None, :] @ weights_T)[..., 0, :]).T
+
+
+def _fall(A1, half, c, integrand, fine):
+    """-dG/d ln A1 = sigma A1 * integral of c/M^(1/2) dc (the ends, where
+    M = 0, add nothing) from one field's nodes: half the log-span of c, c
+    and the integrand c M^(1/2) at every node, and the finer rule's weights.
+    1/M^(1/2) = c/(c M^(1/2)) is taken as 0 where M rounds to zero (at
+    nodes within rounding of a turning point; the nodes of a rule that
+    converged are finite and not negative, so without a zero a plain
+    division serves, quicker than a masked one); times the weights (zero
+    at the coarser rule's nodes) before c, as they vanish at the ends,
+    where 1/M^(1/2) grows.  Summed in numpy's pairwise order: a 1-D BLAS
+    dot picks its order by CPU."""
+    inv_root = (c / integrand if np.count_nonzero(integrand) == integrand.size
+                else np.divide(c, integrand, out=np.zeros(c.shape), where=integrand > 0.0))
+    return _SIGMA * half * float(np.add.reduce((A1 * c) * (c * (inv_root * fine))))
 
 
 def _converged(G_coarse, G):
@@ -502,38 +519,39 @@ def _converged(G_coarse, G):
 def _strength_between(k, F: float, c_in: float, c_out: float, k_nodes, pair):
     """G of the barrier with coefficients k at the field F, by the 32/64-
     node pair, whose tables are `pair`, or, where they disagree, the
-    composite rule; and the nodes of the rule that settled it (as
-    :func:`_strength_pair` gives them).  `k_nodes` is k for the arithmetic
-    on the nodes, its fixed coefficients as floats or as 0-d arrays: numpy
-    converts a float operand on every call, which takes longer than the
-    operation on the nodes of one field."""
+    composite rule; and the fall of G on ln A1 from the nodes of the rule
+    that settled it, a callable of no arguments (see :func:`_fall`).
+    `k_nodes` is k for the arithmetic on the nodes, its fixed coefficients
+    as floats or as 0-d arrays: numpy converts a float operand on every
+    call, which takes longer than the operation on the nodes of one
+    field."""
     # G, or the quadrature's nodes c and 1/c, past the float range
     if not (_strength_fits(k) and c_out / c_in < math.inf and 1.0 / c_in < math.inf):
         raise BracketingFailure(
             f"barrier strength at F={F:.6g} V/nm exceeds the float range"
         )
-    (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR)
+    (G_coarse, G), fall = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR)
     if not _converged(G_coarse, G):
         # once log c spans some 45 units (fields below about 1e-19 of
         # suppression) 32 nodes fall short, so split t into panels as the
         # span grows, and check against twice as many
         panels = math.ceil(0.5 * math.log1p((c_out - c_in) / c_in) / _LOG_SPAN_PER_PANEL)
         tables = _sine_mapped_rules(((_FALLBACK_ORDER, panels), (_FALLBACK_ORDER, 2 * panels)))
-        (G_coarse, G), nodes = _strength_pair(k_nodes, c_in, c_out, tables, _SCALAR)
+        (G_coarse, G), fall = _strength_pair(k_nodes, c_in, c_out, tables, _SCALAR)
     if not _converged(G_coarse, G):
         # just below suppression, where I is far below Z^2 I_H, M's terms
         # cancel to a few digits near the close turning points, which its
         # factored form does not; its product can overflow, leaving inf or
         # nan, without a warning, to the check below
         with np.errstate(over="ignore", invalid="ignore"):
-            G_factored, nodes = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR, factored=True)
+            G_factored, fall = _strength_pair(k_nodes, c_in, c_out, pair, _SCALAR, factored=True)
         if _converged(*G_factored):
-            return G_factored[1], nodes
+            return G_factored[1], fall
         raise QuadratureNonConvergence(
             f"barrier-strength quadrature error {abs(G - G_coarse):.3e} "
             f"exceeds tolerance (G={G:.6g})"
         )
-    return G, nodes
+    return G, fall
 
 
 def barrier_strength(model: MotiveModel) -> float:
@@ -644,15 +662,15 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
     MotiveModel and BarrierSolution, and without the fields of the
     solution that ln K_e does not need: the evaluation inside an inversion.
     Its ``slope()`` gives d ln K_e / d ln F at the field of the last
-    evaluation, from the nodes of the rule that settled G there:
+    evaluation:
 
-        sigma A1 * integral of c/M^(1/2) dc  +  (1 - x) A1/M'(c_in),
+        -dG/d ln A1  +  (1 - x) A1/M'(c_in),
 
-    the first the fall of G (dA1/d ln F = A1; the ends, where M = 0, add
-    nothing), the second the change of ln(x e^-x) (dc_in/dA1 =
-    c_in/M'(c_in)).  A float field is checked by one comparison,
-    0 < F < inf; any other field goes through :func:`_check_positive`,
-    for the same refusal.
+    the first the fall of G (dA1/d ln F = A1) that the strength step hands
+    back with G (:func:`_strength_between`), the second the change of
+    ln(x e^-x) (dc_in/dA1 = c_in/M'(c_in)).  A float field is checked by
+    one comparison, 0 < F < inf; any other field goes through
+    :func:`_check_positive`, for the same refusal.
     """
     eta_scale = _ETA_SCALE[variant]
     # fixed per evaluator: the coefficients at F = 1, where A1 is its scale
@@ -675,30 +693,17 @@ def _jwkb_log_rate(atom: HydrogenicAtom, variant: MotiveVariant):
             F = float(F)
         k = A0, per_F * F, A2, A3
         c_in, c_out = _turning_points(k, variant, atom, F)
-        G, nodes = _strength_between(k, F, c_in, c_out, (A0_nodes, k[1], A2_nodes, A3_nodes), pair)
-        last = k[1], c_in, nodes
+        G, fall = _strength_between(k, F, c_in, c_out, (A0_nodes, k[1], A2_nodes, A3_nodes), pair)
+        last = k, c_in, fall
         return _prefactor(atom, c_in, eta_scale, _SCALAR)[2] - G
 
     def slope() -> float:
         """d ln K_e / d ln F at the field of the last evaluation."""
-        A1, c_in, (half, c, integrand, fine) = last
-        # 1/M^(1/2) = c/(c M^(1/2)), taken as 0 where M rounds to zero
-        # (at nodes within rounding of a turning point; the nodes of a rule
-        # that converged are finite and not negative, so without a zero a
-        # plain division serves, quicker than a masked one); times the
-        # finer rule's weights (zero at the coarser rule's nodes) before c,
-        # as they vanish at the ends, where 1/M^(1/2) grows.  Summed in
-        # numpy's pairwise order: a 1-D BLAS dot picks its order by CPU
-        if np.count_nonzero(integrand) == integrand.size:
-            inv_root = c / integrand
-        else:
-            inv_root = np.divide(c, integrand, out=np.zeros(c.shape), where=integrand > 0.0)
-        d_log_K = _SIGMA * half * float(np.add.reduce((A1 * c) * (c * (inv_root * fine))))
-        if eta_scale:
-            x = two_I_per_B * (eta_scale * c_in)  # as _prefactor has it
-            ic = 1.0 / c_in  # M'(c_in) as _motive_and_slope has it
-            d_log_K += (1.0 - x) * A1 / (-A1 + ic * ic * (A2 + 2.0 * A3 * ic))
-        return d_log_K
+        k, c_in, fall = last
+        if not eta_scale:
+            return fall()
+        x = two_I_per_B * (eta_scale * c_in)  # as _prefactor has it
+        return fall() + (1.0 - x) * k[1] / _motive_and_slope(k, c_in)[1]
 
     log_rate.slope = slope
     return log_rate
@@ -725,7 +730,7 @@ def _solve_block(variant: MotiveVariant, atom: HydrogenicAtom, F: np.ndarray):
     c_in, c_out = zeros[: index.size], zeros[index.size :]
     k_rows = A0, A1[:, None], A2, A3  # a row of nodes per field
     pair = _sine_mapped_rules(_GAUSS_RULES)
-    G_coarse, G = _strength_pair(k_rows, c_in[:, None], c_out[:, None], pair, _ARRAY)[0]
+    G_coarse, G = _strength_pair(k_rows, c_in[:, None], c_out[:, None], pair, _ARRAY)
     bracketed = (0.0 < c_in) & (c_in < peak) & (peak < c_out) & (c_out < math.inf)
     solved = _converged(G_coarse, G) & bracketed
 

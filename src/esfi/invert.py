@@ -6,7 +6,7 @@ and well conditioned.  The JWKB methods start Newton at the closed
 form's root, which the W_-1 branch gives to within about 2e-2 in ln F,
 or at the top of the bracket where that root lies at or above it;
 Newton's slope d ln K_e / d ln F comes with each JWKB evaluation, from
-the nodes of its barrier-strength quadrature, so a step costs one barrier
+the barrier-strength step that settled G, so a step costs one barrier
 solve.  ln K_e is concave and rising in ln F, so the steps approach the
 root from one side, and over the default bracket they find it without
 its ends: those are solved, in the same loop, only where a step meets

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     composite_barrier_strength,
     exact_barrier,
+    exact_strength_slope,
     naive_roots_closed_form,
     naive_strength_forbes_deane,
 )
@@ -657,18 +658,20 @@ class _Float(float):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("Z", [1e-4, 0.5, 1.0, 2.5, 30.0])
-@pytest.mark.parametrize("I", [None, 0.1, 30.0, 3000.0])
+@pytest.mark.parametrize("I", [None, 0.1, 30.0, 3000.0, 1.3605692534724878e-11])
 def test_jwkb_evaluator_is_rate_jwkb_bit_for_bit(Z, I):
     # from fields whose G leaves the float range, through the composite
-    # rule's and the 32/64-node pair's, to past suppression; a float field
-    # is checked by 0 < F < inf alone: its edges, and the numbers that are
-    # not floats but compare as one
+    # rule's and the 32/64-node pair's, to past suppression, and just below
+    # it, where for I far below Z^2 I_H M's factored form settles G; a
+    # float field is checked by 0 < F < inf alone: its edges, and the
+    # numbers that are not floats but compare as one
     atom = make_atom(Z, I)
     for variant in MotiveVariant:
         log_rate = _jwkb_log_rate(atom, variant)
         f_bs = suppression_field(atom, variant)
         fields = [5e-324, 1e-310, 1e-300, 1e-200, 1e-50, 1e-6, 1.0, 1e3, 1e6,
                   *(f_bs * np.geomspace(1e-25, 1.0, 30)),
+                  *(f_bs * (1 - 10.0**-k) for k in range(5, 10)),
                   f_bs * (1 - 1e-9), f_bs * (1 + 1e-9), 2.0 * f_bs, guard_field(atom),
                   np.float64(0.5 * f_bs), 0.0, -1.0, math.nan, math.inf,
                   10**400, -10**400,
@@ -751,6 +754,57 @@ def test_jwkb_slope_is_pinned_to_the_bit(name, variant):
         log_rate(f * f_bs)
         slopes.append(log_rate.slope())
     assert slopes == _SLOPE_GOLDEN[name, NAIVE if variant is NAIVE else PARABOLIC]
+
+
+# fractions of the suppression field at which the strength step's fall of
+# G meets its oracle: 1e-22 takes the composite rule; just below
+# suppression, for I = 1e-12 I_H, the composite rule and M's factored form
+_FALL_FRACTIONS = {
+    "H": (1e-22, 1e-3, 0.3, 0.999, 1 - 1e-5, 1 - 1e-7),
+    "Z0.37": (1e-22, 1e-3, 0.3, 0.999),
+    "I1e-12": (1e-22, *(1 - 10.0**-k for k in range(4, 10))),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", [PARABOLIC, CARTESIAN, NAIVE])
+def test_fall_of_G_from_every_rule_matches_its_oracle(monkeypatch, variant):
+    # -dG/d ln A1 from the nodes of the rule that settled G, against a
+    # 60-digit central difference of G; the quadratures run tell the rule:
+    # the 32/64-node pair, then the composite rule, then the pair on M's
+    # factored form
+    quadratures = []
+    strength_pair = barrier._strength_pair
+
+    def spy(*args, **kwargs):
+        quadratures.append(kwargs.get("factored", False))
+        return strength_pair(*args, **kwargs)
+
+    monkeypatch.setattr(barrier, "_strength_pair", spy)
+    atoms = {"H": make_atom(1), "Z0.37": make_atom(0.37),
+             "I1e-12": make_atom(1.0, 1.3605692534724878e-11)}
+    tables = _sine_mapped_rules(_GAUSS_RULES)
+    rules = set()
+    for name, fractions in _FALL_FRACTIONS.items():
+        atom = atoms[name]
+        f_bs = suppression_field(atom, variant)
+        for f in fractions:
+            model = MotiveModel(variant, atom, f * f_bs)
+            c_in, c_out = turning_points(model)
+            quadratures.clear()
+            k = model._coeffs
+            _, fall = barrier._strength_between(k, model.F, c_in, c_out, k, tables)
+            rule = "factored" if quadratures[-1] else ("pair", "composite")[len(quadratures) - 1]
+            rules.add(rule)
+            error = abs(fall() / float(exact_strength_slope(k)) - 1.0)
+            # within 4.6e-13 (pair) and 1.1e-11 (composite) up to 0.3 f_bs;
+            # nearer suppression the rule's check covers G, not its fall,
+            # which loses digits faster than G: up to some 900 eps/(1 - f),
+            # 1.1e-6 at 1 - 1e-7 and 2.0e-5 at 1 - 1e-8 (I1e-12, naive,
+            # composite rule), while M's factored form keeps 0.1 eps/(1 - f)
+            band = 2e3 * sys.float_info.epsilon / (1.0 - f)
+            assert error <= max(1e-10, band), (name, f, rule, error)
+    assert rules == {"pair", "composite", "factored"}
 
 
 def test_quadrature_tables_are_built_on_first_use():
