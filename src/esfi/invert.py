@@ -2,22 +2,24 @@
 
 Rates span tens of orders of magnitude over the valid field range, so the
 solve runs on ln K_e as a function of ln F, where the problem is smooth
-and well conditioned.  The JWKB methods start Newton at the closed
-form's root, which the W_-1 branch gives to within about 2e-2 in ln F,
-or at the top of the bracket where that root lies at or above it;
-Newton's slope d ln K_e / d ln F comes with each JWKB evaluation, from
-the barrier-strength step that settled G, so a step costs one barrier
-solve.  ln K_e is concave and rising in ln F, so the steps approach the
-root from one side, and over the default bracket they find it without
-its ends: those are solved, in the same loop, only where a step meets
-what they settle, and the search goes on from the midpoint of the
-bracket they give.  An answer takes about five solves.  A given bracket
-has its ends solved first.  The closed form ('ll'), and a JWKB target
-whose closed-form root lies below the bracket or does not exist, have
-no seed: once the ends are solved and checked, bisection alone narrows
-the bracket to 1e-2 on ln F, and Newton then polishes from the field it
-evaluated last; the closed form's slope, b I^(3/2)/F - 1, comes exact
-with each evaluation too, so an 'll' answer takes about sixteen.
+and well conditioned.  The search has two phases: a walk of Newton steps
+on ln F, and an ends step that solves and checks the bracket's ends.
+Newton's slope d ln K_e / d ln F comes with each evaluation: for the JWKB
+methods from the barrier-strength step that settled G, so a step costs
+one barrier solve; for the closed form ('ll') exact, b I^(3/2)/F - 1.
+
+The JWKB methods walk from the closed form's root, which the W_-1 branch
+gives to within about 2e-2 in ln F, or from the top of the bracket where
+that root lies at or above it.  ln K_e is concave and rising in ln F, so
+the steps approach the root from one side, and over the default bracket
+the walk finds it without the ends: the ends step runs only where a step
+meets what the ends settle, and a new walk goes on from the midpoint of
+the bracket they give.  An answer takes about five solves.  A given
+bracket has the ends step first.  The closed form, and a JWKB target
+whose closed-form root lies below the bracket or does not exist, have no
+seed: after the ends step, bisection alone narrows the bracket to 1e-2
+on ln F, and the walk then polishes from the field it evaluated last, so
+an 'll' answer takes about sixteen evaluations.
 
 The root is unique where K_e rises over the bracket.  That holds below
 the deep-tunnelling guard unless the ionization energy is far above
@@ -138,24 +140,26 @@ def invert_rate(
         A given bracket over which the rate falls raises
         NonMonotoneBracket.
 
-    The JWKB methods take Newton steps on ln F from the closed form's
-    root, where that lies inside the bracket, or from the top of the
-    bracket, where it lies at or above the top, with the slope their
-    evaluations give analytically (one solve per step), and one step more
-    once converged, kept where it lowers the residual.  With the default
-    bracket they solve its ends only where an answer needs them: neither
-    for a root inside the bracket, and only the top, once, for one at or
-    above it where the rate there reaches the target.  A slope <= 0 or a
-    step that would leave the bracket has the ends solved and checked,
-    for the same answer or refusal, and the steps go on from the midpoint
-    of the bracket they give.  An answer takes about five solves.  'll', a
+    The search walks by Newton steps on ln F, with the slope each
+    evaluation gives analytically (one solve per step), and one step more
+    once converged, kept where it lowers the residual; its ends step solves
+    and checks the bracket's ends.  Over the default bracket the JWKB
+    methods walk first, from the closed form's root, where that lies
+    inside the bracket, or from the top of the bracket, where it lies at
+    or above the top.  So they solve its ends only where an answer needs
+    them: neither for a root inside the bracket, and only the top, once,
+    for one at or above it where the rate there reaches the target.  A
+    slope <= 0, a step that would leave the bracket or a target above the
+    rate at the top ends that walk; the ends step then gives the same
+    answer or refusal, and a new walk goes on from the midpoint of the
+    bracket the ends give.  An answer takes about five solves.  'll', a
     given bracket and a JWKB target whose closed-form root lies below the
-    bracket or does not exist solve the ends first.  'll' and such a target
-    then bisect on ln F, and only bisect, until the bracket is 1e-2 wide;
-    from there they take the same Newton steps, with the closed form's
-    exact slope b I^(3/2)/F - 1: an 'll' answer takes about sixteen
-    evaluations.  Once the ends are solved, a step that would leave the
-    bracket falls back to its midpoint.
+    bracket or does not exist take the ends step first.  'll' and such a
+    target then bisect on ln F, and only bisect, until the bracket is 1e-2
+    wide; from there they walk, with the closed form's exact slope
+    b I^(3/2)/F - 1 for 'll': an 'll' answer takes about sixteen
+    evaluations.  After the ends step, a step that would leave the bracket
+    falls back to its midpoint.
     Converges to |K_e(F) - target|/target < 1e-10 (typically much tighter);
     ``iterations`` counts the rate evaluations.
     """
@@ -190,126 +194,122 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
     """The answer of :func:`invert_rate` on the bracket (f_lo, f_hi), from
     the closed-form root `seed` (ln F) of a JWKB method where that lies
     above f_lo.  `default` marks a JWKB method's default bracket, whose top
-    may lie past the rate's maximum.  Every Newton step takes its slope
-    from ``log_rate.slope()``, at the field evaluated last.
+    may lie past the rate's maximum.
 
-    Unseeded, the ends are solved and checked first, then bisection runs
-    as a loop of its own until the bracket is 1e-2 wide on ln F, and the
-    Newton steps go on from the field it evaluated last.  Seeded, the ends
-    are solved and checked before the first step, except over a default
-    bracket, where Newton starts at once (at the top, solved first, where
-    the seed lies at or above it) and the ends wait for a step that needs
-    them: a slope <= 0, a step that would leave the bracket, or a target
-    above the rate at the top.  The search then goes on from the midpoint
-    of the bracket they give, without the fields evaluated before, which
-    may lie past the rate's maximum.  (A refusal met before the ends
-    stands: the default bracket's ends answered for every atom tried, Z
-    from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H, and the fields
-    solved after them are the same.)
+    Seeded over a default bracket, the walk (:func:`_newton`) starts at
+    once, at the seed, or at the top, solved at f_hi itself, where the
+    seed lies at or above it.  Elsewhere, or where that walk ends (a slope
+    <= 0, a step that would leave the bracket, or a target above the rate
+    at the top), the ends step solves and checks the ends (the top of a
+    default bracket may move to the rate's maximum), and narrows the
+    bracket they give, without the fields evaluated before, which may lie
+    past that maximum: unseeded, by bisection to 1e-2 on ln F; seeded, by
+    one solve, at the midpoint where a walk ended, else at the seed or the
+    top.  A walk then goes on from the field evaluated last.  (A refusal
+    met before the ends stands: the default bracket's ends answered for
+    every atom tried, Z from 1e-8 to 1e60 and I from 1e-6 to 1e4 Z^2 I_H,
+    and the fields solved after them are the same.)
     """
     log_t = math.log(target)
     u_lo, u_hi = math.log(f_lo), math.log(f_hi)
     seeded = seed is not None and u_lo < seed
-    # over the default bracket ln K rises and is concave in ln F, so Newton
-    # from the seed finds the root that the ends would bracket.  `lazy`
-    # holds while the ends are unsolved, `ends` where the next step needs
-    # them
-    lazy = default and seeded
-    ends = not lazy
     evaluations = 0
     g_hi = None  # ln K - ln target at f_hi, once solved
-    if lazy and seed >= u_hi:
-        # Newton starts at the top, solved at f_hi itself; a target above
-        # the rate there needs the ends at once
-        u, g = u_hi, log_rate(f_hi) - log_t
-        g_hi, ends, evaluations = g, g < 0.0, 1
-    elif lazy:
-        u, g = seed, log_rate(math.exp(seed)) - log_t
+    if default and seeded:
+        # over the default bracket ln K rises and is concave in ln F, so
+        # Newton from the seed finds the root that the ends would bracket
+        if seed < u_hi:
+            u, g = seed, log_rate(math.exp(seed)) - log_t
+        else:
+            u, g = u_hi, log_rate(f_hi) - log_t
+            g_hi = g
         evaluations = 1
+        # a target above the rate at the top needs the ends at once, if
+        # the solves allow them
+        if g_hi is None or g_hi >= 0.0 or evaluations >= _MAX_ITER:
+            answer, evaluations = _newton(log_rate, log_t, u, g, u_lo, u_hi, evaluations, lazy=True)
+            if answer is not None:
+                return answer
 
-    # on u = ln F: Newton steps from the field evaluated last, with
-    # d(ln K)/d(ln F) the evaluator's slope there, and the midpoint wherever
-    # a step would leave the bracket
-    tol = _RESIDUAL_TOL
-    slope = None
-    while evaluations < _MAX_ITER:
-        u_next = 0.5 * (u_lo + u_hi)
-        if not ends:
-            if abs(g) <= tol:
-                # one more step, kept where it lowers |g|: the stop alone
-                # leaves answers up to some 30 ulps off the root.  The
-                # slope of the step that got here serves, as a step this
-                # small needs no better.  (Lazily too: a seed that
-                # converged lies below the rate's maximum, as past it the
-                # JWKB rate lies below the closed form's)
-                slope = log_rate.slope() if slope is None else slope
-                u_next = u - g / slope if slope > 0.0 else u
-                if u_next != u and u_lo <= u_next <= u_hi:
-                    g_next = log_rate(math.exp(u_next)) - log_t
-                    evaluations += 1
-                    if abs(g_next) < abs(g):
-                        u, g = u_next, g_next
-                break
-            slope = log_rate.slope()
-            # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
-            # of u and F, so deep in the barrier it cannot resolve 1e-13
-            tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))
-            if slope > 0.0 and u_lo <= u - g / slope <= u_hi:
-                u_next = u - g / slope
-            else:
-                ends = lazy  # the ends, where unsolved; else the midpoint
-        if ends:
-            # the bracket the ends give, without the fields evaluated before
-            u_lo, u_hi = math.log(f_lo), math.log(f_hi)
-            if g_hi is None:
-                g_hi = log_rate(f_hi) - log_t
-                evaluations += 1
-            # a target above the rate at the end of the default bracket may
-            # still lie below the JWKB rate's maximum inside it: end the
-            # bracket there.  (Below the rate at f_hi, the root below the
-            # maximum is the only one: past the maximum the rate falls to
-            # no less than at f_hi.)  The slope is at f_hi, solved last
-            if g_hi < 0.0 and default and log_rate.slope() <= 0.0:
-                # the solves left, the bottom's aside
-                u_hi, g_hi, peak_solves = _rate_peak(
-                    log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations - 1
-                )
-                evaluations += peak_solves
-                f_hi = math.exp(u_hi)
-            # last, so that Newton's first slope is at f_lo if no bisection step runs
-            g_lo = log_rate(f_lo) - log_t
-            evaluations += 1
+    if g_hi is None:
+        g_hi = log_rate(f_hi) - log_t
+        evaluations += 1
+    # a target above the rate at the end of the default bracket may still
+    # lie below the JWKB rate's maximum inside it: end the bracket there.
+    # (Below the rate at f_hi, the root below the maximum is the only one:
+    # past the maximum the rate falls to no less than at f_hi.)  The slope
+    # is at f_hi, solved last
+    if g_hi < 0.0 and default and log_rate.slope() <= 0.0:
+        # the solves left, the bottom's aside
+        u_hi, g_hi, peak_solves = _rate_peak(
+            log_rate, log_t, u_lo, u_hi, g_hi, _MAX_ITER - evaluations - 1
+        )
+        evaluations += peak_solves
+        f_hi = math.exp(u_hi)
+    # last, so that Newton's first slope is at f_lo if no bisection step runs
+    g_lo = log_rate(f_lo) - log_t
+    evaluations += 1
+    if g_lo > g_hi:
+        raise NonMonotoneBracket(f"rate not increasing over bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm")
+    if g_lo > 0.0 or g_hi < 0.0:
+        raise TargetUnattainable(
+            f"target {target:.6g} s^-1 outside attainable range "
+            f"[{math.exp(g_lo + log_t):.6g}, {math.exp(g_hi + log_t):.6g}] s^-1 "
+            f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
+        )
 
-            if g_lo > g_hi:
-                raise NonMonotoneBracket(
-                    f"rate not increasing over bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
-                )
-            if g_lo > 0.0 or g_hi < 0.0:
-                raise TargetUnattainable(
-                    f"target {target:.6g} s^-1 outside attainable range "
-                    f"[{math.exp(g_lo + log_t):.6g}, {math.exp(g_hi + log_t):.6g}] s^-1 "
-                    f"on bracket ({f_lo:.6g}, {f_hi:.6g}) V/nm"
-                )
-            u, g, ends = u_lo, g_lo, False
-            tol, slope = _RESIDUAL_TOL, None
-            if not seeded:
-                # unseeded, bisection narrows the bracket to 1e-2 on ln F,
-                # where Newton takes over from the field evaluated last
-                while u_hi - u_lo > 1e-2 and evaluations < _MAX_ITER:
-                    u = 0.5 * (u_lo + u_hi)
-                    g = log_rate(math.exp(u)) - log_t
-                    evaluations += 1
-                    if g > 0.0:
-                        u_hi = u
-                    else:
-                        u_lo = u
-                continue
-            # Newton starts at the seed, or at the midpoint where the ends
-            # waited for a step
-            u_next = 0.5 * (u_lo + u_hi) if lazy else min(seed, u_hi)
-            lazy = False
-        u = u_next
+    u, g = u_lo, g_lo
+    # the bracket the ends give is narrowed: seeded, by one solve, at the
+    # midpoint where the walk ended, else at the seed or the top;
+    # unseeded, by bisection until it is 1e-2 wide on ln F
+    while seeded or (u_hi - u_lo > 1e-2 and evaluations < _MAX_ITER):
+        u = min(seed, u_hi) if seeded and not default else 0.5 * (u_lo + u_hi)
         g = log_rate(math.exp(u)) - log_t
+        evaluations += 1
+        if g > 0.0:
+            u_hi = u
+        else:
+            u_lo = u
+        if seeded:
+            break
+    return _newton(log_rate, log_t, u, g, u_lo, u_hi, evaluations, lazy=False)[0]
+
+
+def _newton(log_rate, log_t, u, g, u_lo, u_hi, evaluations, *, lazy):
+    """Newton steps on u = ln F from (u, g = ln K - ln target), with
+    d(ln K)/d(ln F) the evaluator's slope at the field evaluated last, each
+    solve narrowing the bracket (u_lo, u_hi) by the sign of its g, until
+    |g| is within the tolerance or `evaluations` reach _MAX_ITER.  A slope
+    <= 0 or a step that would leave the bracket goes to its midpoint, or,
+    `lazy`, ends the walk.  Returns the answer, or None where the walk
+    ended, and the evaluations spent in all.
+    """
+    tol, slope = _RESIDUAL_TOL, None
+    while evaluations < _MAX_ITER:
+        if abs(g) <= tol:
+            # one more step, kept where it lowers |g|: the stop alone leaves
+            # answers up to some 30 ulps off the root.  The slope of the step
+            # that got here serves, as a step this small needs no better.
+            # (Lazily too: a seed that converged lies below the rate's
+            # maximum, as past it the JWKB rate lies below the closed form's)
+            slope = log_rate.slope() if slope is None else slope
+            u_next = u - g / slope if slope > 0.0 else u
+            if u_next != u and u_lo <= u_next <= u_hi:
+                g_next = log_rate(math.exp(u_next)) - log_t
+                evaluations += 1
+                if abs(g_next) < abs(g):
+                    u, g = u_next, g_next
+            break
+        slope = log_rate.slope()
+        # ln K moves by slope * (ulp(u) + eps) between neighbouring floats
+        # of u and F, so deep in the barrier it cannot resolve 1e-13
+        tol = max(_RESIDUAL_TOL, 4.0 * abs(slope) * (math.ulp(u) + _EPS))
+        u_next = u - g / slope if slope > 0.0 else math.nan
+        if not u_lo <= u_next <= u_hi:
+            if lazy:
+                return None, evaluations
+            u_next = 0.5 * (u_lo + u_hi)
+        u, g = u_next, log_rate(math.exp(u_next)) - log_t
         evaluations += 1
         if g > 0.0:
             u_hi = u
@@ -321,4 +321,5 @@ def _solve(log_rate, target, f_lo, f_hi, seed, *, default):
             f"inversion did not converge in {evaluations} evaluations "
             f"(|ln K - ln target| = {abs(g):.3e})"
         )
-    return InversionResult(F=math.exp(u), iterations=evaluations, residual=abs(math.expm1(g)))
+    result = InversionResult(F=math.exp(u), iterations=evaluations, residual=abs(math.expm1(g)))
+    return result, evaluations

@@ -460,6 +460,11 @@ _JWKB_GOLDEN = [
     (1e3, 2.5, 30.0, "jwkb-cartesian", None, 26.48824829255789, 6, 3.5527136788004946e-15),
     (1e11, 1, 30.0, "jwkb-parabolic", (1.0, 80.0), 65.95849964740297, 7, 0.0),
     (3.83999e13, 1, 1086.0, "jwkb-parabolic", None, 51190.3093440342, 8, 7.105427357601027e-15),
+    # a given bracket below the closed form's root (Newton from its top),
+    # and one above it (bisection, then Newton)
+    (4.4e6, 1, None, "jwkb-parabolic", (1.0, 12.0), 11.941170806255803, 6, 3.552713678800507e-15),
+    (1e11, 1, 100.0, "jwkb-parabolic", (400.0, 800.0), 431.9784830726715, 13,
+     7.105427357601027e-15),
 ]
 
 
@@ -621,6 +626,59 @@ def test_jwkb_ends_solved_mid_search_go_on_from_their_midpoint(monkeypatch):
     assert len(solves) == 21
 
 
+@pytest.mark.parametrize("target, I, bracket, seed_at, fields", [
+    # the seed inside a given bracket: the ends, then Newton from the seed
+    (1e9, None, (1.0, 50.0), "inside",
+     [50.0, 1.0, 15.276920949794167, 14.86469880742751, 14.870454847019678,
+      14.87045602145627, 14.870456021456317]),
+    # the seed at or above a given top: Newton starts at the top, which is
+    # solved again, after the bottom, for the slope there
+    (4.4e6, None, (1.0, 12.0), "above",
+     [12.0, 1.0, 12.0, 11.941020530371254, 11.941170805272213, 11.941170806255803]),
+    # the closed-form root below a given bottom: no seed, so the ends, the
+    # midpoints on ln F until the bracket is 1e-2 wide, then Newton
+    (1e11, 100.0, (400.0, 800.0), "below",
+     [800.0, 400.0, 565.6854249492379, 475.6828460010881, 436.20309306610267,
+      417.7095129709651, 426.85616027072905, 431.5043191028475, 433.8473448853235,
+      431.97428392291187, 431.978483051416, 431.9784830726715, 431.97848307267117]),
+])
+def test_jwkb_given_bracket_searches_solve_their_fields_in_order(
+    monkeypatch, target, I, bracket, seed_at, fields
+):
+    atom = make_atom(1, I)
+    seed = invert._closed_form_root(atom, math.log(target))
+    lo, hi = math.log(bracket[0]), math.log(bracket[1])
+    assert {"inside": lo < seed < hi, "above": seed >= hi, "below": seed <= lo}[seed_at]
+    solves = _recording(monkeypatch)
+    result = invert_rate(target, atom, method="jwkb-parabolic", bracket=bracket)
+    assert solves == fields
+    assert result.iterations == len(fields)
+
+
+def test_jwkb_rate_peak_search_solves_its_fields_in_order(monkeypatch):
+    # above the rate's maximum at I = 1086 eV: Newton from the seed steps
+    # past the maximum, where the slope is not positive; the ends step then
+    # solves the top, where the rate falls and lies below the target,
+    # bisects the default bracket on the slope's sign down to the maximum,
+    # solves the bottom and refuses
+    solves = _recording(monkeypatch)
+    with pytest.raises(errors.TargetUnattainable):
+        invert_rate(1e14, make_atom(1, 1086.0), method="jwkb-parabolic")
+    walk = [16410.39121913159, 33246.39877811555, 53118.3944529933, 69511.96569072639,
+            90765.20959254692]
+    top = guard_field(make_atom(1, 1086.0))
+    peak = [0.31996976423334217, 180.9936806910356, 4304.677767185525, 20993.23005033616,
+            46360.54937818512, 68894.28989972269, 83984.77351784571, 76066.22991775665,
+            79927.49897250114, 77972.96655632342, 77013.69749234772, 76538.49763530429,
+            76775.72991124276, 76894.62164637161, 76835.15278275321, 76805.43560020822,
+            76790.58131930593, 76798.00810061744, 76794.29462018106, 76796.15133795363,
+            76797.07971367399, 76797.54390574277, 76797.31180935766, 76797.19576142821,
+            76797.25378537095, 76797.28279735876, 76797.26829136348, 76797.26103836687,
+            76797.26466486516, 76797.26285161606, 76797.2637582406, 76797.26330492826,
+            76797.26307827217, 76797.26319160021, 76797.26313493612]
+    assert solves == walk + [top] + peak + [1e-6]
+
+
 def test_jwkb_no_convergence_is_refused_without_a_second_try(monkeypatch):
     # with three solves allowed, hydrogen at 1e8 s^-1 (five solves) does not
     # converge: nothing starts over, and the refusal counts the three
@@ -630,6 +688,19 @@ def test_jwkb_no_convergence_is_refused_without_a_second_try(monkeypatch):
         invert_rate(1e8, make_atom(1), method="jwkb-parabolic")
     assert str(raised.value).startswith("inversion did not converge in 3 evaluations")
     assert len(solves) == 3
+
+
+def test_jwkb_ends_wait_for_solves_the_budget_allows(monkeypatch):
+    # hydrogen at 1e10 s^-1 lies above the JWKB rate at the guard and the
+    # closed form's root above it: Newton starts at the top, whose rate
+    # falls short, so the ends are next; with one solve allowed, none is
+    # left for them, and the refusal is the budget's, not the bracket's
+    monkeypatch.setattr(invert, "_MAX_ITER", 1)
+    solves = _recording(monkeypatch)
+    with pytest.raises(errors.NumericError) as raised:
+        invert_rate(1e10, make_atom(1), method="jwkb-parabolic")
+    assert str(raised.value).startswith("inversion did not converge in 1 evaluations")
+    assert solves == [guard_field(make_atom(1))]
 
 
 @pytest.mark.parametrize("target, I, message", [
